@@ -11,7 +11,7 @@ Emits the energy trace and VTK snapshots for visualization.
 import numpy as np
 
 from prkflow.grid import discrete_energy
-from prkflow.harness import (build_grid, build_initial, emit_field_vtk,
+from prkflow.harness import (build_grid, build_initial, checkpoint_steps, emit_field_vtk,
                              emit_trace_csv, preset, scheme_params)
 from prkflow.integrators import run
 
@@ -24,16 +24,16 @@ print(f"grid {grid.n_per_axis}x{grid.n_per_axis}, tau = {cfg.tau:g}, "
 
 snapshots = []
 crossing = []
+at_step = {i: t for t, i in checkpoint_steps(cfg.snapshot_times, cfg.tau).items()}
 
 
 def observe(i, t, m):
     if not crossing and m.components[2, center] < 0.0:
         crossing.append(t)
-    for want in cfg.snapshot_times:
-        if abs(t - want) <= 1e-9:
-            path = f"blowup_t{want:g}.vtk"
-            emit_field_vtk(m, grid, path)
-            snapshots.append(path)
+    if i in at_step:
+        path = f"blowup_t{at_step[i]:g}.vtk"
+        emit_field_vtk(m, grid, path)
+        snapshots.append(path)
 
 
 final, trace = run(m0, scheme_params(cfg, scheme="prk"), cfg.T, observers=[observe])

@@ -5,7 +5,7 @@ Subpackages:
   stability   -- additive embedding, stability function, region sampling
   grid        -- tensor meshes, discrete Laplacians, trapezoidal inner products
   field       -- three-component node fields, sphere projection, mobility operator
-  linalg      -- stage-operator assembly and verified sparse solves
+  linalg      -- matrix-free stage operator and verified sparse solves
   integrators -- PRK / PRK-variant / SIP1 / LM2 steppers and a BDF4 reference
   harness     -- experiment presets, drivers, CSV/VTK emitters
 """

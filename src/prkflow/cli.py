@@ -14,7 +14,7 @@ import sys
 
 from . import harness, stability, tableau as tab
 from .harness import (preset, PRESET_NAMES, build_grid, build_initial,
-                      scheme_params, config_from_json, config_to_json,
+                      scheme_params, checkpoint_steps, config_from_json, config_to_json,
                       emit_field_vtk, emit_trace_csv, write_csv)
 from .integrators import run as run_scheme
 
@@ -99,26 +99,23 @@ def cmd_run(args):
     initial = build_initial(cfg, grid)
     scheme = args.scheme or cfg.scheme
     p = scheme_params(cfg, scheme=scheme)
+    at_step = {i: t for t, i in checkpoint_steps(cfg.snapshot_times, p.tau).items()}
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     snapshots = []
-    if cfg.snapshot_times:
-        def observe(_i, t, m):
-            for want in cfg.snapshot_times:
-                if abs(t - want) <= 1e-9 * max(1.0, want):
-                    path = os.path.join(cfg.output_dir, f"{cfg.preset}_{scheme}_t{want:g}.vtk")
-                    emit_field_vtk(m, grid, path)
-                    snapshots.append(path)
-        observers = [observe]
-    else:
-        observers = None
+
+    def observe(i, _t, m):
+        if i in at_step:
+            path = os.path.join(cfg.output_dir, f"{cfg.preset}_{scheme}_t{at_step[i]:g}.vtk")
+            emit_field_vtk(m, grid, path)
+            snapshots.append(path)
 
     if 0.0 in cfg.snapshot_times:
         path = os.path.join(cfg.output_dir, f"{cfg.preset}_{scheme}_t0.vtk")
         emit_field_vtk(initial, grid, path)
         snapshots.append(path)
 
-    final, trace = run_scheme(initial, p, cfg.T, observers=observers)
+    final, trace = run_scheme(initial, p, cfg.T, observers=[observe])
     trace_path = os.path.join(cfg.output_dir, f"{cfg.preset}_{scheme}_trace.csv")
     emit_trace_csv(trace, trace_path)
     final_path = os.path.join(cfg.output_dir, f"{cfg.preset}_{scheme}_final.vtk")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .field import VectorField, ProjectionParams, normalize
 from .grid import Grid, NEUMANN, inner_product
-from .integrators import SchemeParams, bdf4_reference, run
+from .integrators import SchemeParams, _step_count, bdf4_reference, run
 from .linalg import SolverConfig
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "emit_trace_csv",
     "reference_solution",
     "reference_snapshots",
+    "checkpoint_steps",
     "config_to_json",
     "config_from_json",
 ]
@@ -267,9 +268,16 @@ def reference_solution(cfg, T, beta=None):
     return final
 
 
+def checkpoint_steps(times, tau):
+    """{time: step index} for checkpoint times; raises ValueError for a time
+    that is not a whole number of steps of size tau."""
+    return {t: _step_count(t, tau) for t in times}
+
+
 def reference_snapshots(cfg, times, beta=None):
     """Reference fields at several times from a single small-step trajectory."""
     times = sorted(times)
+    steps = checkpoint_steps(times, cfg.ref_tau)
     grid = build_grid(cfg)
     initial = build_initial(cfg, grid)
     proj = ProjectionParams(alpha=cfg.alpha, beta=cfg.beta if beta is None else beta)
@@ -279,17 +287,26 @@ def reference_snapshots(cfg, times, beta=None):
         p = SchemeParams(scheme="bdf4_ref", tau=cfg.ref_tau, projection=proj, solver=solver)
         return {t: bdf4_reference(initial, p, t) for t in times}
     p = SchemeParams(scheme="prk", tau=cfg.ref_tau, projection=proj, solver=solver)
-    snaps = {}
-
-    def observe(_i, t, m, _snaps=snaps):
-        for want in times:
-            if abs(t - want) <= 1e-9 * max(1.0, want):
-                _snaps[want] = m.copy()
-
-    final, trace = run(initial, p, max(times), observers=[observe])
+    snaps, trace = _snapshot_run(initial, p, steps)
     if trace.failure is not None:
         raise RuntimeError(f"reference run failed: {trace.failure}")
-    return snaps
+    return {t: snaps[steps[t]] for t in times}
+
+
+def _snapshot_run(initial, p, steps):
+    """Run to the last of the checkpoints {time: step index}.
+
+    Returns ({step index: field} for the checkpoints reached, trace).
+    """
+    wanted = set(steps.values())
+    snaps = {}
+
+    def observe(i, _t, m):
+        if i in wanted:
+            snaps[i] = m.copy()
+
+    _final, trace = run(initial, p, max(steps), observers=[observe])
+    return snaps, trace
 
 
 def convergence_driver(cfg, schemes, tau0=None, n_halvings=5, out_csv=None):
@@ -329,11 +346,13 @@ def convergence_driver(cfg, schemes, tau0=None, n_halvings=5, out_csv=None):
 def robustness_driver(cfg, schemes, taus, checkpoints, out_csv=None):
     """Errors at checkpoint times per (scheme, tau); one run per cell.
 
-    A failure at time t marks the first checkpoint >= t as "NAN" and every
-    later checkpoint as "--", reproducing the staircase table shape.
-    Returns {(scheme, tau): [(T, value-string), ...]}.
+    Every checkpoint must be a whole number of steps of every tau (ValueError
+    otherwise, before any step).  A failure marks the first checkpoint not
+    reached as "NAN" and every later checkpoint as "--", reproducing the
+    staircase table shape.  Returns {(scheme, tau): [(T, value-string), ...]}.
     """
     checkpoints = sorted(checkpoints)
+    steps = {tau: checkpoint_steps(checkpoints, tau) for tau in taus}
     grid = build_grid(cfg)
     initial = build_initial(cfg, grid)
     refs = {}
@@ -345,27 +364,17 @@ def robustness_driver(cfg, schemes, taus, checkpoints, out_csv=None):
         ref = refs[beta]
         for tau in taus:
             p = scheme_params(cfg, scheme=scheme, tau=tau)
-            snaps = {}
-
-            def observe(_i, t, m, _snaps=snaps):
-                for want in checkpoints:
-                    if abs(t - want) <= 1e-9 * max(1.0, want):
-                        _snaps[want] = m.copy()
-
-            _final, trace = run(initial, p, max(checkpoints), observers=[observe])
-            fail_t = trace.failure[0] if trace.failure is not None else None
+            snaps, _trace = _snapshot_run(initial, p, steps[tau])
             cells = []
             failed = False
             for T in checkpoints:
-                if T in snaps and not failed:
-                    cells.append((T, _fmt(l2_error(snaps[T], ref[T], grid))))
-                elif not failed and (fail_t is None or fail_t > T):
-                    cells.append((T, "--"))  # unreachable checkpoint (not hit exactly)
-                elif not failed:
+                if failed:
+                    cells.append((T, "--"))
+                elif steps[tau][T] in snaps:
+                    cells.append((T, _fmt(l2_error(snaps[steps[tau][T]], ref[T], grid))))
+                else:
                     cells.append((T, "NAN"))
                     failed = True
-                else:
-                    cells.append((T, "--"))
             table[(scheme, tau)] = cells
     if out_csv:
         rows = []

@@ -29,7 +29,7 @@ from . import linalg
 from .field import (VectorField, ProjectionParams, normalize, diagnostics,
                     projector_blocks, apply_blocks)
 from .grid import laplacian, discrete_energy, inner_product
-from .linalg import SolverConfig, solve, stage_template
+from .linalg import SolverConfig, StageOperator, solve
 from .tableau import PRKTableau, prk2_tableau, validate
 
 __all__ = [
@@ -139,12 +139,18 @@ class RunTrace:
         return np.array([r.energy for r in self.records])
 
 
-def _laplacian_apply(lap, comps):
-    out = np.empty_like(comps)
-    for l in range(3):
-        out[l] = lap.matrix @ comps[l]
-    out += lap.bc_contribution
-    return out
+def _stage_solve(lap, blocks, coeff, rhs, solver, stage):
+    """Solve (I - coeff P D_h) U = rhs + coeff P bc for U (3, N); returns (U, iters, residual).
+
+    The boundary forcing of the Laplacian enters the right-hand side here.
+    Solver failures become StepFailureError(stage, ...).
+    """
+    rhs = rhs + coeff * apply_blocks(blocks, lap.bc_contribution)
+    try:
+        x, nit, res = solve(StageOperator(lap, blocks, coeff), rhs.reshape(-1), solver)
+    except (linalg.NonConvergenceError, linalg.BreakdownError) as exc:
+        raise StepFailureError(stage, exc) from exc
+    return x.reshape(3, -1), nit, res
 
 
 def _finish_step(grid, m_tilde, step_index, t_next, iters, resids, t_wall0, extra=None):
@@ -166,51 +172,43 @@ def _finish_step(grid, m_tilde, step_index, t_next, iters, resids, t_wall0, extr
 
 
 def prk_step(state, p, step_index=0, t0=0.0):
-    """One step of the product scheme (mobility at the lagged stage, D2-averaged Laplacian)."""
+    """One step of the product scheme (mobility at the lagged stage, D2-averaged Laplacian).
+
+    The averaged Laplacian Y_j = sum_{k<=j} D2[j,k] D_h U^k and its image
+    P_j Y_j are formed once, right after stage j is solved, and reused by the
+    later stages and the final update.
+    """
     grid = state.grid
     lap = laplacian(grid)
-    tmpl = stage_template(lap)
     tab = p.tableau
     Atab, Dtab, btab, s = tab.A, tab.D2, tab.b, tab.s
     tau = p.tau
     t_wall = time.perf_counter()
 
-    U = [state.components]
-    DU = [None]
-    P = []
+    U0 = state.components
+    U = U0
+    DU, PY = [], []
     iters, resids = [], []
-    for i in range(1, s + 1):
-        P.append(projector_blocks(VectorField(U[i - 1], grid), p.projection))
-        mu = np.zeros_like(U[0])
-        for j in range(1, i):
-            acc = np.zeros_like(U[0])
-            for k in range(1, j + 1):
-                acc += Dtab[j - 1, k - 1] * DU[k]
-            mu += Atab[i - 1, j - 1] * apply_blocks(P[j - 1], acc)
-        acc = np.zeros_like(U[0])
-        for k in range(1, i):
-            acc += Dtab[i - 1, k - 1] * DU[k]
-        mu += Atab[i - 1, i - 1] * apply_blocks(P[i - 1], acc)
+    for i in range(s):
+        blocks = projector_blocks(VectorField(U, grid), p.projection)
+        y_partial = np.zeros_like(U0)
+        for k in range(i):
+            y_partial += Dtab[i, k] * DU[k]
+        mu = np.zeros_like(U0)
+        for j in range(i):
+            mu += Atab[i, j] * PY[j]
+        mu += Atab[i, i] * apply_blocks(blocks, y_partial)
 
-        coeff = tau * Atab[i - 1, i - 1] * Dtab[i - 1, i - 1]
-        system = tmpl.assemble(P[i - 1], coeff)
-        rhs = U[0] + tau * mu + coeff * apply_blocks(P[i - 1], lap.bc_contribution)
-        try:
-            x, nit, res = solve(system, rhs.reshape(-1), p.solver)
-        except (linalg.NonConvergenceError, linalg.BreakdownError) as exc:
-            raise StepFailureError(i, exc) from exc
+        coeff = tau * Atab[i, i] * Dtab[i, i]
+        U, nit, res = _stage_solve(lap, blocks, coeff, U0 + tau * mu, p.solver, i + 1)
         iters.append(nit)
         resids.append(res)
-        Ui = x.reshape(3, -1)
-        U.append(Ui)
-        DU.append(_laplacian_apply(lap, Ui))
+        DU.append(lap.apply(U))
+        PY.append(apply_blocks(blocks, y_partial + Dtab[i, i] * DU[i]))
 
-    m_tilde = U[0].copy()
-    for j in range(1, s + 1):
-        acc = np.zeros_like(U[0])
-        for k in range(1, j + 1):
-            acc += Dtab[j - 1, k - 1] * DU[k]
-        m_tilde += tau * btab[j - 1] * apply_blocks(P[j - 1], acc)
+    m_tilde = U0.copy()
+    for j in range(s):
+        m_tilde += tau * btab[j] * PY[j]
     return _finish_step(grid, m_tilde, step_index, t0 + tau, iters, resids, t_wall)
 
 
@@ -221,7 +219,6 @@ def prk_alt_step(state, p, step_index=0, t0=0.0):
     """
     grid = state.grid
     lap = laplacian(grid)
-    tmpl = stage_template(lap)
     tab = p.tableau
     try:
         G = np.linalg.inv(tab.D2)
@@ -233,37 +230,28 @@ def prk_alt_step(state, p, step_index=0, t0=0.0):
     tau = p.tau
     t_wall = time.perf_counter()
 
-    U = [state.components]
-    DU = [None]
+    U0 = state.components
+    U = U0
     P_single = []
-    P_avg = []
+    PD = []          # P_avg[j] D_h U^j, formed once per stage
     iters, resids = [], []
-    for i in range(1, s + 1):
-        P_single.append(projector_blocks(VectorField(U[i - 1], grid), p.projection))
-        pb = np.zeros_like(P_single[0])
-        for k in range(1, i + 1):
-            pb += G[i - 1, k - 1] * P_single[k - 1]
-        P_avg.append(pb)
+    for i in range(s):
+        P_single.append(projector_blocks(VectorField(U, grid), p.projection))
+        p_avg = np.zeros_like(P_single[0])
+        for k in range(i + 1):
+            p_avg += G[i, k] * P_single[k]
 
-        rhs = U[0].copy()
-        for j in range(1, i):
-            rhs += tau * Ahat[i - 1, j - 1] * apply_blocks(P_avg[j - 1], DU[j])
-        coeff = tau * Ahat[i - 1, i - 1]
-        system = tmpl.assemble(P_avg[i - 1], coeff)
-        rhs += coeff * apply_blocks(P_avg[i - 1], lap.bc_contribution)
-        try:
-            x, nit, res = solve(system, rhs.reshape(-1), p.solver)
-        except (linalg.NonConvergenceError, linalg.BreakdownError) as exc:
-            raise StepFailureError(i, exc) from exc
+        rhs = U0.copy()
+        for j in range(i):
+            rhs += tau * Ahat[i, j] * PD[j]
+        U, nit, res = _stage_solve(lap, p_avg, tau * Ahat[i, i], rhs, p.solver, i + 1)
         iters.append(nit)
         resids.append(res)
-        Ui = x.reshape(3, -1)
-        U.append(Ui)
-        DU.append(_laplacian_apply(lap, Ui))
+        PD.append(apply_blocks(p_avg, lap.apply(U)))
 
-    m_tilde = U[0].copy()
-    for j in range(1, s + 1):
-        m_tilde += tau * bhat[j - 1] * apply_blocks(P_avg[j - 1], DU[j])
+    m_tilde = U0.copy()
+    for j in range(s):
+        m_tilde += tau * bhat[j] * PD[j]
     return _finish_step(grid, m_tilde, step_index, t0 + tau, iters, resids, t_wall)
 
 
@@ -271,20 +259,13 @@ def sip1_step(state, p, step_index=0, t0=0.0):
     """Semi-implicit predictor (I - tau theta P D_h) m~ = m + tau (1-theta) P D_h m."""
     grid = state.grid
     lap = laplacian(grid)
-    tmpl = stage_template(lap)
     tau, theta = p.tau, p.theta
     t_wall = time.perf_counter()
 
     blocks = projector_blocks(state, p.projection)
-    dm = _laplacian_apply(lap, state.components)
-    rhs = state.components + tau * (1.0 - theta) * apply_blocks(blocks, dm)
-    rhs = rhs + tau * theta * apply_blocks(blocks, lap.bc_contribution)
-    system = tmpl.assemble(blocks, tau * theta)
-    try:
-        x, nit, res = solve(system, rhs.reshape(-1), p.solver)
-    except (linalg.NonConvergenceError, linalg.BreakdownError) as exc:
-        raise StepFailureError(1, exc) from exc
-    return _finish_step(grid, x.reshape(3, -1), step_index, t0 + tau, [nit], [res], t_wall)
+    rhs = state.components + tau * (1.0 - theta) * apply_blocks(blocks, lap.apply(state.components))
+    m_tilde, nit, res = _stage_solve(lap, blocks, tau * theta, rhs, p.solver, 1)
+    return _finish_step(grid, m_tilde, step_index, t0 + tau, [nit], [res], t_wall)
 
 
 @dataclass
@@ -303,7 +284,7 @@ def lm2_init(state, p):
     if p.lm2_lambda0 == "zero":
         lam = np.zeros(grid.n_nodes)
     else:
-        dm = _laplacian_apply(lap, state.components)
+        dm = lap.apply(state.components)
         lam = -np.einsum("ln,ln->n", state.components, dm)
     a = sparse.identity(grid.n_nodes, format="csc") \
         - (p.tau * p.projection.alpha / 2.0) * lap.matrix.tocsc()
@@ -343,7 +324,7 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
     t_wall = time.perf_counter()
 
     m = state.components
-    d_pred = _laplacian_apply(lap, aux.predictor)
+    d_pred = lap.apply(aux.predictor)
     rhs = m + (tau * alpha / 2.0) * d_pred + (tau * alpha) * aux.lam * m
     m_tilde = np.vstack([aux.lu.solve(rhs[l]) for l in range(3)])
 
@@ -355,7 +336,7 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
     m_hat = w / wn
 
     g = 0.5 * (m_hat + m)
-    dg = _laplacian_apply(lap, g)
+    dg = lap.apply(g)
     cr = np.cross(g, dg, axis=0)
     dissipation = sum(inner_product(cr[l], cr[l], grid) for l in range(3))
     target = _lm2_energy(m, grid) - tau * alpha * dissipation
@@ -391,7 +372,6 @@ def bdf4_reference(initial, p, T):
     """
     grid = initial.grid
     lap = laplacian(grid)
-    tmpl = stage_template(lap)
     tau = p.tau
     n_steps = _step_count(T, tau)
     if n_steps == 0:
@@ -411,15 +391,9 @@ def bdf4_reference(initial, p, T):
     for _ in range(3, n_steps):
         m_star = 4.0 * h3 - 6.0 * h2 + 4.0 * h1 - h0
         blocks = projector_blocks(VectorField(m_star, grid), p.projection)
-        coeff = tau * 12.0 / 25.0
-        system = tmpl.assemble(blocks, coeff)
         rhs = (48.0 * h3 - 36.0 * h2 + 16.0 * h1 - 3.0 * h0) / 25.0
-        rhs = rhs + coeff * apply_blocks(blocks, lap.bc_contribution)
-        try:
-            x, _nit, _res = solve(system, rhs.reshape(-1), p.solver)
-        except (linalg.NonConvergenceError, linalg.BreakdownError) as exc:
-            raise StepFailureError(1, exc) from exc
-        m_new = normalize(VectorField(x.reshape(3, -1), grid))
+        x, _nit, _res = _stage_solve(lap, blocks, tau * 12.0 / 25.0, rhs, p.solver, 1)
+        m_new = normalize(VectorField(x, grid))
         h0, h1, h2, h3 = h1, h2, h3, m_new.components
     return VectorField(h3.copy(), grid, on_sphere=True)
 

@@ -1,11 +1,13 @@
-"""Stage-operator assembly and sparse linear solves.
+"""Matrix-free stage operators and verified sparse linear solves.
 
 Stage systems have the form (I - coeff * P * D_h) over the 3N-dimensional
 stacked field, where P is a per-node 3x3 block operator and D_h the scalar
-Laplacian applied blockwise.  The matrix is nonsymmetric (tangential
-projector and cross term), with <= 15 bands in 2-D.  Sparse storage is
-compressed-row with sorted columns; the matvec order is deterministic, so
-repeated runs are bit-identical.
+Laplacian applied blockwise.  The operator is nonsymmetric (tangential
+projector and cross term) and is never assembled for the Krylov solvers: a
+matvec is three scalar Laplacian matvecs plus one blockwise product, and the
+Jacobi diagonal is 1 - coeff * P_ll * D_ii.  The assembled 3N x 3N matrix is
+built only for the sparse direct factorization and as a test reference.
+The matvec order is deterministic, so repeated runs are bit-identical.
 
 Solvers: Jacobi-preconditioned BiCGStab (default), restarted GMRES, and a
 sparse direct factorization.  Every successful solve is verified against the
@@ -29,11 +31,12 @@ __all__ = [
     "SolverConfig",
     "NonConvergenceError",
     "BreakdownError",
-    "StageOperatorTemplate",
-    "stage_template",
+    "StageOperator",
     "assemble_stage_operator",
     "solve",
 ]
+
+_GMRES_RESTART = 60      # gmres restart length; bicgstab is always Jacobi-preconditioned
 
 
 class NonConvergenceError(RuntimeError):
@@ -57,8 +60,6 @@ class SolverConfig:
     rel_tol: float = 1e-11
     abs_tol: float = 1e-14
     max_iters: int = 0                # 0 -> 10 * sqrt(N)
-    restart: int = 60                 # gmres restart length
-    jacobi: bool = True               # diagonal preconditioning for bicgstab
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -70,89 +71,45 @@ class SolverConfig:
         return self.max_iters if self.max_iters > 0 else max(100, int(10 * np.sqrt(n)))
 
 
-class StageOperatorTemplate:
-    """Precomputed sparsity pattern of I - coeff * blocks * D for one Laplacian.
+class StageOperator(spla.LinearOperator):
+    """I - coeff * blocks * D over the stacked field (3N x 3N), applied matrix-free.
 
-    The 3x3 block structure over a fixed D pattern is itself fixed; assembly
-    reduces to filling the CSR data array with gathered products, which keeps
-    the per-step cost linear in the nonzero count.
+    ``lap`` is a DiscreteLaplacian (only its matrix D is used: boundary
+    forcing belongs in the right-hand side), ``blocks`` the per-node 3x3
+    blocks (3, 3, N).
     """
 
-    def __init__(self, d_matrix):
-        n = d_matrix.shape[0]
-        # inject explicit zero diagonal entries so every row (including the
-        # empty rows of Dirichlet-fixed nodes) owns an identity slot
-        coo = d_matrix.tocoo()
-        d = sparse.csr_matrix(
-            (np.concatenate([coo.data, np.zeros(n)]),
-             (np.concatenate([coo.row, np.arange(n)]),
-              np.concatenate([coo.col, np.arange(n)]))),
-            shape=(n, n))
-        d.sum_duplicates()
-        d.sort_indices()
-        self.n = n
-        self.d_data = d.data.copy()
-        nnz = d.nnz
-        big_indptr = np.zeros(3 * n + 1, dtype=np.int64)
-        slot_d = np.empty(9 * nnz, dtype=np.int64)
-        slot_l = np.empty(9 * nnz, dtype=np.int64)
-        slot_m = np.empty(9 * nnz, dtype=np.int64)
-        slot_row = np.empty(9 * nnz, dtype=np.int64)
-        big_indices = np.empty(9 * nnz, dtype=np.int32)
-        pos = 0
-        d_slots = np.arange(nnz)
-        # build row by row in block order: big row (l, i) concatenates the three
-        # column blocks m = 0, 1, 2 of D's row i (columns ascending within a row)
-        start = d.indptr[:-1]
-        stop = d.indptr[1:]
+    def __init__(self, lap, blocks, coeff):
+        n = lap.matrix.shape[0]
+        super().__init__(np.float64, (3 * n, 3 * n))
+        self.d = lap.matrix
+        self.blocks = blocks
+        self.coeff = coeff
+
+    def _matvec(self, x):
+        x = x.reshape(3, -1)
+        dx = np.empty_like(x)
         for l in range(3):
-            for i in range(n):
-                for m in range(3):
-                    a, b = start[i], stop[i]
-                    k = b - a
-                    sl = slice(pos, pos + k)
-                    slot_d[sl] = d_slots[a:b]
-                    slot_l[sl] = l
-                    slot_m[sl] = m
-                    slot_row[sl] = i
-                    big_indices[sl] = d.indices[a:b] + m * n
-                    pos += k
-                big_indptr[l * n + i + 1] = pos
-        self.big_indptr = big_indptr
-        self.big_indices = big_indices
-        self.slot_d = slot_d
-        self.slot_l = slot_l
-        self.slot_m = slot_m
-        self.slot_row = slot_row
-        # identity slots: block m == l, column == row
-        diag_cols = self.big_indices == (slot_m * n + slot_row)
-        self.diag_slots = np.nonzero(diag_cols & (slot_l == slot_m))[0]
-        if self.diag_slots.size != 3 * n:
-            raise ValueError("Laplacian pattern lacks diagonal entries")
+            dx[l] = self.d @ x[l]
+        return (x - self.coeff * np.einsum("lmn,mn->ln", self.blocks, dx)).reshape(-1)
 
-    def assemble(self, blocks, coeff):
-        """CSR matrix I - coeff * blocks * D for per-node blocks (3, 3, N)."""
-        data = -coeff * blocks[self.slot_l, self.slot_m, self.slot_row] * self.d_data[self.slot_d]
-        data[self.diag_slots] += 1.0
-        mat = sparse.csr_matrix((data, self.big_indices, self.big_indptr),
-                                shape=(3 * self.n, 3 * self.n))
-        return mat
+    def diagonal(self):
+        p_diag = np.einsum("lln->ln", self.blocks)
+        return (1.0 - self.coeff * p_diag * self.d.diagonal()).reshape(-1)
 
+    def tocsr(self):
+        """The assembled matrix, for sparse direct factorization and as a reference."""
+        coupled = sparse.bmat([[sparse.diags(self.blocks[l, m]) @ self.d for m in range(3)]
+                               for l in range(3)], format="csr")
+        return (sparse.identity(self.shape[0], format="csr") - self.coeff * coupled).tocsr()
 
-def stage_template(lap):
-    """Template for a DiscreteLaplacian, memoized on the instance."""
-    tmpl = getattr(lap, "_stage_template", None)
-    if tmpl is None:
-        tmpl = StageOperatorTemplate(lap.matrix)
-        lap._stage_template = tmpl
-    return tmpl
+    def tocsc(self):
+        return self.tocsr().tocsc()
 
 
 def assemble_stage_operator(grid, Mdir, coeff, params):
     """I - coeff * P(Mdir) * D_h over the stacked field (3N x 3N, CSR)."""
-    lap = laplacian(grid)
-    blocks = projector_blocks(Mdir, params)
-    return stage_template(lap).assemble(blocks, coeff)
+    return StageOperator(laplacian(grid), projector_blocks(Mdir, params), coeff).tocsr()
 
 
 def _true_residual(A, x, rhs):
@@ -181,7 +138,7 @@ def solve(A, rhs, cfg=None):
 
     budget = cfg.iteration_budget(n)
     precond = None
-    if cfg.method == "bicgstab" and cfg.jacobi:
+    if cfg.method == "bicgstab":
         diag = A.diagonal()
         if np.abs(diag).min() == 0.0:
             raise BreakdownError("zero diagonal entry; Jacobi preconditioner unusable")
@@ -201,9 +158,9 @@ def solve(A, rhs, cfg=None):
         else:
             def cb(_rk):
                 iters[0] += 1
-            outer = max(1, budget // cfg.restart)
+            outer = max(1, budget // _GMRES_RESTART)
             x, info = spla.gmres(A, rhs, x0=x, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                                 restart=cfg.restart, maxiter=outer,
+                                 restart=_GMRES_RESTART, maxiter=outer,
                                  callback=cb, callback_type="pr_norm")
         total_iters += iters[0]
         if info < 0:

@@ -177,6 +177,16 @@ def test_robustness_driver_staircase(monkeypatch, tmp_path):
     assert lm2_cells[5e-3] == "--"
 
 
+def test_off_grid_checkpoint_rejected_before_any_step(monkeypatch):
+    def no_step(*_args, **_kwargs):
+        raise AssertionError("a step ran before the checkpoints were checked")
+
+    monkeypatch.setattr(integ, "prk_step", no_step)
+    cfg = preset("llg_blowup42", k=8, reference="self", ref_tau=5e-4)
+    with pytest.raises(ValueError, match="not an integer multiple of tau"):
+        robustness_driver(cfg, ("prk",), (1e-3,), (1e-3, 1.5e-3))
+
+
 def test_work_precision_driver_rows(tmp_path):
     cfg = preset("llg_blowup42", k=8, reference="self", ref_tau=2.5e-5)
     out = work_precision_driver(cfg, ("prk",), (4e-4, 2e-4, 1e-4), (2e-3, 4e-3),

@@ -116,10 +116,10 @@ def test_sip1_predictor_orthogonal_increment():
                      theta=1.0, solver=SolverConfig(method="direct"))
     # reconstruct the predictor from the step by re-solving the linear system
     from prkflow.field import projector_blocks
-    from prkflow.linalg import stage_template, solve
+    from prkflow.linalg import StageOperator, solve
     blocks = projector_blocks(m, p.projection)
     rhs = m.components    # theta = 1: the explicit Laplacian term drops out
-    system = stage_template(lap).assemble(blocks, p.tau * 1.0)
+    system = StageOperator(lap, blocks, p.tau * 1.0)
     x, _, _ = solve(system, rhs.reshape(-1), p.solver)
     m_tilde = x.reshape(3, -1)
     incr = m_tilde - m.components

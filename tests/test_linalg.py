@@ -1,13 +1,16 @@
-"""Stage-operator assembly against a matrix-free oracle, and solver contracts."""
+"""Matrix-free stage operator against its assembled form and a composition oracle,
+and solver contracts."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from prkflow.field import ProjectionParams, VectorField, normalize, apply_p
+from prkflow.field import ProjectionParams, VectorField, normalize, apply_p, projector_blocks
 from prkflow.grid import Grid, laplacian
+from prkflow.harness import build_grid, preset
 from prkflow.linalg import (BreakdownError, NonConvergenceError, SolverConfig,
-                            assemble_stage_operator, solve)
+                            StageOperator, assemble_stage_operator, solve)
+from prkflow.tableau import prk2_tableau
 
 
 def _setup(k, dim=2, seed=3):
@@ -35,18 +38,58 @@ def test_nonzero_count_matches_band_structure():
     assert np.diff(a.indptr).max() == 15
 
 
-def test_matches_matrix_free_composition(rng):
+PARAMS = ProjectionParams(alpha=1.2, beta=-0.7)
+
+
+def _neumann_2d(rng):
     grid, mdir, _ = _setup(8)
-    params = ProjectionParams(alpha=1.2, beta=-0.7)
+    return grid, projector_blocks(mdir, PARAMS), lambda dv: apply_p(mdir, dv, PARAMS).components
+
+
+def _twisted_nematic_faces(rng):
+    # Neumann sides, Dirichlet anchoring at z = 0 and z = 1: the fixed rows of D are zero
+    grid = build_grid(preset("twisted_nematic44", k=4))
+    mdir = normalize(VectorField(rng.standard_normal((3, grid.n_nodes)), grid))
+    return grid, projector_blocks(mdir, PARAMS), lambda dv: apply_p(mdir, dv, PARAMS).components
+
+
+def _prk_alt_projector_sum(rng):
+    # the G-weighted average of two stage projectors that prk_alt solves with;
+    # the sum is not itself a projector
+    grid, m1, _ = _setup(8)
+    m2 = normalize(VectorField(rng.standard_normal((3, grid.n_nodes)), grid))
+    g = np.linalg.inv(prk2_tableau().D2)[1]
+    blocks = g[0] * projector_blocks(m1, PARAMS) + g[1] * projector_blocks(m2, PARAMS)
+
+    def apply(dv):
+        return g[0] * apply_p(m1, dv, PARAMS).components + g[1] * apply_p(m2, dv, PARAMS).components
+
+    return grid, blocks, apply
+
+
+@pytest.mark.parametrize("case", [_neumann_2d, _twisted_nematic_faces, _prk_alt_projector_sum],
+                         ids=["neumann-2d", "twisted-nematic-faces-3d", "prk-alt-projector-sum"])
+def test_matches_matrix_free_composition(case, rng):
+    grid, blocks, apply_blocks_oracle = case(rng)
     coeff = 3.7e-4
-    a = assemble_stage_operator(grid, mdir, coeff, params)
     lap = laplacian(grid)
+    op = StageOperator(lap, blocks, coeff)
+    a = op.tocsr()
     v = rng.standard_normal((3, grid.n_nodes))
     dv = np.vstack([lap.matrix @ v[l] for l in range(3)])
-    expected = v - coeff * apply_p(mdir, VectorField(dv, grid), params).components
+    expected = v - coeff * apply_blocks_oracle(VectorField(dv, grid))
     got = (a @ v.reshape(-1)).reshape(3, -1)
     scale = np.abs(expected).max()
     assert np.abs(got - expected).max() <= 1e-13 * scale
+    free = op.matvec(v.reshape(-1))
+    assert np.abs(free - a @ v.reshape(-1)).max() <= 1e-13 * scale
+    diag = a.diagonal()
+    assert np.abs(op.diagonal() - diag).max() <= 1e-13 * np.abs(diag).max()
+    # fixed nodes: identity rows in the assembled matrix, x passed through by the matvec
+    fixed = np.tile(grid.dirichlet_mask, 3)
+    if fixed.any():
+        assert np.array_equal(free[fixed], v.reshape(-1)[fixed])
+        assert np.array_equal(a[fixed].toarray(), np.eye(a.shape[0])[fixed])
 
 
 def test_identity_solve_immediate():
@@ -112,7 +155,7 @@ def test_nonconvergence_carries_best_iterate(rng):
 def test_zero_diagonal_breaks_jacobi():
     a = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(BreakdownError):
-        solve(a, np.ones(2), SolverConfig(jacobi=True))
+        solve(a, np.ones(2), SolverConfig())
 
 
 def test_solver_config_validation():
