@@ -6,7 +6,7 @@ Subpackages:
   grid        -- tensor meshes, discrete Laplacians, trapezoidal inner products
   field       -- three-component node fields, sphere projection, mobility operator
   linalg      -- matrix-free stage operator and verified sparse solves
-  integrators -- PRK / PRK-variant / SIP1 / LM2 steppers and a BDF4 reference
+  integrators -- PRK / PRK-variant / SIP1 / LM2 / BDF4-reference steppers, one run loop
   harness     -- experiment presets, drivers, CSV/VTK emitters
 """
 
@@ -18,7 +18,7 @@ from .grid import Grid, NEUMANN, neumann_1d, laplacian, inner_product, discrete_
 from .field import VectorField, ProjectionParams, normalize, apply_p, diagnostics
 from .linalg import SolverConfig, assemble_stage_operator, solve
 from .integrators import (SchemeParams, prk_step, prk_alt_step, sip1_step, lm2_step,
-                          lm2_init, bdf4_reference, run, RunTrace, NoRealRootError)
+                          lm2_init, bdf4_step, run, RunTrace, NoRealRootError)
 from .harness import (preset, build_grid, build_initial, scheme_params, l2_error,
                       convergence_driver, robustness_driver, work_precision_driver,
                       emit_field_vtk, emit_trace_csv)

@@ -115,11 +115,12 @@ def diagnostics(M):
 def projector_blocks(Mdir, params):
     """Per-node 3x3 blocks of P(Mdir) as an array of shape (3, 3, N).
 
+    Mdir is a VectorField; its directions mh are normalized pointwise.
     Block (l, m) holds the diagonal of the (l, m) sub-block of the 3N x 3N
     operator; the tangential part is alpha (I - mh mh^T), the precession part
     the cross-product matrix of beta*mh.
     """
-    mh = _unit_directions(Mdir) if not isinstance(Mdir, np.ndarray) else Mdir
+    mh = _unit_directions(Mdir)
     alpha, beta = params.alpha, params.beta
     n = mh.shape[1]
     p = np.empty((3, 3, n))

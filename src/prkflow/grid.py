@@ -180,33 +180,14 @@ def neumann_1d(k_plus_1, h):
     return g
 
 
-def _kron_sum_neumann(grid):
-    g1 = _neumann_1d_stencil(grid.n_per_axis)
-    eye = sparse.identity(grid.n_per_axis, format="csr")
-    terms = []
-    for a in range(grid.dim):
-        factors = [g1 if ax == a else eye for ax in range(grid.dim)]
-        m = factors[-1]
-        for f in reversed(factors[:-1]):
-            m = sparse.kron(f, m, format="csr")
-        terms.append(m)
-    total = terms[0]
-    for m in terms[1:]:
-        total = total + m
-    total = total.tocsr()
-    total.sort_indices()
-    return total
-
-
-def _assemble_mixed(grid):
-    """Nodewise integer-stencil assembly for grids with a Dirichlet face.
+def _assemble_stencil(grid):
+    """Nodewise integer-stencil assembly, for any mix of face conditions.
 
     Returns (stencil, coupling): couplings among free nodes and couplings
-    into Dirichlet-fixed nodes, both unscaled.
+    into Dirichlet-fixed nodes, both unscaled; without a Dirichlet face the
+    coupling is empty.
     """
     n = grid.n_per_axis
-    if n < 3:
-        raise ValueError("need at least three nodes per axis")
     fixed = grid.dirichlet_mask
     rows, cols, vals = [], [], []
 
@@ -249,13 +230,9 @@ def laplacian(grid):
     if grid._laplacian is not None:
         return grid._laplacian
     scaling = 1.0 / grid.h ** 2
-    if grid.dirichlet_mask.any():
-        stencil, coupling = _assemble_mixed(grid)
-        scaled_coupling = (coupling * scaling).tocsr()
-        bc = np.vstack([scaled_coupling @ grid.dirichlet_values[l] for l in range(3)])
-    else:
-        stencil = _kron_sum_neumann(grid)
-        bc = np.zeros((3, grid.n_nodes))
+    stencil, coupling = _assemble_stencil(grid)
+    scaled_coupling = (coupling * scaling).tocsr()
+    bc = np.vstack([scaled_coupling @ grid.dirichlet_values[l] for l in range(3)])
     matrix = (stencil * scaling).tocsr()
     matrix.sort_indices()
     lap = DiscreteLaplacian(matrix, stencil, scaling, bc, grid.dirichlet_mask, grid)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .field import VectorField, ProjectionParams, normalize
 from .grid import Grid, NEUMANN, inner_product
-from .integrators import SchemeParams, _step_count, bdf4_reference, run
+from .integrators import SchemeParams, _step_count, run
 from .linalg import SolverConfig
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "work_precision_driver",
     "emit_field_vtk",
     "emit_trace_csv",
-    "reference_solution",
     "reference_snapshots",
     "checkpoint_steps",
     "config_to_json",
@@ -244,30 +243,6 @@ def l2_error(a, b, grid=None):
     return float(np.sqrt(sum(inner_product(d[l], d[l], grid) for l in range(3))))
 
 
-def _reference_solver(cfg):
-    # reference trajectories run at a tightened tolerance so that accumulated
-    # solver residuals stay below the Richardson qualification bound
-    return SolverConfig(method=cfg.solver_method,
-                        rel_tol=min(cfg.solver_rel_tol, 1e-12),
-                        abs_tol=cfg.solver_abs_tol)
-
-
-def reference_solution(cfg, T, beta=None):
-    """Reference field at time T per the configured policy."""
-    grid = build_grid(cfg)
-    initial = build_initial(cfg, grid)
-    proj = ProjectionParams(alpha=cfg.alpha, beta=cfg.beta if beta is None else beta)
-    solver = _reference_solver(cfg)
-    if cfg.reference == "bdf4":
-        p = SchemeParams(scheme="bdf4_ref", tau=cfg.ref_tau, projection=proj, solver=solver)
-        return bdf4_reference(initial, p, T)
-    p = SchemeParams(scheme="prk", tau=cfg.ref_tau, projection=proj, solver=solver)
-    final, trace = run(initial, p, T)
-    if trace.failure is not None:
-        raise RuntimeError(f"reference run failed: {trace.failure}")
-    return final
-
-
 def checkpoint_steps(times, tau):
     """{time: step index} for checkpoint times; raises ValueError for a time
     that is not a whole number of steps of size tau."""
@@ -275,18 +250,22 @@ def checkpoint_steps(times, tau):
 
 
 def reference_snapshots(cfg, times, beta=None):
-    """Reference fields at several times from a single small-step trajectory."""
+    """Reference fields at several times from a single small-step trajectory.
+
+    The scheme is BDF4 when cfg.reference == "bdf4" and PRK2 otherwise, at
+    step ref_tau; a failed reference run raises RuntimeError.
+    """
     times = sorted(times)
     steps = checkpoint_steps(times, cfg.ref_tau)
     grid = build_grid(cfg)
     initial = build_initial(cfg, grid)
     proj = ProjectionParams(alpha=cfg.alpha, beta=cfg.beta if beta is None else beta)
-    solver = _reference_solver(cfg)
-    if cfg.reference == "bdf4":
-        # BDF4 has no continuation hook; integrate from zero to each time
-        p = SchemeParams(scheme="bdf4_ref", tau=cfg.ref_tau, projection=proj, solver=solver)
-        return {t: bdf4_reference(initial, p, t) for t in times}
-    p = SchemeParams(scheme="prk", tau=cfg.ref_tau, projection=proj, solver=solver)
+    # reference trajectories run at a tightened tolerance so that accumulated
+    # solver residuals stay below the Richardson qualification bound
+    solver = SolverConfig(method=cfg.solver_method, rel_tol=min(cfg.solver_rel_tol, 1e-12),
+                          abs_tol=cfg.solver_abs_tol)
+    scheme = "bdf4_ref" if cfg.reference == "bdf4" else "prk"
+    p = SchemeParams(scheme=scheme, tau=cfg.ref_tau, projection=proj, solver=solver)
     snaps, trace = _snapshot_run(initial, p, steps)
     if trace.failure is not None:
         raise RuntimeError(f"reference run failed: {trace.failure}")
@@ -296,10 +275,11 @@ def reference_snapshots(cfg, times, beta=None):
 def _snapshot_run(initial, p, steps):
     """Run to the last of the checkpoints {time: step index}.
 
-    Returns ({step index: field} for the checkpoints reached, trace).
+    Returns ({step index: field} for the checkpoints reached, trace); a
+    checkpoint at step 0 holds the initial field.
     """
     wanted = set(steps.values())
-    snaps = {}
+    snaps = {0: initial.copy()} if 0 in wanted else {}
 
     def observe(i, _t, m):
         if i in wanted:
@@ -323,7 +303,7 @@ def convergence_driver(cfg, schemes, tau0=None, n_halvings=5, out_csv=None):
     for scheme in schemes:
         beta = effective_beta(scheme, cfg)
         if beta not in refs:
-            refs[beta] = reference_solution(cfg, cfg.T, beta=beta)
+            refs[beta] = reference_snapshots(cfg, [cfg.T], beta=beta)[cfg.T]
         ref = refs[beta]
         prev_err = None
         for j in range(n_halvings + 1):

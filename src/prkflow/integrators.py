@@ -12,7 +12,10 @@ Schemes:
                       Laplacian, with transformed tableau Ahat = A D, G = D^{-1}
   * sip1_step      -- first-order semi-implicit predictor + projection
   * lm2_step       -- second-order Lagrange-multiplier scheme (beta = 0)
-  * bdf4_reference -- fourth-order semi-implicit BDF reference integrator
+  * bdf4_step      -- fourth-order semi-implicit BDF reference scheme
+
+``run`` is the only time loop: ``make_stepper`` binds each scheme, with the
+auxiliary state of the multistep schemes (LM2, BDF4), to one per-step form.
 """
 
 from __future__ import annotations
@@ -44,13 +47,18 @@ __all__ = [
     "sip1_step",
     "lm2_step",
     "lm2_init",
-    "bdf4_reference",
+    "bdf4_step",
     "run",
     "make_stepper",
 ]
 
 TRACE_COLUMNS = ("step", "t", "energy", "energy_pre_projection", "min_len_pre",
                  "max_unit_dev", "solver_iters_total", "wall_ms")
+
+# LM2: the energy-enforcement direction (1, 1, 1)/sqrt(3) and the half-width
+# of the bracket searched for its scalar multiplier
+_LM2_DIRECTION = np.ones(3) / np.linalg.norm(np.ones(3))
+_LM2_BRACKET = 10.0
 
 
 class StepFailureError(RuntimeError):
@@ -76,9 +84,6 @@ class SchemeParams:
     tableau: PRKTableau = None
     theta: float = 1.0               # sip1 implicitness, 1/2 <= theta <= 1
     solver: SolverConfig = dataclass_field(default_factory=SolverConfig)
-    lm2_direction: tuple = (1.0, 1.0, 1.0)
-    lm2_bracket: float = 10.0
-    lm2_lambda0: str = "field"       # "field": -m.Dm at t=0; "zero"
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -278,14 +283,11 @@ class LM2State:
 
 
 def lm2_init(state, p):
-    """m~^0 = m^0; lambda^0 = -m.D_h m pointwise (or zero, per configuration)."""
+    """m~^0 = m^0; lambda^0 = -m.D_h m pointwise."""
     grid = state.grid
     lap = laplacian(grid)
-    if p.lm2_lambda0 == "zero":
-        lam = np.zeros(grid.n_nodes)
-    else:
-        dm = lap.apply(state.components)
-        lam = -np.einsum("ln,ln->n", state.components, dm)
+    dm = lap.apply(state.components)
+    lam = -np.einsum("ln,ln->n", state.components, dm)
     a = sparse.identity(grid.n_nodes, format="csc") \
         - (p.tau * p.projection.alpha / 2.0) * lap.matrix.tocsc()
     return LM2State(lam=lam, predictor=state.components.copy(), lu=spla.splu(a))
@@ -341,19 +343,18 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
     dissipation = sum(inner_product(cr[l], cr[l], grid) for l in range(3))
     target = _lm2_energy(m, grid) - tau * alpha * dissipation
 
-    e_dir = np.asarray(p.lm2_direction, dtype=float)
-    e_dir = e_dir / np.linalg.norm(e_dir)
+    e_dir = _LM2_DIRECTION[:, None]
 
     def F(eta):
-        v = m_hat + eta * e_dir[:, None]
+        v = m_hat + eta * e_dir
         vn = np.sqrt(np.einsum("ln,ln->n", v, v))
         return _lm2_energy(v / vn, grid) - target
 
-    eta = _lm2_scalar_root(F, p.lm2_bracket)
+    eta = _lm2_scalar_root(F, _LM2_BRACKET)
     if eta is None:
         raise NoRealRootError(
-            f"no real multiplier in [-{p.lm2_bracket}, {p.lm2_bracket}] at t={t0 + tau:.6g}")
-    v = m_hat + eta * e_dir[:, None]
+            f"no real multiplier in [-{_LM2_BRACKET}, {_LM2_BRACKET}] at t={t0 + tau:.6g}")
+    v = m_hat + eta * e_dir
     m_tilde_post = v  # the field entering the final projection
     aux_new = LM2State(lam=lam_new, predictor=m_tilde, lu=aux.lu)
     out, rec = _finish_step(grid, m_tilde_post, step_index, t0 + tau, [1], [0.0], t_wall,
@@ -363,39 +364,38 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
     return out, aux_new, rec
 
 
-def bdf4_reference(initial, p, T):
-    """Fourth-order semi-implicit BDF integrator used as a reference solution.
+def bdf4_step(state, hist, p, step_index=0, t0=0.0):
+    """One step of the fourth-order semi-implicit BDF reference scheme.
 
     The Laplacian is implicit; the mobility is evaluated at the fourth-order
-    extrapolation of the history.  Startup computes three levels by product
-    sub-steps at tau/10; the result is projected after every step.
+    extrapolation of the history.  hist holds the last (up to) four on-sphere
+    levels, oldest first, starting from the normalized initial field; while it
+    has fewer than four, the step is ten product sub-steps at tau/10 whose
+    record carries every sub-step's solves.  Returns (field, hist, record).
     """
-    grid = initial.grid
-    lap = laplacian(grid)
+    grid = state.grid
     tau = p.tau
-    n_steps = _step_count(T, tau)
-    if n_steps == 0:
-        return initial.copy()
-
-    startup = replace(p, scheme="prk", tau=tau / 10.0, tableau=prk2_tableau())
-    hist = [normalize(initial)]
-    for _ in range(min(3, n_steps)):
+    t_wall = time.perf_counter()
+    if len(hist) < 4:
+        startup = replace(p, scheme="prk", tau=tau / 10.0, tableau=prk2_tableau())
         m = hist[-1]
+        iters, resids = [], []
         for _ in range(10):
-            m, _rec = prk_step(m, startup)
-        hist.append(m)
-    if n_steps <= 3:
-        return hist[n_steps]
+            m, rec = prk_step(m, startup)
+            iters.extend(rec.solver_iters)
+            resids.extend(rec.solver_residuals)
+        rec = replace(rec, step=step_index, t=t0 + tau, solver_iters=tuple(iters),
+                      solver_residuals=tuple(resids),
+                      wall_ms=(time.perf_counter() - t_wall) * 1e3)
+        return m, hist + (m,), rec
 
     h0, h1, h2, h3 = (h.components for h in hist)
-    for _ in range(3, n_steps):
-        m_star = 4.0 * h3 - 6.0 * h2 + 4.0 * h1 - h0
-        blocks = projector_blocks(VectorField(m_star, grid), p.projection)
-        rhs = (48.0 * h3 - 36.0 * h2 + 16.0 * h1 - 3.0 * h0) / 25.0
-        x, _nit, _res = _stage_solve(lap, blocks, tau * 12.0 / 25.0, rhs, p.solver, 1)
-        m_new = normalize(VectorField(x, grid))
-        h0, h1, h2, h3 = h1, h2, h3, m_new.components
-    return VectorField(h3.copy(), grid, on_sphere=True)
+    m_star = 4.0 * h3 - 6.0 * h2 + 4.0 * h1 - h0
+    blocks = projector_blocks(VectorField(m_star, grid), p.projection)
+    rhs = (48.0 * h3 - 36.0 * h2 + 16.0 * h1 - 3.0 * h0) / 25.0
+    x, nit, res = _stage_solve(laplacian(grid), blocks, tau * 12.0 / 25.0, rhs, p.solver, 1)
+    out, rec = _finish_step(grid, x, step_index, t0 + tau, [nit], [res], t_wall)
+    return out, hist[1:] + (out,), rec
 
 
 def _step_count(T, tau):
@@ -408,22 +408,27 @@ def _step_count(T, tau):
 
 
 def make_stepper(initial, p):
-    """Bind scheme state and return step(field, i, t) -> (field, record)."""
+    """Bind scheme state and return step(field, i, t) -> (field, record).
+
+    The multistep schemes keep their auxiliary state in this closure.  Step
+    functions are looked up by name at every call, so that wrappers put on
+    the module's names take effect.
+    """
     if p.scheme == "prk":
         return lambda m, i, t: prk_step(m, p, i, t)
     if p.scheme == "prk_alt":
         return lambda m, i, t: prk_alt_step(m, p, i, t)
     if p.scheme == "sip1":
         return lambda m, i, t: sip1_step(m, p, i, t)
-    if p.scheme == "lm2":
-        aux = lm2_init(initial, p)
+    aux = lm2_init(initial, p) if p.scheme == "lm2" else (normalize(initial),)
 
-        def step(m, i, t, _aux=[aux]):
-            out, _aux[0], rec = lm2_step(m, _aux[0], p, i, t)
-            return out, rec
+    def step(m, i, t):
+        nonlocal aux
+        advance = lm2_step if p.scheme == "lm2" else bdf4_step
+        out, aux, rec = advance(m, aux, p, i, t)
+        return out, rec
 
-        return step
-    raise ValueError(f"scheme {p.scheme!r} has no per-step form")
+    return step
 
 
 def run(initial, p, T, observers=None):

@@ -25,7 +25,7 @@ from prkflow.grid import (Grid, discrete_energy, energy_operator_form,
                           inner_product, laplacian)
 from prkflow.harness import (build_grid, build_initial, l2_error, preset,
                              reference_snapshots, scheme_params)
-from prkflow.integrators import NoRealRootError, SchemeParams, bdf4_reference, run
+from prkflow.integrators import NoRealRootError, SchemeParams, run
 from prkflow.linalg import SolverConfig
 from prkflow.stability import RegionWindow, embed, sample_region, stability_function
 from prkflow.tableau import (certify, measure_scalar_order,
@@ -179,10 +179,11 @@ def test_structure_preservation_at_scale():
 def _table1_checks(cfg, n_halvings):
     grid = build_grid(cfg)
     m0 = build_initial(cfg, grid)
-    ref = bdf4_reference(m0, SchemeParams(
+    ref, ref_trace = run(m0, SchemeParams(
         scheme="bdf4_ref", tau=cfg.ref_tau,
         projection=ProjectionParams(alpha=1.0, beta=1.0),
         solver=SolverConfig(rel_tol=1e-12)), cfg.T)
+    assert ref_trace.failure is None
 
     def sweep(scheme):
         errs = []
@@ -239,10 +240,11 @@ def test_table1_lm2_column():
     cfg = preset("convergence41")
     grid = build_grid(cfg)
     m0 = build_initial(cfg, grid)
-    ref = bdf4_reference(m0, SchemeParams(
+    ref, ref_trace = run(m0, SchemeParams(
         scheme="bdf4_ref", tau=1e-6,
         projection=ProjectionParams(alpha=1.0, beta=0.0),
         solver=SolverConfig(rel_tol=1e-12)), cfg.T)
+    assert ref_trace.failure is None
     errs = []
     for j in (3, 4, 5):
         p = SchemeParams(scheme="lm2", tau=3.2e-4 / 2 ** j,

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from prkflow.field import VectorField
 from prkflow.grid import (Grid, NEUMANN, discrete_energy, energy_operator_form,
-                          inner_product, laplacian, neumann_1d)
+                          inner_product, laplacian, neumann_1d, _neumann_1d_stencil)
 
 
 def _neumann_grid(dim, k, length=1.0, origin=None):
@@ -54,6 +55,19 @@ def test_kronecker_nonzero_count():
     lap = laplacian(grid)
     assert lap.matrix.nnz == expected
     assert np.diff(lap.matrix.indptr).max() <= 5
+
+
+def test_neumann_stencil_is_kronecker_sum():
+    # the nodewise assembly reproduces the Kronecker sum of 1-D stencils exactly
+    for dim in (1, 2, 3):
+        for n in (2, 5):
+            g1 = _neumann_1d_stencil(n)
+            expected = g1
+            for _ in range(dim - 1):
+                expected = sparse.kronsum(expected, g1)
+            lap = laplacian(Grid(dim, n, 1.0 / (n - 1)))
+            assert np.array_equal(lap.stencil.toarray(), expected.toarray())
+            assert not lap.bc_contribution.any()
 
 
 def test_dirichlet_quadratic_exactness():

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import prkflow.integrators as integ
-from prkflow.field import diagnostics, normalize
+from prkflow.field import ProjectionParams, diagnostics, normalize
 from prkflow.grid import NEUMANN
 from prkflow.harness import (build_grid, build_initial, config_from_json,
                              config_to_json, convergence_driver, emit_field_vtk,
-                             emit_trace_csv, l2_error, preset, robustness_driver,
-                             scheme_params, work_precision_driver)
-from prkflow.integrators import NoRealRootError, run
+                             emit_trace_csv, l2_error, preset, reference_snapshots,
+                             robustness_driver, scheme_params, work_precision_driver)
+from prkflow.integrators import NoRealRootError, SchemeParams, run
+from prkflow.linalg import SolverConfig
 
 
 def test_preset_convergence41_parameters():
@@ -185,6 +186,38 @@ def test_off_grid_checkpoint_rejected_before_any_step(monkeypatch):
     cfg = preset("llg_blowup42", k=8, reference="self", ref_tau=5e-4)
     with pytest.raises(ValueError, match="not an integer multiple of tau"):
         robustness_driver(cfg, ("prk",), (1e-3,), (1e-3, 1.5e-3))
+
+
+def test_bdf4_reference_snapshots_match_separate_runs():
+    # one BDF4 trajectory gives, at every checkpoint, the field of a run to
+    # that time alone: at the start, inside the three start-up steps (1 and 3)
+    # and after them
+    cfg = preset("convergence41", k=8, reference="bdf4", ref_tau=1e-5)
+    grid = build_grid(cfg)
+    m0 = build_initial(cfg, grid)
+    p = SchemeParams(scheme="bdf4_ref", tau=1e-5,
+                     projection=ProjectionParams(alpha=1.0, beta=1.0),
+                     solver=SolverConfig(rel_tol=1e-12))
+    times = (0.0, 1e-5, 3e-5, 4e-5, 6e-5)
+    snaps = reference_snapshots(cfg, times)
+    for T, n_steps in zip(times, (0, 1, 3, 4, 6)):
+        final, trace = run(m0, p, T)
+        assert trace.failure is None and len(trace) == n_steps
+        assert np.array_equal(snaps[T].components, final.components)
+        assert all(r.max_unit_dev <= 1e-12 for r in trace.records)
+        # a start-up step is ten two-stage product sub-steps
+        assert [len(r.solver_iters) for r in trace.records] == \
+            [20] * min(n_steps, 3) + [1] * max(n_steps - 3, 0)
+
+
+def test_failed_bdf4_reference_raises(monkeypatch):
+    def failing(*_args, **_kwargs):
+        raise integ.StepFailureError(1, "synthetic")
+
+    monkeypatch.setattr(integ, "bdf4_step", failing)
+    cfg = preset("convergence41", k=8, reference="bdf4", ref_tau=1e-5)
+    with pytest.raises(RuntimeError, match="reference run failed"):
+        reference_snapshots(cfg, (2e-5,))
 
 
 def test_work_precision_driver_rows(tmp_path):

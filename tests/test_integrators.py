@@ -6,7 +6,7 @@ import pytest
 from prkflow.field import ProjectionParams, VectorField, normalize, diagnostics
 from prkflow.grid import Grid, discrete_energy, laplacian
 from prkflow.harness import build_grid, build_initial, l2_error, preset, scheme_params
-from prkflow.integrators import (SchemeParams, bdf4_reference, lm2_init,
+from prkflow.integrators import (SchemeParams, lm2_init,
                                  lm2_step, prk_alt_step, prk_step, run, sip1_step)
 from prkflow.linalg import SolverConfig
 from prkflow.tableau import prk2_tableau
@@ -149,7 +149,8 @@ def test_lm2_second_order_on_convergence_preset():
     m0 = build_initial(cfg, grid)
     ref_params = SchemeParams(scheme="bdf4_ref", tau=1e-5,
                               projection=ProjectionParams(alpha=1.0, beta=0.0))
-    ref = bdf4_reference(m0, ref_params, cfg.T)
+    ref, ref_trace = run(m0, ref_params, cfg.T)
+    assert ref_trace.failure is None
     errs = []
     for j in range(3):
         tau = 3.2e-4 / 2 ** j
@@ -186,8 +187,9 @@ def test_bdf4_richardson_self_consistency():
     cfg = preset("convergence41", k=32)
     grid = build_grid(cfg)
     m0 = build_initial(cfg, grid)
-    r1 = bdf4_reference(m0, _reference_params(1e-5), cfg.T)
-    r2 = bdf4_reference(m0, _reference_params(2e-5), cfg.T)
+    r1, trace1 = run(m0, _reference_params(1e-5), cfg.T)
+    r2, trace2 = run(m0, _reference_params(2e-5), cfg.T)
+    assert trace1.failure is None and trace2.failure is None
     assert l2_error(r1, r2, grid) <= 1e-9
 
 
@@ -196,8 +198,9 @@ def test_bdf4_richardson_self_consistency_full_grid():
     cfg = preset("convergence41")   # h = 1/64
     grid = build_grid(cfg)
     m0 = build_initial(cfg, grid)
-    r1 = bdf4_reference(m0, _reference_params(1e-5), cfg.T)
-    r2 = bdf4_reference(m0, _reference_params(2e-5), cfg.T)
+    r1, trace1 = run(m0, _reference_params(1e-5), cfg.T)
+    r2, trace2 = run(m0, _reference_params(2e-5), cfg.T)
+    assert trace1.failure is None and trace2.failure is None
     assert l2_error(r1, r2, grid) <= 1e-9
 
 
@@ -205,7 +208,8 @@ def test_bdf4_constant_fixed_point():
     grid = Grid(2, 9, 0.125)
     m = _constant_field(grid)
     p = _params("bdf4_ref", 1e-4)
-    out = bdf4_reference(m, p, 10 * 1e-4)
+    out, trace = run(m, p, 10 * 1e-4)
+    assert trace.failure is None
     assert np.abs(out.components - m.components).max() <= 1e-9
 
 
