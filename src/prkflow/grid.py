@@ -131,20 +131,16 @@ class DiscreteLaplacian:
     """Sparse Laplacian with boundary handling folded in.
 
     ``stencil`` holds the integer-valued stencil (exact row sums, so the
-    constant vector is annihilated exactly); ``matrix = stencil * scaling``
-    with scaling = 1/h^2 is what operators and solves consume.  Rows and
-    columns of Dirichlet-fixed nodes are zero; ``bc_contribution`` (3, N)
-    carries the couplings into the fixed nodes times their boundary values,
-    so applying the operator to a vector field is
-    ``matrix @ u_l + bc_contribution[l]``.
+    constant vector is annihilated exactly); ``matrix = stencil / h^2`` is
+    what operators and solves consume.  Rows and columns of Dirichlet-fixed
+    nodes are zero; ``bc_contribution`` (3, N) carries the couplings into the
+    fixed nodes times their boundary values, so applying the operator to a
+    vector field is ``matrix @ u_l + bc_contribution[l]``.
     """
 
     matrix: sparse.csr_matrix
     stencil: sparse.csr_matrix
-    scaling: float
     bc_contribution: np.ndarray
-    fixed_mask: np.ndarray
-    grid: Grid
 
     def apply(self, components):
         components = np.asarray(components)
@@ -235,7 +231,7 @@ def laplacian(grid):
     bc = np.vstack([scaled_coupling @ grid.dirichlet_values[l] for l in range(3)])
     matrix = (stencil * scaling).tocsr()
     matrix.sort_indices()
-    lap = DiscreteLaplacian(matrix, stencil, scaling, bc, grid.dirichlet_mask, grid)
+    lap = DiscreteLaplacian(matrix, stencil, bc)
     grid._laplacian = lap
     return lap
 
@@ -287,8 +283,5 @@ def energy_operator_form(field, grid=None):
     if grid is None:
         grid = field.grid
     comps = getattr(field, "components", field)
-    lap = laplacian(grid)
-    total = 0.0
-    for l in range(comps.shape[0]):
-        total += inner_product(comps[l], -(lap.matrix @ comps[l] + lap.bc_contribution[l]), grid)
-    return total
+    lap_m = laplacian(grid).apply(comps)
+    return sum(inner_product(comps[l], -lap_m[l], grid) for l in range(3))

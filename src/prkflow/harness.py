@@ -3,6 +3,12 @@
 Presets generate fully explicit configurations (no hidden defaults); every
 numeric CSV value is printed with 17 significant digits so emitted files
 round-trip bit-for-bit and reruns are bit-identical.
+
+The three drivers share one sweep.  It checks every checkpoint time against
+every step size before any step, builds the grid, the initial field and one
+reference trajectory per effective beta once, and makes one run per
+(scheme, tau), observed at every checkpoint (error and wall time since
+t = 0).  The drivers only format its cells as rows.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from .field import VectorField, ProjectionParams, normalize
 from .grid import Grid, NEUMANN, inner_product
-from .integrators import SchemeParams, _step_count, run
+from .integrators import TRACE_COLUMNS, SchemeParams, _step_count, run
 from .linalg import SolverConfig
 
 __all__ = [
@@ -269,24 +275,55 @@ def reference_snapshots(cfg, times, beta=None):
     snaps, trace = _snapshot_run(initial, p, steps)
     if trace.failure is not None:
         raise RuntimeError(f"reference run failed: {trace.failure}")
-    return {t: snaps[steps[t]] for t in times}
+    return {t: snaps[steps[t]][0] for t in times}
 
 
 def _snapshot_run(initial, p, steps):
     """Run to the last of the checkpoints {time: step index}.
 
-    Returns ({step index: field} for the checkpoints reached, trace); a
-    checkpoint at step 0 holds the initial field.
+    Returns ({step index: (field, wall seconds since the run began)} for the
+    checkpoints reached, trace); a checkpoint at step 0 holds the initial
+    field at 0 s.
     """
     wanted = set(steps.values())
-    snaps = {0: initial.copy()} if 0 in wanted else {}
+    snaps = {0: (initial.copy(), 0.0)} if 0 in wanted else {}
+    t0 = time.perf_counter()
 
     def observe(i, _t, m):
         if i in wanted:
-            snaps[i] = m.copy()
+            snaps[i] = (m.copy(), time.perf_counter() - t0)
 
     _final, trace = run(initial, p, max(steps), observers=[observe])
     return snaps, trace
+
+
+def _sweep(cfg, schemes, taus, times):
+    """One run per (scheme, tau), compared with the reference at every time.
+
+    Every time must be a whole number of steps of every tau (ValueError
+    before any step).  The grid, the initial field and one reference per
+    effective beta are shared by all runs.  Yields (scheme, tau, cells) with
+    cells = [(T, error, wall seconds from t = 0 to T), ...] in time order;
+    error and wall are None for a time the run did not reach.
+    """
+    times = sorted(times)
+    steps = {tau: checkpoint_steps(times, tau) for tau in taus}
+    grid = build_grid(cfg)
+    initial = build_initial(cfg, grid)
+    refs = {}
+    for scheme in schemes:
+        beta = effective_beta(scheme, cfg)
+        if beta not in refs:
+            refs[beta] = reference_snapshots(cfg, times, beta=beta)
+        for tau in taus:
+            snaps, _trace = _snapshot_run(initial, scheme_params(cfg, scheme=scheme, tau=tau),
+                                          steps[tau])
+            cells = []
+            for T in times:
+                field, wall = snaps.get(steps[tau][T], (None, None))
+                err = None if field is None else l2_error(field, refs[beta][T], grid)
+                cells.append((T, err, wall))
+            yield scheme, tau, cells
 
 
 def convergence_driver(cfg, schemes, tau0=None, n_halvings=5, out_csv=None):
@@ -296,28 +333,19 @@ def convergence_driver(cfg, schemes, tau0=None, n_halvings=5, out_csv=None):
     and the driver continues (matching the robustness-table convention).
     """
     tau0 = tau0 if tau0 is not None else cfg.tau
-    grid = build_grid(cfg)
-    initial = build_initial(cfg, grid)
-    refs = {}
+    taus = [tau0 / 2 ** j for j in range(n_halvings + 1)]
+    nan = float("nan")
     rows = []
-    for scheme in schemes:
-        beta = effective_beta(scheme, cfg)
-        if beta not in refs:
-            refs[beta] = reference_snapshots(cfg, [cfg.T], beta=beta)[cfg.T]
-        ref = refs[beta]
-        prev_err = None
-        for j in range(n_halvings + 1):
-            tau = tau0 / 2 ** j
-            p = scheme_params(cfg, scheme=scheme, tau=tau)
-            final, trace = run(initial, p, cfg.T)
-            if trace.failure is not None:
-                rows.append((scheme, tau, float("nan"), float("nan")))
-                prev_err = None
-                continue
-            err = l2_error(final, ref, grid)
-            order = float("nan") if prev_err is None else float(np.log2(prev_err / err))
+    prev_err = None
+    for scheme, tau, [(_T, err, _wall)] in _sweep(cfg, schemes, taus, [cfg.T]):
+        if tau == tau0:          # the first cell of a scheme has no order
+            prev_err = None
+        if err is None:
+            rows.append((scheme, tau, nan, nan))
+        else:
+            order = nan if prev_err is None else float(np.log2(prev_err / err))
             rows.append((scheme, tau, err, order))
-            prev_err = err
+        prev_err = err
     if out_csv:
         write_csv(out_csv, ("scheme", "tau", "l2_error", "observed_order"), rows)
     return rows
@@ -331,31 +359,16 @@ def robustness_driver(cfg, schemes, taus, checkpoints, out_csv=None):
     reached as "NAN" and every later checkpoint as "--", reproducing the
     staircase table shape.  Returns {(scheme, tau): [(T, value-string), ...]}.
     """
-    checkpoints = sorted(checkpoints)
-    steps = {tau: checkpoint_steps(checkpoints, tau) for tau in taus}
-    grid = build_grid(cfg)
-    initial = build_initial(cfg, grid)
-    refs = {}
     table = {}
-    for scheme in schemes:
-        beta = effective_beta(scheme, cfg)
-        if beta not in refs:
-            refs[beta] = reference_snapshots(cfg, checkpoints, beta=beta)
-        ref = refs[beta]
-        for tau in taus:
-            p = scheme_params(cfg, scheme=scheme, tau=tau)
-            snaps, _trace = _snapshot_run(initial, p, steps[tau])
-            cells = []
-            failed = False
-            for T in checkpoints:
-                if failed:
-                    cells.append((T, "--"))
-                elif steps[tau][T] in snaps:
-                    cells.append((T, _fmt(l2_error(snaps[steps[tau][T]], ref[T], grid))))
-                else:
-                    cells.append((T, "NAN"))
-                    failed = True
-            table[(scheme, tau)] = cells
+    for scheme, tau, cells in _sweep(cfg, schemes, taus, checkpoints):
+        row, reached = [], True
+        for T, err, _wall in cells:
+            if err is None:
+                row.append((T, "NAN" if reached else "--"))
+                reached = False
+            else:
+                row.append((T, _fmt(err)))
+        table[(scheme, tau)] = row
     if out_csv:
         rows = []
         for (scheme, tau), cells in table.items():
@@ -368,27 +381,18 @@ def robustness_driver(cfg, schemes, taus, checkpoints, out_csv=None):
 def work_precision_driver(cfg, schemes, taus, T_list, out_dir=None):
     """Timed runs; one row per (scheme, tau) per terminal time.
 
-    Returns {T: [(scheme, tau, wall_seconds, error), ...]}; failures carry
-    nan entries.  One CSV per terminal time when out_dir is given.
+    One run per (scheme, tau) reaches every terminal time; a row's
+    wall_seconds is that run's time from t = 0 to T.  Returns
+    {T: [(scheme, tau, wall_seconds, error), ...]}; a time the run did not
+    reach carries nan entries.  One CSV per terminal time when out_dir is
+    given.
     """
-    grid = build_grid(cfg)
-    initial = build_initial(cfg, grid)
-    refs = {}
+    nan = float("nan")
     out = {T: [] for T in T_list}
-    for scheme in schemes:
-        beta = effective_beta(scheme, cfg)
-        if beta not in refs:
-            refs[beta] = reference_snapshots(cfg, T_list, beta=beta)
-        for tau in taus:
-            for T in T_list:
-                p = scheme_params(cfg, scheme=scheme, tau=tau)
-                t0 = time.perf_counter()
-                final, trace = run(initial, p, T)
-                wall = time.perf_counter() - t0
-                if trace.failure is not None:
-                    out[T].append((scheme, tau, wall, float("nan")))
-                else:
-                    out[T].append((scheme, tau, wall, l2_error(final, refs[beta][T], grid)))
+    for scheme, tau, cells in _sweep(cfg, schemes, taus, T_list):
+        for T, err, wall in cells:
+            out[T].append((scheme, tau, nan if wall is None else wall,
+                           nan if err is None else err))
     if out_dir:
         for T, rows in out.items():
             path = os.path.join(out_dir, f"work_precision_T{_fmt(T)}.csv")
@@ -421,7 +425,6 @@ def emit_field_vtk(field, grid, path, name="m"):
 
 
 def emit_trace_csv(trace, path):
-    from .integrators import TRACE_COLUMNS
     write_csv(path, TRACE_COLUMNS, list(trace.rows()))
 
 

@@ -137,8 +137,7 @@ class RunTrace:
 
     def rows(self):
         for r in self.records:
-            yield (r.step, r.t, r.energy, r.energy_pre_projection, r.min_len_pre,
-                   r.max_unit_dev, r.solver_iters_total, r.wall_ms)
+            yield tuple(getattr(r, name) for name in TRACE_COLUMNS)
 
     def energies(self):
         return np.array([r.energy for r in self.records])

@@ -10,16 +10,21 @@ amplification factor
 defines the stability function; the explicit-part region S_alpha collects the
 (z1, z2) for which |R| <= 1 whenever z0 lies in the wedge A_alpha, reduced to
 its boundary rays z0 = -|y|/tan(alpha) + iy by the maximum-modulus principle.
+
+The embedded stage matrix of a diagonally implicit tableau is lower
+triangular, so R has one evaluator: a forward substitution vectorized over
+explicit-plane points, used for a single point by ``stability_function`` and
+for a whole window by ``sample_region``.  A tableau whose embedded stage
+matrices are not lower triangular (one that ``tableau.validate`` rejects) is
+refused with ValueError.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "AdditiveEmbedding",
@@ -35,7 +40,7 @@ __all__ = [
 
 
 class SingularSystemError(ArithmeticError):
-    """Stage matrix singular (by pivot magnitude) at the given (z0, z1, z2)."""
+    """Stage matrix singular (by diagonal magnitude) at the given (z0, z1, z2)."""
 
     def __init__(self, z0, z1, z2):
         super().__init__(f"singular stage matrix at z0={z0}, z1={z1}, z2={z2}")
@@ -76,26 +81,20 @@ def embed(t):
 
 
 def _embedding_of(t_or_emb):
-    if isinstance(t_or_emb, AdditiveEmbedding):
-        return t_or_emb
-    return embed(t_or_emb)
+    e = t_or_emb if isinstance(t_or_emb, AdditiveEmbedding) else embed(t_or_emb)
+    if any(np.triu(m, k=1).any() for m in (e.a_hat, e.a1, e.a2)):
+        raise ValueError("embedded stage matrices are not lower triangular; "
+                         "the tableau must be diagonally implicit")
+    return e
 
 
 def stability_function(t, z0, z1=0.0, z2=0.0, singular_tol=1e-14):
-    """Evaluate R(z0, z1, z2) by a dense complex solve with pivot check."""
-    e = _embedding_of(t)
-    n = e.a_hat.shape[0]
-    M = np.eye(n, dtype=complex) - z0 * e.a_hat - z1 * e.a1 - z2 * e.a2
-    with warnings.catch_warnings():
-        # exact singularity is detected below via the pivot magnitudes
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-    scale = max(1.0, np.abs(M).max())
-    if np.abs(np.diag(lu)).min() <= singular_tol * scale:
+    """Evaluate R(z0, z1, z2); SingularSystemError at a vanishing stage diagonal."""
+    R, singular = _sweep_lower_triangular(_embedding_of(t), z0, np.array([z1], dtype=complex),
+                                          np.array([z2], dtype=complex), singular_tol)
+    if singular[0]:
         raise SingularSystemError(z0, z1, z2)
-    w = scipy.linalg.lu_solve((lu, piv), np.ones(n, dtype=complex), check_finite=False)
-    weights = z0 * e.b_hat + z1 * e.b1 + z2 * e.b2
-    return 1.0 + complex(weights @ w)
+    return complex(R[0])
 
 
 def default_y_samples(n=129, lo=1e-3, hi=1e3):
@@ -141,16 +140,12 @@ class RegionSample:
     flagged: np.ndarray     # (nx, ny) bool, singular solve encountered
 
 
-def _lower_triangular(m, tol=0.0):
-    return np.all(np.abs(np.triu(m, k=1)) <= tol)
-
-
 def _sweep_lower_triangular(e, z0, Z1, Z2, singular_tol):
-    """|R| for one stiff sample over flattened explicit-plane points.
+    """R for one stiff sample over flattened explicit-plane points.
 
-    The embedded stage matrix of a diagonally implicit tableau is lower
-    triangular, so forward substitution vectorizes over the plane.
-    Returns (absR, singular_mask).
+    Forward substitution on the lower-triangular embedded stage matrix,
+    vectorized over the points.  Returns (R, singular_mask); R is not
+    meaningful where the mask is set.
     """
     n = e.a_hat.shape[0]
     npts = Z1.shape[0]
@@ -167,7 +162,7 @@ def _sweep_lower_triangular(e, z0, Z1, Z2, singular_tol):
         singular |= bad
         w[i] = np.where(bad, 0.0, rhs / np.where(bad, 1.0, mii))
     R = 1.0 + z0 * (e.b_hat @ w) + Z1 * (e.b1 @ w) + Z2 * (e.b2 @ w)
-    return np.abs(R), singular
+    return R, singular
 
 
 def sample_region(t, window, alpha=math.pi / 2, y_samples=None, slice_fn=None,
@@ -194,23 +189,10 @@ def sample_region(t, window, alpha=math.pi / 2, y_samples=None, slice_fn=None,
 
     max_abs = np.zeros(Z.shape[0])
     flagged = np.zeros(Z.shape[0], dtype=bool)
-    triangular = all(_lower_triangular(m) for m in (e.a_hat, e.a1, e.a2))
     for z0 in z0s:
-        if triangular:
-            absr, singular = _sweep_lower_triangular(e, z0, Z1, Z2, singular_tol)
-        else:
-            absr = np.empty(Z.shape[0])
-            singular = np.zeros(Z.shape[0], dtype=bool)
-            for idx in range(Z.shape[0]):
-                try:
-                    absr[idx] = abs(stability_function(e, z0, Z1[idx], Z2[idx],
-                                                       singular_tol=singular_tol))
-                except SingularSystemError:
-                    absr[idx] = np.inf
-                    singular[idx] = True
+        R, singular = _sweep_lower_triangular(e, z0, Z1, Z2, singular_tol)
         flagged |= singular
-        absr = np.where(singular, np.inf, absr)
-        np.maximum(max_abs, absr, out=max_abs)
+        np.maximum(max_abs, np.where(singular, np.inf, np.abs(R)), out=max_abs)
 
     inside = (max_abs <= 1.0 + tol) & ~flagged
     shape = (window.nx, window.ny)

@@ -26,6 +26,15 @@ def bad_tableau_json(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def upper_tableau_json(tmp_path):
+    doc = tableau_to_dict(prk2_tableau())
+    doc["A"] = [[1.0, 0.5], [-0.5, 1.0]]    # upper-triangle entry: not diagonally implicit
+    path = tmp_path / "upper.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_check_tableau_ok(prk2_json, capsys):
     assert main(["check-tableau", prk2_json, "--order", "2", "--certify"]) == 0
     out = capsys.readouterr().out
@@ -61,6 +70,14 @@ def test_stability_region_csv(prk2_json, tmp_path):
     assert len(lines) == 1 + 24 * 24
     first = lines[1].split(",")
     assert float(first[0]) == -4.0 and float(first[1]) == -3.0
+
+
+def test_stability_region_rejects_non_lower_triangular(upper_tableau_json, tmp_path, capsys):
+    out = tmp_path / "mask.csv"
+    code = main(["stability-region", upper_tableau_json, "--res", "8,8", "--out", str(out)])
+    assert code == 1
+    assert "lower triangular" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dump_config_parses(capsys):

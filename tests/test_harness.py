@@ -1,5 +1,6 @@
 """Presets, drivers, and CSV/VTK emitters."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -178,14 +179,23 @@ def test_robustness_driver_staircase(monkeypatch, tmp_path):
     assert lm2_cells[5e-3] == "--"
 
 
-def test_off_grid_checkpoint_rejected_before_any_step(monkeypatch):
+@pytest.mark.parametrize("driver", [
+    pytest.param(lambda cfg: robustness_driver(cfg, ("prk",), (1e-3,), (1e-3, 1.5e-3)),
+                 id="robustness"),
+    pytest.param(lambda cfg: convergence_driver(dataclasses.replace(cfg, T=1.5e-3), ("prk",),
+                                                tau0=1e-3, n_halvings=1),
+                 id="convergence"),
+    pytest.param(lambda cfg: work_precision_driver(cfg, ("prk",), (5e-4, 1e-3), (1e-3, 1.5e-3)),
+                 id="work-precision"),
+])
+def test_off_grid_checkpoint_rejected_before_any_step(monkeypatch, driver):
     def no_step(*_args, **_kwargs):
         raise AssertionError("a step ran before the checkpoints were checked")
 
     monkeypatch.setattr(integ, "prk_step", no_step)
     cfg = preset("llg_blowup42", k=8, reference="self", ref_tau=5e-4)
     with pytest.raises(ValueError, match="not an integer multiple of tau"):
-        robustness_driver(cfg, ("prk",), (1e-3,), (1e-3, 1.5e-3))
+        driver(cfg)
 
 
 def test_bdf4_reference_snapshots_match_separate_runs():
@@ -234,6 +244,28 @@ def test_work_precision_driver_rows(tmp_path):
         assert errs[0] > errs[1] > errs[2]
     files = list(tmp_path.glob("work_precision_T*.csv"))
     assert len(files) == 2
+
+
+def test_work_precision_one_run_per_cell(monkeypatch):
+    # every terminal time comes from one run per (scheme, tau), so each cell
+    # costs max(T) / tau steps, and a later time has taken at least as long
+    calls = {}
+    original = integ.prk_step
+
+    def counting(state, p, step_index=0, t0=0.0):
+        calls[p.tau] = calls.get(p.tau, 0) + 1
+        return original(state, p, step_index, t0)
+
+    monkeypatch.setattr(integ, "prk_step", counting)
+    cfg = preset("llg_blowup42", k=8, reference="self", ref_tau=2.5e-4)
+    times = (2e-3, 1e-3, 4e-3)
+    out = work_precision_driver(cfg, ("prk",), (1e-3, 5e-4), times)
+    assert calls == {2.5e-4: 16, 1e-3: 4, 5e-4: 8}
+    for T in times:
+        assert [row[:2] for row in out[T]] == [("prk", 1e-3), ("prk", 5e-4)]
+    for j in range(2):
+        walls = [out[T][j][2] for T in sorted(times)]
+        assert 0 < walls[0] <= walls[1] <= walls[2]
 
 
 def test_config_json_round_trip():

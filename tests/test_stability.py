@@ -5,7 +5,7 @@ import pytest
 
 from prkflow.stability import (RegionWindow, SingularSystemError, default_y_samples,
                                embed, sample_region, stability_function)
-from prkflow.tableau import PRKTableau, prk2_tableau
+from prkflow.tableau import PRKTableau, prk2_tableau, validate
 
 
 def _oracle_one_step(e, z0, z1, z2):
@@ -57,8 +57,19 @@ def test_r_at_origin_is_one():
         assert stability_function(t, 0.0, 0.0, 0.0) == 1.0 + 0.0j
 
 
-def test_stability_function_matches_direct_simulation(rng):
-    t = prk2_tableau()
+def _three_stage_tableau():
+    # structurally valid, not certified: only the lower-triangular shape matters here
+    return PRKTableau(A=[[0.5, 0.0, 0.0], [0.25, 0.5, 0.0], [0.2, 0.3, 0.5]],
+                      D1=[[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]],
+                      D2=[[1.0, 0.0, 0.0], [-0.5, 1.5, 0.0], [0.25, 0.25, 0.5]],
+                      b=[0.3, 0.3, 0.4])
+
+
+@pytest.mark.parametrize("make_tableau", [prk2_tableau, _three_stage_tableau],
+                         ids=["prk2", "three-stage"])
+def test_stability_function_matches_direct_simulation(rng, make_tableau):
+    t = make_tableau()
+    assert validate(t) == []
     e = embed(t)
     for _ in range(100):
         z = rng.uniform(-2, 2, size=(3, 2))
@@ -66,6 +77,17 @@ def test_stability_function_matches_direct_simulation(rng):
         r = stability_function(t, z0, z1, z2)
         r_direct = _oracle_one_step(e, z0, z1, z2)
         assert abs(r - r_direct) <= 1e-13 * max(1.0, abs(r_direct))
+
+
+def test_non_lower_triangular_tableau_rejected():
+    # an upper-triangle entry in A makes the embedded stage matrix full
+    t = PRKTableau(A=[[1.0, 0.5], [-0.5, 1.0]], D1=[[1.0, 0.0], [0.0, 1.0]],
+                   D2=[[1.0, 0.0], [-0.5, 1.5]], b=[0.5, 0.5])
+    assert validate(t)
+    with pytest.raises(ValueError, match="lower triangular"):
+        stability_function(t, -1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="lower triangular"):
+        sample_region(t, RegionWindow(-1.0, 1.0, -1.0, 1.0, 5, 5))
 
 
 def test_stiff_limit_finite_and_reproducible():
