@@ -14,9 +14,9 @@ from .tableau import (PRKTableau, prk2_tableau, validate, order_condition_residu
                       q_matrix, r_matrix, certify, measure_scalar_order,
                       third_order_nonexistence_certificate)
 from .stability import embed, stability_function, sample_region, RegionWindow
-from .grid import Grid, NEUMANN, neumann_1d, laplacian, inner_product, discrete_energy
-from .field import VectorField, ProjectionParams, normalize, apply_p, diagnostics
-from .linalg import SolverConfig, assemble_stage_operator, solve
+from .grid import Grid, NEUMANN, laplacian, inner_product, discrete_energy
+from .field import VectorField, ProjectionParams, normalize, diagnostics
+from .linalg import SolverConfig, solve
 from .integrators import (SchemeParams, prk_step, prk_alt_step, sip1_step, lm2_step,
                           lm2_init, bdf4_step, run, RunTrace, NoRealRootError)
 from .harness import (preset, build_grid, build_initial, scheme_params, l2_error,

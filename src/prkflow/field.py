@@ -18,7 +18,6 @@ __all__ = [
     "FieldDiagnostics",
     "ZeroLengthError",
     "normalize",
-    "apply_p",
     "diagnostics",
     "projector_blocks",
     "apply_blocks",
@@ -88,21 +87,6 @@ def normalize(M):
     return VectorField(M.components / lengths, M.grid, on_sphere=True)
 
 
-def _unit_directions(M):
-    return M.components / _checked_lengths(M)
-
-
-def apply_p(Mdir, V, params):
-    """P(Mdir) applied to V: tangential projection plus precession, per node."""
-    mh = _unit_directions(Mdir)
-    v = V.components
-    dot = np.einsum("ln,ln->n", mh, v)
-    out = params.alpha * (v - dot * mh)
-    if params.beta != 0.0:
-        out = out + params.beta * np.cross(mh, v, axis=0)
-    return VectorField(out, V.grid)
-
-
 def diagnostics(M):
     """(min length, max length, max | |m| - 1 |) over nodes."""
     lengths = M.lengths()
@@ -120,7 +104,7 @@ def projector_blocks(Mdir, params):
     operator; the tangential part is alpha (I - mh mh^T), the precession part
     the cross-product matrix of beta*mh.
     """
-    mh = _unit_directions(Mdir)
+    mh = Mdir.components / _checked_lengths(Mdir)
     alpha, beta = params.alpha, params.beta
     n = mh.shape[1]
     p = np.empty((3, 3, n))

@@ -8,12 +8,11 @@ the known boundary values folded into a forcing vector, so that
 ``matrix @ u + bc_contribution`` reproduces the full stencil action at the
 remaining nodes.
 
-The discrete Dirichlet energy is canonically the transverse-weighted sum of
-squared nodal differences scaled by h^(dim-2); with the trapezoidal inner
-product and the 1/h^2 stencil scaling this equals (M, -D_h M)_h exactly
-(summation by parts).  Note this energy carries twice the scaling of the
-continuum functional int 1/2 |grad m|^2; monotonicity statements are
-unaffected.
+The discrete Dirichlet energy is the transverse-weighted sum of squared
+nodal differences scaled by h^(dim-2); on Neumann grids it equals
+(M, -D_h M)_h under the trapezoidal inner product (summation by parts).
+Note this energy carries twice the scaling of the continuum functional
+int 1/2 |grad m|^2; monotonicity statements are unaffected.
 """
 
 from __future__ import annotations
@@ -27,11 +26,9 @@ __all__ = [
     "NEUMANN",
     "Grid",
     "DiscreteLaplacian",
-    "neumann_1d",
     "laplacian",
     "inner_product",
     "discrete_energy",
-    "energy_operator_form",
 ]
 
 NEUMANN = "neumann"
@@ -130,50 +127,27 @@ class Grid:
 class DiscreteLaplacian:
     """Sparse Laplacian with boundary handling folded in.
 
-    ``stencil`` holds the integer-valued stencil (exact row sums, so the
-    constant vector is annihilated exactly); ``matrix = stencil / h^2`` is
-    what operators and solves consume.  Rows and columns of Dirichlet-fixed
-    nodes are zero; ``bc_contribution`` (3, N) carries the couplings into the
-    fixed nodes times their boundary values, so applying the operator to a
-    vector field is ``matrix @ u_l + bc_contribution[l]``.
+    ``matrix`` is the integer stencil scaled by 1/h^2.  Rows and columns of
+    Dirichlet-fixed nodes are zero; ``bc_contribution`` (3, N) carries the
+    couplings into the fixed nodes times their boundary values, so applying
+    the operator to a vector field is ``matrix @ u_l + bc_contribution[l]``.
     """
 
     matrix: sparse.csr_matrix
-    stencil: sparse.csr_matrix
     bc_contribution: np.ndarray
 
-    def apply(self, components):
+    def apply_homogeneous(self, components):
+        """``matrix`` applied to each of the three components, without the boundary forcing."""
         components = np.asarray(components)
         out = np.empty_like(components)
         for l in range(3):
             out[l] = self.matrix @ components[l]
-        out += self.bc_contribution
         return out
 
-
-def _neumann_1d_stencil(n):
-    main = np.full(n, -2.0)
-    lower = np.ones(n - 1)
-    lower[-1] = 2.0
-    upper = np.ones(n - 1)
-    upper[0] = 2.0
-    g = sparse.diags([lower, main, upper], [-1, 0, 1], format="csr")
-    g.sort_indices()
-    return g
-
-
-def neumann_1d(k_plus_1, h):
-    """Tridiagonal 1-D Neumann stencil scaled by 1/h^2.
-
-    Rows: (-2, 2) at both ends, (1, -2, 1) inside.
-    """
-    if k_plus_1 < 3:
-        raise ValueError("need at least three nodes")
-    if h <= 0:
-        raise ValueError("spacing must be positive")
-    g = (_neumann_1d_stencil(k_plus_1) * (1.0 / h ** 2)).tocsr()
-    g.sort_indices()
-    return g
+    def apply(self, components):
+        out = self.apply_homogeneous(components)
+        out += self.bc_contribution
+        return out
 
 
 def _assemble_stencil(grid):
@@ -231,7 +205,7 @@ def laplacian(grid):
     bc = np.vstack([scaled_coupling @ grid.dirichlet_values[l] for l in range(3)])
     matrix = (stencil * scaling).tocsr()
     matrix.sort_indices()
-    lap = DiscreteLaplacian(matrix, stencil, bc)
+    lap = DiscreteLaplacian(matrix, bc)
     grid._laplacian = lap
     return lap
 
@@ -245,43 +219,26 @@ def inner_product(u, v, grid):
     return grid.h ** grid.dim * float(np.sum(grid.trapezoid_weights * u * v))
 
 
-def _component_energy(u, grid):
-    n = grid.n_per_axis
-    w1 = grid._w1
-    u = u.reshape(grid.shape())
-    total = 0.0
-    for axis in range(grid.dim):
-        d = np.diff(u, axis=axis)
-        d = d * d
-        for other in range(grid.dim):
-            if other == axis:
-                continue
-            shape = [1] * grid.dim
-            shape[other] = n
-            d = d * w1.reshape(shape)
-        total += float(d.sum())
-    return total
-
-
 def discrete_energy(field, grid=None):
     """Discrete Dirichlet energy: transverse-weighted squared differences.
 
     Accepts a vector field object (components, grid) or a (3, N) array plus
-    the grid.  This difference-sum form is the canonical energy; it equals
-    the operator form (M, -D_h M)_h on Neumann grids.
+    the grid.
     """
     if grid is None:
         grid = field.grid
-    comps = getattr(field, "components", field)
-    comps = np.asarray(comps)
-    scale = grid.h ** (grid.dim - 2)
-    return scale * sum(_component_energy(comps[l], grid) for l in range(comps.shape[0]))
-
-
-def energy_operator_form(field, grid=None):
-    """(M, -D_h M)_h; independent implementation used to cross-check the energy."""
-    if grid is None:
-        grid = field.grid
-    comps = getattr(field, "components", field)
-    lap_m = laplacian(grid).apply(comps)
-    return sum(inner_product(comps[l], -lap_m[l], grid) for l in range(3))
+    comps = np.asarray(getattr(field, "components", field))
+    n_comp = comps.shape[0]
+    u = comps.reshape((n_comp,) + grid.shape())
+    totals = np.zeros(n_comp)
+    for axis in range(grid.dim):
+        d = np.diff(u, axis=axis + 1)
+        d = d * d
+        for other in range(grid.dim):
+            if other != axis:
+                shape = [1] * (grid.dim + 1)
+                shape[other + 1] = grid.n_per_axis
+                d = d * grid._w1.reshape(shape)
+        # a row sum adds each component's terms in the order of summing it alone
+        totals += d.reshape(n_comp, -1).sum(axis=1)
+    return grid.h ** (grid.dim - 2) * sum(totals.tolist())

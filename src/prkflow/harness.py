@@ -255,16 +255,15 @@ def checkpoint_steps(times, tau):
     return {t: _step_count(t, tau) for t in times}
 
 
-def reference_snapshots(cfg, times, beta=None):
+def reference_snapshots(cfg, initial, times, beta=None):
     """Reference fields at several times from a single small-step trajectory.
 
-    The scheme is BDF4 when cfg.reference == "bdf4" and PRK2 otherwise, at
-    step ref_tau; a failed reference run raises RuntimeError.
+    The trajectory starts from ``initial`` (on its grid).  The scheme is BDF4
+    when cfg.reference == "bdf4" and PRK2 otherwise, at step ref_tau; a
+    failed reference run raises RuntimeError.
     """
     times = sorted(times)
     steps = checkpoint_steps(times, cfg.ref_tau)
-    grid = build_grid(cfg)
-    initial = build_initial(cfg, grid)
     proj = ProjectionParams(alpha=cfg.alpha, beta=cfg.beta if beta is None else beta)
     # reference trajectories run at a tightened tolerance so that accumulated
     # solver residuals stay below the Richardson qualification bound
@@ -314,7 +313,7 @@ def _sweep(cfg, schemes, taus, times):
     for scheme in schemes:
         beta = effective_beta(scheme, cfg)
         if beta not in refs:
-            refs[beta] = reference_snapshots(cfg, times, beta=beta)
+            refs[beta] = reference_snapshots(cfg, initial, times, beta=beta)
         for tau in taus:
             snaps, _trace = _snapshot_run(initial, scheme_params(cfg, scheme=scheme, tau=tau),
                                           steps[tau])

@@ -5,8 +5,8 @@ stacked field, where P is a per-node 3x3 block operator and D_h the scalar
 Laplacian applied blockwise.  The operator is nonsymmetric (tangential
 projector and cross term) and is never assembled for the Krylov solvers: a
 matvec is three scalar Laplacian matvecs plus one blockwise product, and the
-Jacobi diagonal is 1 - coeff * P_ll * D_ii.  The assembled 3N x 3N matrix is
-built only for the sparse direct factorization and as a test reference.
+Jacobi diagonal is 1 - coeff * P_ll * D_ii.  The assembled 3N x 3N matrix
+(``StageOperator.tocsr``) serves the sparse direct factorization and the tests.
 The matvec order is deterministic, so repeated runs are bit-identical.
 
 Solvers: Jacobi-preconditioned BiCGStab (default), restarted GMRES, and a
@@ -24,15 +24,11 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .field import projector_blocks
-from .grid import laplacian
-
 __all__ = [
     "SolverConfig",
     "NonConvergenceError",
     "BreakdownError",
     "StageOperator",
-    "assemble_stage_operator",
     "solve",
 ]
 
@@ -82,34 +78,28 @@ class StageOperator(spla.LinearOperator):
     def __init__(self, lap, blocks, coeff):
         n = lap.matrix.shape[0]
         super().__init__(np.float64, (3 * n, 3 * n))
-        self.d = lap.matrix
+        self.lap = lap
         self.blocks = blocks
         self.coeff = coeff
 
     def _matvec(self, x):
         x = x.reshape(3, -1)
-        dx = np.empty_like(x)
-        for l in range(3):
-            dx[l] = self.d @ x[l]
+        dx = self.lap.apply_homogeneous(x)
         return (x - self.coeff * np.einsum("lmn,mn->ln", self.blocks, dx)).reshape(-1)
 
     def diagonal(self):
         p_diag = np.einsum("lln->ln", self.blocks)
-        return (1.0 - self.coeff * p_diag * self.d.diagonal()).reshape(-1)
+        return (1.0 - self.coeff * p_diag * self.lap.matrix.diagonal()).reshape(-1)
 
     def tocsr(self):
         """The assembled matrix, for sparse direct factorization and as a reference."""
-        coupled = sparse.bmat([[sparse.diags(self.blocks[l, m]) @ self.d for m in range(3)]
+        d = self.lap.matrix
+        coupled = sparse.bmat([[sparse.diags(self.blocks[l, m]) @ d for m in range(3)]
                                for l in range(3)], format="csr")
         return (sparse.identity(self.shape[0], format="csr") - self.coeff * coupled).tocsr()
 
     def tocsc(self):
         return self.tocsr().tocsc()
-
-
-def assemble_stage_operator(grid, Mdir, coeff, params):
-    """I - coeff * P(Mdir) * D_h over the stacked field (3N x 3N, CSR)."""
-    return StageOperator(laplacian(grid), projector_blocks(Mdir, params), coeff).tocsr()
 
 
 def _true_residual(A, x, rhs):

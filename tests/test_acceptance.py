@@ -21,8 +21,7 @@ import numpy as np
 import pytest
 
 from prkflow.field import ProjectionParams, VectorField
-from prkflow.grid import (Grid, discrete_energy, energy_operator_form,
-                          inner_product, laplacian)
+from prkflow.grid import Grid, discrete_energy, inner_product, laplacian
 from prkflow.harness import (build_grid, build_initial, l2_error, preset,
                              reference_snapshots, scheme_params)
 from prkflow.integrators import NoRealRootError, SchemeParams, run
@@ -32,6 +31,7 @@ from prkflow.tableau import (certify, measure_scalar_order,
                              order_condition_residuals, prk2_tableau, q_matrix,
                              r_matrix, third_order_nonexistence_certificate)
 
+from test_grid import energy_operator_form
 from test_tableau import _three_stage_candidate, _feasible
 from test_stability import _oracle_one_step
 
@@ -133,8 +133,9 @@ def test_discrete_operator_identities(rng):
         rhs = inner_product(u, lap.matrix @ v, grid)
         checks.append((f"weighted self-adjointness {dim}-D",
                        abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))))
+        unit = Grid(dim, k + 1, 1.0)   # unit spacing: the matrix is the integer stencil
         checks.append((f"constants annihilated exactly {dim}-D",
-                       np.abs(lap.stencil @ np.ones(grid.n_nodes)).max() == 0.0))
+                       np.abs(laplacian(unit).matrix @ np.ones(unit.n_nodes)).max() == 0.0))
     k = 4
     grid = Grid(3, k + 1, 1.0 / k,
                 faces=tuple(lambda x: np.full(3, (x ** 2).sum()) for _ in range(6)))
@@ -273,7 +274,7 @@ def test_table3_prk_schemes_complete(table3_cfg):
     grid = build_grid(cfg)
     m0 = build_initial(cfg, grid)
     checkpoints = (0.002, 0.004, 0.006, 0.008, 0.12, 0.2)
-    refs = reference_snapshots(cfg, checkpoints)
+    refs = reference_snapshots(cfg, build_initial(cfg), checkpoints)
     checks = []
     for scheme in ("prk", "prk_alt"):
         for tau in (1e-3, 2e-4):

@@ -5,32 +5,67 @@ import pytest
 import scipy.sparse as sparse
 
 from prkflow.field import VectorField
-from prkflow.grid import (Grid, NEUMANN, discrete_energy, energy_operator_form,
-                          inner_product, laplacian, neumann_1d, _neumann_1d_stencil)
+from prkflow.grid import Grid, NEUMANN, discrete_energy, inner_product, laplacian
+from prkflow.harness import build_grid, build_initial, preset
 
 
 def _neumann_grid(dim, k, length=1.0, origin=None):
     return Grid(dim, k + 1, length / k, origin=origin or (0.0,) * dim)
 
 
+def _neumann_1d_stencil(n):
+    """Reference 1-D Neumann stencil: rows (-2, 2) at both ends, (1, -2, 1) inside."""
+    main = np.full(n, -2.0)
+    lower = np.ones(n - 1)
+    lower[-1] = 2.0
+    upper = np.ones(n - 1)
+    upper[0] = 2.0
+    return sparse.diags([lower, main, upper], [-1, 0, 1], format="csr")
+
+
+def _energy_per_component(comps, grid):
+    """Reference energy: one component at a time, weights multiplied in axis order."""
+    n = grid.n_per_axis
+    w1 = np.ones(n)
+    w1[0] = w1[-1] = 0.5
+    grand = 0
+    for l in range(comps.shape[0]):
+        u = comps[l].reshape(grid.shape())
+        total = 0.0
+        for axis in range(grid.dim):
+            d = np.diff(u, axis=axis)
+            d = d * d
+            for other in range(grid.dim):
+                if other == axis:
+                    continue
+                shape = [1] * grid.dim
+                shape[other] = n
+                d = d * w1.reshape(shape)
+            total += float(d.sum())
+        grand += total
+    return grid.h ** (grid.dim - 2) * grand
+
+
+def energy_operator_form(field):
+    """Reference energy (M, -D_h M)_h; equals the difference form on Neumann grids."""
+    comps = field.components
+    lap_m = laplacian(field.grid).apply(comps)
+    return sum(inner_product(comps[l], -lap_m[l], field.grid) for l in range(3))
+
+
 def test_neumann_1d_rows():
-    g = neumann_1d(3, 1.0).toarray()
+    g = laplacian(Grid(1, 3, 1.0)).matrix.toarray()
     assert np.array_equal(g, np.array([[-2.0, 2.0, 0.0],
                                        [1.0, -2.0, 1.0],
                                        [0.0, 2.0, -2.0]]))
 
 
-def test_neumann_1d_rejects_tiny():
-    with pytest.raises(ValueError):
-        neumann_1d(2, 1.0)
-
-
 def test_annihilates_constants_exactly():
-    # integer stencil arithmetic is exact on the ones vector for any spacing
+    # with unit spacing the matrix is the integer stencil: exact on the ones vector
     for dim, k in ((1, 8), (2, 8), (3, 4), (2, 24), (2, 48)):
-        grid = _neumann_grid(dim, k)
+        grid = Grid(dim, k + 1, 1.0)
         lap = laplacian(grid)
-        assert np.abs(lap.stencil @ np.ones(grid.n_nodes)).max() == 0.0
+        assert np.abs(lap.matrix @ np.ones(grid.n_nodes)).max() == 0.0
     # with dyadic spacing the scaled matrix is exact as well
     for dim, k in ((1, 8), (2, 8), (3, 4)):
         grid = _neumann_grid(dim, k)
@@ -40,7 +75,7 @@ def test_annihilates_constants_exactly():
 
 def test_cosine_eigenfunction_accuracy():
     k = 128
-    g = neumann_1d(k + 1, 1.0 / k)
+    g = laplacian(Grid(1, k + 1, 1.0 / k)).matrix
     x = np.arange(k + 1) / k
     u = np.cos(np.pi * x)
     err = np.abs((g @ u) + np.pi ** 2 * u)[1:-1].max()
@@ -65,8 +100,8 @@ def test_neumann_stencil_is_kronecker_sum():
             expected = g1
             for _ in range(dim - 1):
                 expected = sparse.kronsum(expected, g1)
-            lap = laplacian(Grid(dim, n, 1.0 / (n - 1)))
-            assert np.array_equal(lap.stencil.toarray(), expected.toarray())
+            lap = laplacian(Grid(dim, n, 1.0))   # unit spacing: matrix == stencil
+            assert np.array_equal(lap.matrix.toarray(), expected.toarray())
             assert not lap.bc_contribution.any()
 
 
@@ -175,6 +210,19 @@ def test_energy_single_difference():
     comps = np.zeros((3, 2))
     comps[0] = [0.0, 1.0]
     assert discrete_energy(VectorField(comps, grid)) == 1.0
+
+
+def test_energy_matches_per_component_reference(rng):
+    # the vectorised energy keeps the per-component arithmetic order exactly
+    for dim in (1, 2, 3):
+        for n in (2, 3, 5):
+            grid = Grid(dim, n, 1.0 / (n - 1))
+            for _ in range(10):
+                comps = rng.standard_normal((3, grid.n_nodes))
+                assert discrete_energy(comps, grid) == _energy_per_component(comps, grid)
+    cfg = preset("twisted_nematic44", k=6)
+    m0 = build_initial(cfg, build_grid(cfg))
+    assert discrete_energy(m0) == _energy_per_component(m0.components, m0.grid)
 
 
 def test_summation_by_parts_identity(rng):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import prkflow.harness as harness
 import prkflow.integrators as integ
 from prkflow.field import ProjectionParams, diagnostics, normalize
 from prkflow.grid import NEUMANN
@@ -179,6 +180,20 @@ def test_robustness_driver_staircase(monkeypatch, tmp_path):
     assert lm2_cells[5e-3] == "--"
 
 
+def test_sweep_builds_its_grid_once(monkeypatch):
+    # the runs and both references (prk: beta = 1, lm2: beta = 0) share one grid
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return build_grid(cfg)
+
+    monkeypatch.setattr(harness, "build_grid", counting)
+    cfg = preset("llg_blowup42", k=8, reference="self", ref_tau=5e-4)
+    robustness_driver(cfg, ("prk", "lm2"), (1e-3,), (1e-3, 2e-3))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("driver", [
     pytest.param(lambda cfg: robustness_driver(cfg, ("prk",), (1e-3,), (1e-3, 1.5e-3)),
                  id="robustness"),
@@ -209,7 +224,7 @@ def test_bdf4_reference_snapshots_match_separate_runs():
                      projection=ProjectionParams(alpha=1.0, beta=1.0),
                      solver=SolverConfig(rel_tol=1e-12))
     times = (0.0, 1e-5, 3e-5, 4e-5, 6e-5)
-    snaps = reference_snapshots(cfg, times)
+    snaps = reference_snapshots(cfg, build_initial(cfg), times)
     for T, n_steps in zip(times, (0, 1, 3, 4, 6)):
         final, trace = run(m0, p, T)
         assert trace.failure is None and len(trace) == n_steps
@@ -227,7 +242,7 @@ def test_failed_bdf4_reference_raises(monkeypatch):
     monkeypatch.setattr(integ, "bdf4_step", failing)
     cfg = preset("convergence41", k=8, reference="bdf4", ref_tau=1e-5)
     with pytest.raises(RuntimeError, match="reference run failed"):
-        reference_snapshots(cfg, (2e-5,))
+        reference_snapshots(cfg, build_initial(cfg), (2e-5,))
 
 
 def test_work_precision_driver_rows(tmp_path):

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from prkflow.field import ProjectionParams, VectorField, normalize, apply_p, projector_blocks
+from prkflow.field import ProjectionParams, VectorField, normalize, projector_blocks
 from prkflow.grid import Grid, laplacian
 from prkflow.harness import build_grid, preset
 from prkflow.linalg import (BreakdownError, NonConvergenceError, SolverConfig,
-                            StageOperator, assemble_stage_operator, solve)
+                            StageOperator, solve)
 from prkflow.tableau import prk2_tableau
+
+from test_field import pointwise_p
 
 
 def _setup(k, dim=2, seed=3):
@@ -20,9 +22,14 @@ def _setup(k, dim=2, seed=3):
     return grid, mdir, rng
 
 
+def _stage_matrix(grid, mdir, coeff, params):
+    """I - coeff * P(mdir) * D_h, assembled (3N x 3N, CSR)."""
+    return StageOperator(laplacian(grid), projector_blocks(mdir, params), coeff).tocsr()
+
+
 def test_zero_coefficient_gives_identity():
     grid, mdir, _ = _setup(4)
-    a = assemble_stage_operator(grid, mdir, 0.0, ProjectionParams(alpha=1.0, beta=1.0))
+    a = _stage_matrix(grid, mdir, 0.0, ProjectionParams(alpha=1.0, beta=1.0))
     eye = sparse.identity(3 * grid.n_nodes, format="csr")
     assert (a != eye).nnz == 0
 
@@ -31,7 +38,7 @@ def test_nonzero_count_matches_band_structure():
     # 2-D stage matrices: about 45 (K+1)^2 entries across 15 diagonals
     k = 24
     grid, mdir, _ = _setup(k)
-    a = assemble_stage_operator(grid, mdir, 1e-4, ProjectionParams(alpha=1.0, beta=1.0))
+    a = _stage_matrix(grid, mdir, 1e-4, ProjectionParams(alpha=1.0, beta=1.0))
     target = 45 * (k + 1) ** 2
     assert abs(a.nnz - target) <= 0.10 * target
     # every row touches the 3 component blocks with <= 5 stencil entries each
@@ -43,14 +50,14 @@ PARAMS = ProjectionParams(alpha=1.2, beta=-0.7)
 
 def _neumann_2d(rng):
     grid, mdir, _ = _setup(8)
-    return grid, projector_blocks(mdir, PARAMS), lambda dv: apply_p(mdir, dv, PARAMS).components
+    return grid, projector_blocks(mdir, PARAMS), lambda dv: pointwise_p(mdir.components, dv, PARAMS)
 
 
 def _twisted_nematic_faces(rng):
     # Neumann sides, Dirichlet anchoring at z = 0 and z = 1: the fixed rows of D are zero
     grid = build_grid(preset("twisted_nematic44", k=4))
     mdir = normalize(VectorField(rng.standard_normal((3, grid.n_nodes)), grid))
-    return grid, projector_blocks(mdir, PARAMS), lambda dv: apply_p(mdir, dv, PARAMS).components
+    return grid, projector_blocks(mdir, PARAMS), lambda dv: pointwise_p(mdir.components, dv, PARAMS)
 
 
 def _prk_alt_projector_sum(rng):
@@ -62,7 +69,8 @@ def _prk_alt_projector_sum(rng):
     blocks = g[0] * projector_blocks(m1, PARAMS) + g[1] * projector_blocks(m2, PARAMS)
 
     def apply(dv):
-        return g[0] * apply_p(m1, dv, PARAMS).components + g[1] * apply_p(m2, dv, PARAMS).components
+        return (g[0] * pointwise_p(m1.components, dv, PARAMS)
+                + g[1] * pointwise_p(m2.components, dv, PARAMS))
 
     return grid, blocks, apply
 
@@ -77,7 +85,7 @@ def test_matches_matrix_free_composition(case, rng):
     a = op.tocsr()
     v = rng.standard_normal((3, grid.n_nodes))
     dv = np.vstack([lap.matrix @ v[l] for l in range(3)])
-    expected = v - coeff * apply_blocks_oracle(VectorField(dv, grid))
+    expected = v - coeff * apply_blocks_oracle(dv)
     got = (a @ v.reshape(-1)).reshape(3, -1)
     scale = np.abs(expected).max()
     assert np.abs(got - expected).max() <= 1e-13 * scale
@@ -104,7 +112,7 @@ def test_identity_solve_immediate():
 
 def test_stage_solve_meets_residual_contract(rng):
     grid, mdir, _ = _setup(16)
-    a = assemble_stage_operator(grid, mdir, 3.2e-4, ProjectionParams(alpha=1.0, beta=1.0))
+    a = _stage_matrix(grid, mdir, 3.2e-4, ProjectionParams(alpha=1.0, beta=1.0))
     rhs = rng.standard_normal(a.shape[0])
     rhs /= np.linalg.norm(rhs)
     cfg = SolverConfig(rel_tol=1e-10)
@@ -117,7 +125,7 @@ def test_stage_solve_meets_residual_contract(rng):
 
 def test_against_dense_lu_oracle(rng):
     grid, mdir, _ = _setup(6)
-    a = assemble_stage_operator(grid, mdir, 1e-3, ProjectionParams(alpha=1.0, beta=1.0))
+    a = _stage_matrix(grid, mdir, 1e-3, ProjectionParams(alpha=1.0, beta=1.0))
     rhs = rng.standard_normal(a.shape[0])
     x_sparse, _, _ = solve(a, rhs)
     x_dense = np.linalg.solve(a.toarray(), rhs)
@@ -126,7 +134,7 @@ def test_against_dense_lu_oracle(rng):
 
 def test_gmres_and_direct_paths(rng):
     grid, mdir, _ = _setup(8)
-    a = assemble_stage_operator(grid, mdir, 1e-3, ProjectionParams(alpha=1.0, beta=0.5))
+    a = _stage_matrix(grid, mdir, 1e-3, ProjectionParams(alpha=1.0, beta=0.5))
     rhs = rng.standard_normal(a.shape[0])
     for method in ("gmres", "direct"):
         x, _iters, resid = solve(a, rhs, SolverConfig(method=method))
@@ -135,7 +143,7 @@ def test_gmres_and_direct_paths(rng):
 
 def test_solve_deterministic(rng):
     grid, mdir, _ = _setup(10)
-    a = assemble_stage_operator(grid, mdir, 2e-4, ProjectionParams(alpha=1.0, beta=1.0))
+    a = _stage_matrix(grid, mdir, 2e-4, ProjectionParams(alpha=1.0, beta=1.0))
     rhs = rng.standard_normal(a.shape[0])
     x1, i1, r1 = solve(a, rhs)
     x2, i2, r2 = solve(a, rhs)
@@ -144,7 +152,7 @@ def test_solve_deterministic(rng):
 
 def test_nonconvergence_carries_best_iterate(rng):
     grid, mdir, _ = _setup(12)
-    a = assemble_stage_operator(grid, mdir, 5e-3, ProjectionParams(alpha=1.0, beta=1.0))
+    a = _stage_matrix(grid, mdir, 5e-3, ProjectionParams(alpha=1.0, beta=1.0))
     rhs = rng.standard_normal(a.shape[0])
     with pytest.raises(NonConvergenceError) as err:
         solve(a, rhs, SolverConfig(max_iters=1, rel_tol=1e-14, abs_tol=1e-300))
