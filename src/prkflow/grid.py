@@ -8,6 +8,12 @@ the known boundary values folded into a forcing vector, so that
 ``matrix @ u + bc_contribution`` reproduces the full stencil action at the
 remaining nodes.
 
+Every Dirichlet face is a whole face, so the free nodes form a tensor
+product and D_h on them is the Kronecker sum of the 1-D stencils restricted
+to each axis's free indices.  ``laplacian_eigenbasis`` diagonalises each
+such 1-D stencil exactly, so that (I - s D_h)^-1 on the free nodes is a
+transform per axis, a division and the inverse transforms.
+
 The discrete Dirichlet energy is the transverse-weighted sum of squared
 nodal differences scaled by h^(dim-2); on Neumann grids it equals
 (M, -D_h M)_h under the trapezoidal inner product (summation by parts).
@@ -17,6 +23,7 @@ int 1/2 |grad m|^2; monotonicity statements are unaffected.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +34,8 @@ __all__ = [
     "Grid",
     "DiscreteLaplacian",
     "laplacian",
+    "LaplacianEigenbasis",
+    "laplacian_eigenbasis",
     "inner_product",
     "discrete_energy",
 ]
@@ -101,6 +110,7 @@ class Grid:
             w *= w1[self._axis_index[a]]
         self.trapezoid_weights = w
         self._laplacian = None
+        self._eigenbasis = None
 
     @property
     def k(self):
@@ -208,6 +218,67 @@ def laplacian(grid):
     lap = DiscreteLaplacian(matrix, bc)
     grid._laplacian = lap
     return lap
+
+
+@dataclass(frozen=True)
+class LaplacianEigenbasis:
+    """D_h on the free nodes as the Kronecker sum of per-axis eigendecompositions.
+
+    Entries are per axis, slowest first as in ``Grid.shape()``: ``free`` the
+    slice of the axis's free indices, ``vecs`` V and ``inv`` V^-1 with
+    (1-D stencil) = V diag(lambda) V^-1 on them.  ``eigenvalues`` holds the
+    sums of the per-axis lambdas over the free-node shape, so that
+    D_h = (V_z x V_y x V_x) diag(eigenvalues) (V_z x V_y x V_x)^-1 there.
+    """
+
+    free: tuple
+    vecs: tuple
+    inv: tuple
+    eigenvalues: np.ndarray
+
+
+def _axis_eigenbasis(n, h, low_fixed, high_fixed):
+    """(free slice, lambda, V, V^-1) of the scaled 1-D stencil on an axis's free indices.
+
+    With m = n - 1, the eigenvectors are cosines (Neumann low end) or sines
+    (Dirichlet low end) of theta j over the free indices j, with
+    theta = pi k / m when both ends are alike and pi (k - 1/2) / m when they
+    differ, and lambda = -4 sin^2(theta / 2) / h^2 (Strang, "The Discrete
+    Cosine Transform", 1999).  The stencil is symmetric under the trapezoid
+    weights W (1/2 at a Neumann end), so V^T W V is diagonal and
+    V^-1 = (V^T W V)^-1 V^T W.
+    """
+    m = n - 1
+    lo = 1 if low_fixed else 0
+    hi = m - 1 if high_fixed else m
+    j = np.arange(lo, hi + 1)
+    if low_fixed == high_fixed:
+        theta = np.pi * j / m
+    else:
+        theta = np.pi * (np.arange(1, m + 1) - 0.5) / m
+    vecs = (np.sin if low_fixed else np.cos)(np.outer(j, theta))
+    w = np.ones(j.size)
+    if not low_fixed:
+        w[0] = 0.5
+    if not high_fixed:
+        w[-1] = 0.5
+    wv = w[:, None] * vecs
+    inv = wv.T / np.einsum("jk,jk->k", wv, vecs)[:, None]
+    return slice(lo, hi + 1), -4.0 * np.sin(theta / 2) ** 2 / h ** 2, vecs, inv
+
+
+def laplacian_eigenbasis(grid):
+    """Per-axis eigenbases of D_h on the free nodes (memoized on the grid, built on first use)."""
+    if grid._eigenbasis is not None:
+        return grid._eigenbasis
+    free, lams, vecs, inv = zip(*(
+        _axis_eigenbasis(grid.n_per_axis, grid.h,
+                         callable(grid.faces[2 * a]), callable(grid.faces[2 * a + 1]))
+        for a in reversed(range(grid.dim))))
+    basis = LaplacianEigenbasis(free=free, vecs=vecs, inv=inv,
+                                eigenvalues=functools.reduce(np.add.outer, lams))
+    grid._eigenbasis = basis
+    return basis
 
 
 def inner_product(u, v, grid):

@@ -32,7 +32,7 @@ from . import linalg
 from .field import (VectorField, ProjectionParams, normalize, diagnostics,
                     projector_blocks, apply_blocks)
 from .grid import laplacian, discrete_energy, inner_product
-from .linalg import SolverConfig, StageOperator, solve
+from .linalg import SolverConfig, StageOperator, TangentBlocks, solve
 from .tableau import PRKTableau, prk2_tableau, validate
 
 __all__ = [
@@ -143,15 +143,25 @@ class RunTrace:
         return np.array([r.energy for r in self.records])
 
 
-def _stage_solve(lap, blocks, coeff, rhs, solver, stage):
+def _tangent(field, projection):
+    """TangentBlocks of projector_blocks(field, projection) when beta = 0, else None."""
+    if projection.beta != 0.0:
+        return None
+    return TangentBlocks(field, projection.alpha)
+
+
+def _stage_solve(lap, blocks, coeff, rhs, solver, stage, tangent=None):
     """Solve (I - coeff P D_h) U = rhs + coeff P bc for U (3, N); returns (U, iters, residual).
 
     The boundary forcing of the Laplacian enters the right-hand side here.
+    ``tangent`` (see ``_tangent``) marks blocks that are alpha P_t of one
+    field; BiCGStab then takes the tangent-space spectral preconditioner if
+    the stage is stiff (see ``linalg``).
     Solver failures become StepFailureError(stage, ...).
     """
     rhs = rhs + coeff * apply_blocks(blocks, lap.bc_contribution)
     try:
-        x, nit, res = solve(StageOperator(lap, blocks, coeff), rhs.reshape(-1), solver)
+        x, nit, res = solve(StageOperator(lap, blocks, coeff, tangent), rhs.reshape(-1), solver)
     except (linalg.NonConvergenceError, linalg.BreakdownError) as exc:
         raise StepFailureError(stage, exc) from exc
     return x.reshape(3, -1), nit, res
@@ -194,7 +204,8 @@ def prk_step(state, p, step_index=0, t0=0.0):
     DU, PY = [], []
     iters, resids = [], []
     for i in range(s):
-        blocks = projector_blocks(VectorField(U, grid), p.projection)
+        mobility = VectorField(U, grid)
+        blocks = projector_blocks(mobility, p.projection)
         y_partial = np.zeros_like(U0)
         for k in range(i):
             y_partial += Dtab[i, k] * DU[k]
@@ -204,7 +215,8 @@ def prk_step(state, p, step_index=0, t0=0.0):
         mu += Atab[i, i] * apply_blocks(blocks, y_partial)
 
         coeff = tau * Atab[i, i] * Dtab[i, i]
-        U, nit, res = _stage_solve(lap, blocks, coeff, U0 + tau * mu, p.solver, i + 1)
+        U, nit, res = _stage_solve(lap, blocks, coeff, U0 + tau * mu, p.solver, i + 1,
+                                   _tangent(mobility, p.projection))
         iters.append(nit)
         resids.append(res)
         DU.append(lap.apply(U))
@@ -268,7 +280,8 @@ def sip1_step(state, p, step_index=0, t0=0.0):
 
     blocks = projector_blocks(state, p.projection)
     rhs = state.components + tau * (1.0 - theta) * apply_blocks(blocks, lap.apply(state.components))
-    m_tilde, nit, res = _stage_solve(lap, blocks, tau * theta, rhs, p.solver, 1)
+    m_tilde, nit, res = _stage_solve(lap, blocks, tau * theta, rhs, p.solver, 1,
+                                     _tangent(state, p.projection))
     return _finish_step(grid, m_tilde, step_index, t0 + tau, [nit], [res], t_wall)
 
 
@@ -390,9 +403,11 @@ def bdf4_step(state, hist, p, step_index=0, t0=0.0):
 
     h0, h1, h2, h3 = (h.components for h in hist)
     m_star = 4.0 * h3 - 6.0 * h2 + 4.0 * h1 - h0
-    blocks = projector_blocks(VectorField(m_star, grid), p.projection)
+    mobility = VectorField(m_star, grid)
+    blocks = projector_blocks(mobility, p.projection)
     rhs = (48.0 * h3 - 36.0 * h2 + 16.0 * h1 - 3.0 * h0) / 25.0
-    x, nit, res = _stage_solve(laplacian(grid), blocks, tau * 12.0 / 25.0, rhs, p.solver, 1)
+    x, nit, res = _stage_solve(laplacian(grid), blocks, tau * 12.0 / 25.0, rhs, p.solver, 1,
+                               _tangent(mobility, p.projection))
     out, rec = _finish_step(grid, x, step_index, t0 + tau, [nit], [res], t_wall)
     return out, hist[1:] + (out,), rec
 

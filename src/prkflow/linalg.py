@@ -9,30 +9,49 @@ Jacobi diagonal is 1 - coeff * P_ll * D_ii.  The assembled 3N x 3N matrix
 (``StageOperator.tocsr``) serves the sparse direct factorization and the tests.
 The matvec order is deterministic, so repeated runs are bit-identical.
 
-Solvers: Jacobi-preconditioned BiCGStab (default), restarted GMRES, and a
-sparse direct factorization.  Every successful solve is verified against the
-true residual ||A x - b||_2 <= max(rel_tol ||b||_2, abs_tol); iterative
-solvers restart from the current iterate when the recursively updated
-residual has drifted.
+Solvers: preconditioned BiCGStab (default), restarted GMRES, and a sparse
+direct factorization.  BiCGStab takes the tangent-space spectral
+preconditioner when the stage operator carries its blocks as a tangent
+projector alpha P_t(mh) = alpha (I - mh mh^T) (beta = 0) and is stiff,
+coeff alpha 4 dim / h^2 >= 1.5:
+
+    M^-1 v = mh (mh.v) + P_t S^-1 P_t v,    S = I - coeff alpha D_h,
+
+with S^-1 exact on the free nodes in the Laplacian's per-axis eigenbases
+(``grid.laplacian_eigenbasis``).  Every other operator takes Jacobi.  Every
+successful solve is verified against the true residual
+||A x - b||_2 <= max(rel_tol ||b||_2, abs_tol); iterative solvers restart
+from the current iterate when the recursively updated residual has drifted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
+from .grid import laplacian_eigenbasis
+
 __all__ = [
     "SolverConfig",
     "NonConvergenceError",
     "BreakdownError",
     "StageOperator",
+    "TangentBlocks",
+    "TangentPreconditioner",
     "solve",
 ]
 
-_GMRES_RESTART = 60      # gmres restart length; bicgstab is always Jacobi-preconditioned
+_GMRES_RESTART = 60      # gmres restart length; gmres runs unpreconditioned
+# The tangent-space preconditioner is taken from this stiffness coeff alpha rho
+# (see _stiffness) on.  Below it Jacobi needs at most about ten iterations, and
+# one spectral application, which costs a few matvecs, does not pay for the
+# iterations it saves: per-step break-even is near 1 on 2-D and 3-D grids
+# with 9 to 65 nodes per axis.
+_TANGENT_MIN_STIFFNESS = 1.5
 
 
 class NonConvergenceError(RuntimeError):
@@ -55,7 +74,7 @@ class SolverConfig:
     method: str = "bicgstab"          # bicgstab | gmres | direct
     rel_tol: float = 1e-11
     abs_tol: float = 1e-14
-    max_iters: int = 0                # 0 -> 10 * sqrt(N)
+    max_iters: int = 0                # 0 -> max(100, 10 sqrt(n)), n the system size 3N
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -67,25 +86,39 @@ class SolverConfig:
         return self.max_iters if self.max_iters > 0 else max(100, int(10 * np.sqrt(n)))
 
 
+@dataclass(frozen=True)
+class TangentBlocks:
+    """Blocks that are alpha (I - mh mh^T) at every node, mh the directions of ``field``."""
+
+    field: object
+    alpha: float
+
+
 class StageOperator(spla.LinearOperator):
     """I - coeff * blocks * D over the stacked field (3N x 3N), applied matrix-free.
 
     ``lap`` is a DiscreteLaplacian (only its matrix D is used: boundary
     forcing belongs in the right-hand side), ``blocks`` the per-node 3x3
-    blocks (3, 3, N).
+    blocks (3, 3, N).  ``tangent`` is a TangentBlocks when the blocks are a
+    tangent projector; BiCGStab then takes the tangent-space spectral
+    preconditioner if the operator is stiff (``_stiffness``).
     """
 
-    def __init__(self, lap, blocks, coeff):
+    def __init__(self, lap, blocks, coeff, tangent=None):
         n = lap.matrix.shape[0]
         super().__init__(np.float64, (3 * n, 3 * n))
         self.lap = lap
         self.blocks = blocks
         self.coeff = coeff
+        self.tangent = tangent
 
     def _matvec(self, x):
         x = x.reshape(3, -1)
-        dx = self.lap.apply_homogeneous(x)
-        return (x - self.coeff * np.einsum("lmn,mn->ln", self.blocks, dx)).reshape(-1)
+        out = np.einsum("lmn,mn->ln", self.blocks, self.lap.apply_homogeneous(x))
+        # in place, and bit-identical to x - coeff * out
+        out *= -self.coeff
+        out += x
+        return out.reshape(-1)
 
     def diagonal(self):
         p_diag = np.einsum("lln->ln", self.blocks)
@@ -100,6 +133,104 @@ class StageOperator(spla.LinearOperator):
 
     def tocsc(self):
         return self.tocsr().tocsc()
+
+
+class TangentPreconditioner(spla.LinearOperator):
+    """M^-1 v = mh (mh.v) + P_t S^-1 P_t v for a StageOperator with TangentBlocks.
+
+    S = I - coeff alpha D_h acts per component and is inverted exactly on the
+    free nodes: one V^-1 product per axis, a division by
+    1 - coeff alpha (sum of the axis eigenvalues), one V product per axis.
+    Nodes on Dirichlet faces pass through (A is the identity there).  mh is
+    not stored: mh (mh.v) = m (m.v) / |m|^2 with m the field of the blocks.
+    """
+
+    def __init__(self, A):
+        tangent = A.tangent
+        grid = tangent.field.grid
+        super().__init__(np.float64, A.shape)
+        self.m = tangent.field.components
+        self.inv_len2 = 1.0 / np.einsum("ln,ln->n", self.m, self.m)
+        self.basis = laplacian_eigenbasis(grid)
+        self.grid_shape = grid.shape()
+        self.inv_denom = 1.0 / (1.0 - A.coeff * tangent.alpha * self.basis.eigenvalues)
+        # one component at a time, the 2 dim products alternate between two
+        # free-node buffers, from a into b first and, an even count, into a last
+        a, b = np.empty_like(self.inv_denom), np.empty_like(self.inv_denom)
+        dim = a.ndim
+        steps = _transforms(self.basis.inv + self.basis.vecs, a, b)
+        self._forward, self._backward = steps[:dim], steps[dim:]
+        self._buffer, self._scaled = a, (b if dim % 2 else a)
+
+    def shifted_solve(self, u):
+        """S^-1 applied to each component of u (3, N) in place; fixed nodes are left as they are."""
+        for comp in u:
+            free = comp.reshape(self.grid_shape)[self.basis.free]
+            np.copyto(self._buffer, free)
+            for x, y, out in self._forward:
+                np.matmul(x, y, out=out)
+            self._scaled *= self.inv_denom
+            for x, y, out in self._backward:
+                np.matmul(x, y, out=out)
+            np.copyto(free, self._buffer)
+        return u
+
+    def _matvec(self, v):
+        v = v.reshape(3, -1)
+        m = self.m
+        normal = np.einsum("ln,ln->n", m, v)
+        normal *= self.inv_len2
+        out = np.empty_like(v)
+        # component by component, so that no (3, N) temporary is allocated
+        for l in range(3):
+            np.multiply(m[l], normal, out=out[l])
+            np.subtract(v[l], out[l], out=out[l])
+        self.shifted_solve(out)
+        tangential = np.einsum("ln,ln->n", m, out)
+        tangential *= self.inv_len2
+        normal -= tangential
+        for l in range(3):
+            out[l] += m[l] * normal
+        return out.reshape(-1)
+
+
+def _transforms(mats, a, b):
+    """np.matmul arguments (x, y, out) applying mats[i] along axis i % a.ndim.
+
+    a and b are C-contiguous and of the same shape; the products go from a
+    into b, then from b into a, and so on.  The last (fastest) axis is
+    multiplied from the right, by a C-ordered transpose.
+    """
+    shape = a.shape
+    steps = []
+    for i, mat in enumerate(mats):
+        p = i % len(shape)
+        lead, trail = math.prod(shape[:p]), math.prod(shape[p + 1:])
+        if p == len(shape) - 1:
+            rows = (lead, shape[p])
+            steps.append((a.reshape(rows), np.ascontiguousarray(mat.T), b.reshape(rows)))
+        else:
+            batch = (lead, shape[p], trail)
+            steps.append((mat, a.reshape(batch), b.reshape(batch)))
+        a, b = b, a
+    return tuple(steps)
+
+
+def _stiffness(A):
+    """coeff alpha rho of a StageOperator with TangentBlocks, rho = 4 dim / h^2 >= |lambda(D_h)|."""
+    grid = A.tangent.field.grid
+    return A.coeff * A.tangent.alpha * 4.0 * grid.dim / grid.h ** 2
+
+
+def _preconditioner(A):
+    """TangentPreconditioner when A carries TangentBlocks and is stiff enough, Jacobi otherwise."""
+    if getattr(A, "tangent", None) is not None and _stiffness(A) >= _TANGENT_MIN_STIFFNESS:
+        return TangentPreconditioner(A)
+    diag = A.diagonal()
+    if np.abs(diag).min() == 0.0:
+        raise BreakdownError("zero diagonal entry; Jacobi preconditioner unusable")
+    inv_diag = 1.0 / diag
+    return spla.LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
 
 
 def _true_residual(A, x, rhs):
@@ -127,13 +258,7 @@ def solve(A, rhs, cfg=None):
         return x, 1, _true_residual(A, x, rhs)
 
     budget = cfg.iteration_budget(n)
-    precond = None
-    if cfg.method == "bicgstab":
-        diag = A.diagonal()
-        if np.abs(diag).min() == 0.0:
-            raise BreakdownError("zero diagonal entry; Jacobi preconditioner unusable")
-        inv_diag = 1.0 / diag
-        precond = spla.LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
+    precond = _preconditioner(A) if cfg.method == "bicgstab" else None
 
     x = None
     total_iters = 0
