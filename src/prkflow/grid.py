@@ -10,9 +10,11 @@ remaining nodes.
 
 Every Dirichlet face is a whole face, so the free nodes form a tensor
 product and D_h on them is the Kronecker sum of the 1-D stencils restricted
-to each axis's free indices.  ``laplacian_eigenbasis`` diagonalises each
-such 1-D stencil exactly, so that (I - s D_h)^-1 on the free nodes is a
-transform per axis, a division and the inverse transforms.
+to each axis's free indices.  Each such 1-D stencil is diagonalised exactly
+(``_laplacian_eigenbasis``), so that ``shifted_laplacian_inverse`` applies
+(I - c D_h)^-1 as a transform per axis, a division and the inverse
+transforms.  It is the one solver of this shifted system: the tangent-space
+preconditioner and the LM2 predictor both call it.
 
 The discrete Dirichlet energy is the transverse-weighted sum of squared
 nodal differences scaled by h^(dim-2); on Neumann grids it equals
@@ -24,6 +26,7 @@ int 1/2 |grad m|^2; monotonicity statements are unaffected.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +37,7 @@ __all__ = [
     "Grid",
     "DiscreteLaplacian",
     "laplacian",
-    "LaplacianEigenbasis",
-    "laplacian_eigenbasis",
+    "shifted_laplacian_inverse",
     "inner_product",
     "discrete_energy",
 ]
@@ -47,9 +49,11 @@ class Grid:
     """Uniform tensor mesh on an axis-aligned box.
 
     faces: one entry per face in axis order (x_low, x_high, y_low, y_high,
-    z_low, z_high), each either ``NEUMANN`` or a callable mapping a node
-    coordinate array (dim,) to a 3-vector of Dirichlet values.  Dirichlet
-    values are evaluated once at construction and reused bit-identically.
+    z_low, z_high), each either ``NEUMANN`` or a callable mapping the
+    coordinates (n, dim) of the face's n nodes to their Dirichlet values
+    (n, 3).  A node on several Dirichlet faces takes the value of the last of
+    them in that order.  Dirichlet values are evaluated once at construction
+    and reused bit-identically.
     """
 
     def __init__(self, dim, n_per_axis, h, origin=None, faces=None):
@@ -82,24 +86,19 @@ class Grid:
         self._axis_index = [m.reshape(-1) for m in mesh[::-1]]  # per-axis node index
 
         fixed = np.zeros(self.n_nodes, dtype=bool)
-        for a in range(dim):
-            if callable(faces[2 * a]):
-                fixed |= self._axis_index[a] == 0
-            if callable(faces[2 * a + 1]):
-                fixed |= self._axis_index[a] == n - 1
-        self.dirichlet_mask = fixed
-
         values = np.zeros((3, self.n_nodes))
-        if fixed.any():
-            # low faces take precedence at shared edges/corners; any Dirichlet
-            # face owning the node provides its value (later faces overwrite).
-            for a in range(dim):
-                for side, sel in ((0, self._axis_index[a] == 0),
-                                  (1, self._axis_index[a] == n - 1)):
-                    provider = faces[2 * a + side]
-                    if callable(provider):
-                        for i in np.nonzero(sel)[0]:
-                            values[:, i] = np.asarray(provider(self.coords[i]), dtype=float)
+        # face f is the low (f even) or high end of axis f // 2; a later face
+        # overwrites the values of the nodes it shares with an earlier one
+        for f, provider in enumerate(faces):
+            if callable(provider):
+                sel = self._axis_index[f // 2] == (n - 1) * (f % 2)
+                fixed |= sel
+                face_values = np.asarray(provider(self.coords[sel]), dtype=float)
+                if face_values.shape != (sel.sum(), 3):
+                    raise ValueError(f"the provider of face {f} must return (n, 3) values "
+                                     f"for (n, dim) coordinates, got {face_values.shape}")
+                values[:, sel] = face_values.T
+        self.dirichlet_mask = fixed
         self.dirichlet_values = values
 
         w1 = np.ones(n)
@@ -220,23 +219,6 @@ def laplacian(grid):
     return lap
 
 
-@dataclass(frozen=True)
-class LaplacianEigenbasis:
-    """D_h on the free nodes as the Kronecker sum of per-axis eigendecompositions.
-
-    Entries are per axis, slowest first as in ``Grid.shape()``: ``free`` the
-    slice of the axis's free indices, ``vecs`` V and ``inv`` V^-1 with
-    (1-D stencil) = V diag(lambda) V^-1 on them.  ``eigenvalues`` holds the
-    sums of the per-axis lambdas over the free-node shape, so that
-    D_h = (V_z x V_y x V_x) diag(eigenvalues) (V_z x V_y x V_x)^-1 there.
-    """
-
-    free: tuple
-    vecs: tuple
-    inv: tuple
-    eigenvalues: np.ndarray
-
-
 def _axis_eigenbasis(n, h, low_fixed, high_fixed):
     """(free slice, lambda, V, V^-1) of the scaled 1-D stencil on an axis's free indices.
 
@@ -267,18 +249,79 @@ def _axis_eigenbasis(n, h, low_fixed, high_fixed):
     return slice(lo, hi + 1), -4.0 * np.sin(theta / 2) ** 2 / h ** 2, vecs, inv
 
 
-def laplacian_eigenbasis(grid):
-    """Per-axis eigenbases of D_h on the free nodes (memoized on the grid, built on first use)."""
-    if grid._eigenbasis is not None:
-        return grid._eigenbasis
-    free, lams, vecs, inv = zip(*(
-        _axis_eigenbasis(grid.n_per_axis, grid.h,
-                         callable(grid.faces[2 * a]), callable(grid.faces[2 * a + 1]))
-        for a in reversed(range(grid.dim))))
-    basis = LaplacianEigenbasis(free=free, vecs=vecs, inv=inv,
-                                eigenvalues=functools.reduce(np.add.outer, lams))
-    grid._eigenbasis = basis
-    return basis
+def _laplacian_eigenbasis(grid):
+    """D_h on the free nodes as the Kronecker sum of per-axis eigendecompositions.
+
+    Returns (free, mats, eigenvalues), memoized on the grid and built on
+    first use.  Per axis, slowest first as in ``Grid.shape()``, ``free``
+    holds the slice of the axis's free indices; with (1-D stencil) =
+    V diag(lambda) V^-1 on them, ``mats`` holds every axis's V^-1 and then
+    every axis's V.  ``eigenvalues`` holds the sums of the per-axis lambdas
+    over the free-node shape, so that
+    D_h = (V_z x V_y x V_x) diag(eigenvalues) (V_z x V_y x V_x)^-1 there.
+    """
+    if grid._eigenbasis is None:
+        free, lams, vecs, inv = zip(*(
+            _axis_eigenbasis(grid.n_per_axis, grid.h,
+                             callable(grid.faces[2 * a]), callable(grid.faces[2 * a + 1]))
+            for a in reversed(range(grid.dim))))
+        grid._eigenbasis = (free, inv + vecs, functools.reduce(np.add.outer, lams))
+    return grid._eigenbasis
+
+
+def shifted_laplacian_inverse(grid, c):
+    """(I - c D_h)^-1 as a function that overwrites each row of a (n_comp, N) array.
+
+    Exact on the free nodes: one V^-1 product per axis, a division by
+    1 - c (sum of the axis eigenvalues), one V product per axis.  Nodes on
+    Dirichlet faces are left as they are, since D_h has zero rows and columns
+    there.  The rows must be C-contiguous; the function returns its argument.
+    """
+    free_nodes, mats, eigenvalues = _laplacian_eigenbasis(grid)
+    shape = grid.shape()
+    inv_denom = 1.0 / (1.0 - c * eigenvalues)
+    # one component at a time, the 2 dim products alternate between two
+    # free-node buffers, from a into b first and, an even count, into a last
+    a, b = np.empty_like(inv_denom), np.empty_like(inv_denom)
+    steps = _transforms(mats, a, b)
+    forward, backward = steps[:grid.dim], steps[grid.dim:]
+    scaled = b if grid.dim % 2 else a
+
+    def solve(u):
+        for comp in u:
+            free = comp.reshape(shape)[free_nodes]
+            np.copyto(a, free)
+            for x, y, out in forward:
+                np.matmul(x, y, out=out)
+            np.multiply(scaled, inv_denom, out=scaled)
+            for x, y, out in backward:
+                np.matmul(x, y, out=out)
+            np.copyto(free, a)
+        return u
+
+    return solve
+
+
+def _transforms(mats, a, b):
+    """np.matmul arguments (x, y, out) applying mats[i] along axis i % a.ndim.
+
+    a and b are C-contiguous and of the same shape; the products go from a
+    into b, then from b into a, and so on.  The last (fastest) axis is
+    multiplied from the right, by a C-ordered transpose.
+    """
+    shape = a.shape
+    steps = []
+    for i, mat in enumerate(mats):
+        p = i % len(shape)
+        lead, trail = math.prod(shape[:p]), math.prod(shape[p + 1:])
+        if p == len(shape) - 1:
+            rows = (lead, shape[p])
+            steps.append((a.reshape(rows), np.ascontiguousarray(mat.T), b.reshape(rows)))
+        else:
+            batch = (lead, shape[p], trail)
+            steps.append((mat, a.reshape(batch), b.reshape(batch)))
+        a, b = b, a
+    return tuple(steps)
 
 
 def inner_product(u, v, grid):

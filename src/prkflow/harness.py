@@ -68,15 +68,15 @@ def write_csv(path, header, rows):
 
 def _point_defect_boundary(x):
     v = np.asarray(x, dtype=float) - 0.5
-    return v / np.linalg.norm(v)
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _x_anchor(_x):
-    return np.array([1.0, 0.0, 0.0])
+def _x_anchor(x):
+    return np.tile([1.0, 0.0, 0.0], (len(x), 1))
 
 
-def _y_anchor(_x):
-    return np.array([0.0, 1.0, 0.0])
+def _y_anchor(x):
+    return np.tile([0.0, 1.0, 0.0], (len(x), 1))
 
 
 BOUNDARY_PROVIDERS = {
@@ -433,7 +433,13 @@ def config_to_json(cfg):
 
 
 def config_from_json(text):
+    """ExperimentConfig from JSON; ValueError naming any unknown or missing keys."""
     doc = json.loads(text)
+    fields = dataclasses.fields(ExperimentConfig)
+    unknown = sorted(set(doc) - {f.name for f in fields})
+    missing = [f.name for f in fields if f.name not in doc and f.default is dataclasses.MISSING]
+    if unknown or missing:
+        raise ValueError(f"configuration: unknown keys {unknown}, missing keys {missing}")
     doc["origin"] = tuple(doc["origin"])
     doc["faces"] = tuple(doc["faces"])
     doc["snapshot_times"] = tuple(doc.get("snapshot_times", ()))

@@ -16,6 +16,9 @@ Schemes:
 
 ``run`` is the only time loop: ``make_stepper`` binds each scheme, with the
 auxiliary state of the multistep schemes (LM2, BDF4), to one per-step form.
+LM2's predictor system (I - tau alpha/2 D_h) m~ = rhs is solved exactly by
+``grid.shifted_laplacian_inverse``, the inverse the tangent-space
+preconditioner of the beta = 0 stage solves applies.
 """
 
 from __future__ import annotations
@@ -25,13 +28,11 @@ from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 import scipy.optimize
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from . import linalg
 from .field import (VectorField, ProjectionParams, normalize, diagnostics,
                     projector_blocks, apply_blocks)
-from .grid import laplacian, discrete_energy, inner_product
+from .grid import laplacian, discrete_energy, inner_product, shifted_laplacian_inverse
 from .linalg import SolverConfig, StageOperator, TangentBlocks, solve
 from .tableau import PRKTableau, prk2_tableau, validate
 
@@ -291,18 +292,16 @@ class LM2State:
 
     lam: np.ndarray          # pointwise multiplier field
     predictor: np.ndarray    # previous unprojected predictor (3, N)
-    lu: object               # cached factorization of I - tau*alpha/2 * D_h
+    solve: object            # in-place (I - tau*alpha/2 * D_h)^-1 (shifted_laplacian_inverse)
 
 
 def lm2_init(state, p):
     """m~^0 = m^0; lambda^0 = -m.D_h m pointwise."""
     grid = state.grid
-    lap = laplacian(grid)
-    dm = lap.apply(state.components)
+    dm = laplacian(grid).apply(state.components)
     lam = -np.einsum("ln,ln->n", state.components, dm)
-    a = sparse.identity(grid.n_nodes, format="csc") \
-        - (p.tau * p.projection.alpha / 2.0) * lap.matrix.tocsc()
-    return LM2State(lam=lam, predictor=state.components.copy(), lu=spla.splu(a))
+    return LM2State(lam=lam, predictor=state.components.copy(),
+                    solve=shifted_laplacian_inverse(grid, p.tau * p.projection.alpha / 2.0))
 
 
 def _lm2_energy(comps, grid):
@@ -340,7 +339,7 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
     m = state.components
     d_pred = lap.apply(aux.predictor)
     rhs = m + (tau * alpha / 2.0) * d_pred + (tau * alpha) * aux.lam * m
-    m_tilde = np.vstack([aux.lu.solve(rhs[l]) for l in range(3)])
+    m_tilde = aux.solve(rhs)
 
     w = m_tilde - (tau * alpha / 2.0) * aux.lam * m
     wn = np.sqrt(np.einsum("ln,ln->n", w, w))
@@ -368,7 +367,7 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
             f"no real multiplier in [-{_LM2_BRACKET}, {_LM2_BRACKET}] at t={t0 + tau:.6g}")
     v = m_hat + eta * e_dir
     m_tilde_post = v  # the field entering the final projection
-    aux_new = LM2State(lam=lam_new, predictor=m_tilde, lu=aux.lu)
+    aux_new = LM2State(lam=lam_new, predictor=m_tilde, solve=aux.solve)
     out, rec = _finish_step(grid, m_tilde_post, step_index, t0 + tau, [1], [0.0], t_wall,
                             extra={"lm2_lambda_min": float(lam_new.min()),
                                    "lm2_lambda_max": float(lam_new.max()),

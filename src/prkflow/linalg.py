@@ -17,23 +17,22 @@ coeff alpha 4 dim / h^2 >= 1.5:
 
     M^-1 v = mh (mh.v) + P_t S^-1 P_t v,    S = I - coeff alpha D_h,
 
-with S^-1 exact on the free nodes in the Laplacian's per-axis eigenbases
-(``grid.laplacian_eigenbasis``).  Every other operator takes Jacobi.  Every
-successful solve is verified against the true residual
+with S^-1 exact on the free nodes (``grid.shifted_laplacian_inverse``, the
+same inverse LM2's predictor applies).  Every other operator takes Jacobi.
+Every successful solve is verified against the true residual
 ||A x - b||_2 <= max(rel_tol ||b||_2, abs_tol); iterative solvers restart
 from the current iterate when the recursively updated residual has drifted.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .grid import laplacian_eigenbasis
+from .grid import shifted_laplacian_inverse
 
 __all__ = [
     "SolverConfig",
@@ -138,42 +137,19 @@ class StageOperator(spla.LinearOperator):
 class TangentPreconditioner(spla.LinearOperator):
     """M^-1 v = mh (mh.v) + P_t S^-1 P_t v for a StageOperator with TangentBlocks.
 
-    S = I - coeff alpha D_h acts per component and is inverted exactly on the
-    free nodes: one V^-1 product per axis, a division by
-    1 - coeff alpha (sum of the axis eigenvalues), one V product per axis.
+    S = I - coeff alpha D_h acts per component; ``shifted_solve`` is its
+    exact inverse on the free nodes, ``grid.shifted_laplacian_inverse``.
     Nodes on Dirichlet faces pass through (A is the identity there).  mh is
     not stored: mh (mh.v) = m (m.v) / |m|^2 with m the field of the blocks.
     """
 
     def __init__(self, A):
         tangent = A.tangent
-        grid = tangent.field.grid
         super().__init__(np.float64, A.shape)
         self.m = tangent.field.components
         self.inv_len2 = 1.0 / np.einsum("ln,ln->n", self.m, self.m)
-        self.basis = laplacian_eigenbasis(grid)
-        self.grid_shape = grid.shape()
-        self.inv_denom = 1.0 / (1.0 - A.coeff * tangent.alpha * self.basis.eigenvalues)
-        # one component at a time, the 2 dim products alternate between two
-        # free-node buffers, from a into b first and, an even count, into a last
-        a, b = np.empty_like(self.inv_denom), np.empty_like(self.inv_denom)
-        dim = a.ndim
-        steps = _transforms(self.basis.inv + self.basis.vecs, a, b)
-        self._forward, self._backward = steps[:dim], steps[dim:]
-        self._buffer, self._scaled = a, (b if dim % 2 else a)
-
-    def shifted_solve(self, u):
-        """S^-1 applied to each component of u (3, N) in place; fixed nodes are left as they are."""
-        for comp in u:
-            free = comp.reshape(self.grid_shape)[self.basis.free]
-            np.copyto(self._buffer, free)
-            for x, y, out in self._forward:
-                np.matmul(x, y, out=out)
-            self._scaled *= self.inv_denom
-            for x, y, out in self._backward:
-                np.matmul(x, y, out=out)
-            np.copyto(free, self._buffer)
-        return u
+        self.shifted_solve = shifted_laplacian_inverse(tangent.field.grid,
+                                                       A.coeff * tangent.alpha)
 
     def _matvec(self, v):
         v = v.reshape(3, -1)
@@ -192,28 +168,6 @@ class TangentPreconditioner(spla.LinearOperator):
         for l in range(3):
             out[l] += m[l] * normal
         return out.reshape(-1)
-
-
-def _transforms(mats, a, b):
-    """np.matmul arguments (x, y, out) applying mats[i] along axis i % a.ndim.
-
-    a and b are C-contiguous and of the same shape; the products go from a
-    into b, then from b into a, and so on.  The last (fastest) axis is
-    multiplied from the right, by a C-ordered transpose.
-    """
-    shape = a.shape
-    steps = []
-    for i, mat in enumerate(mats):
-        p = i % len(shape)
-        lead, trail = math.prod(shape[:p]), math.prod(shape[p + 1:])
-        if p == len(shape) - 1:
-            rows = (lead, shape[p])
-            steps.append((a.reshape(rows), np.ascontiguousarray(mat.T), b.reshape(rows)))
-        else:
-            batch = (lead, shape[p], trail)
-            steps.append((mat, a.reshape(batch), b.reshape(batch)))
-        a, b = b, a
-    return tuple(steps)
 
 
 def _stiffness(A):

@@ -14,9 +14,9 @@ its boundary rays z0 = -|y|/tan(alpha) + iy by the maximum-modulus principle.
 The embedded stage matrix of a diagonally implicit tableau is lower
 triangular, so R has one evaluator: a forward substitution vectorized over
 explicit-plane points, used for a single point by ``stability_function`` and
-for a whole window by ``sample_region``.  A tableau whose embedded stage
-matrices are not lower triangular (one that ``tableau.validate`` rejects) is
-refused with ValueError.
+for a window of the z1 plane (z2 = 0) by ``sample_region``.  A tableau whose
+embedded stage matrices are not lower triangular (one that
+``tableau.validate`` rejects) is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -165,13 +165,12 @@ def _sweep_lower_triangular(e, z0, Z1, Z2, singular_tol):
     return R, singular
 
 
-def sample_region(t, window, alpha=math.pi / 2, y_samples=None, slice_fn=None,
+def sample_region(t, window, alpha=math.pi / 2, y_samples=None,
                   rho=1e6, tol=1e-12, singular_tol=1e-14):
     """Sample the explicit-part stability region over a rectangular window.
 
-    Each grid point maps through ``slice_fn`` (default z1 = point, z2 = 0)
-    and is inside iff |R(z0, z1, z2)| <= 1 + tol for every stiff boundary
-    sample z0.  Singular solves mark the point outside and flagged.
+    Each grid point z is inside iff |R(z0, z, 0)| <= 1 + tol for every stiff
+    boundary sample z0.  Singular solves mark the point outside and flagged.
     """
     if y_samples is None:
         y_samples = default_y_samples()
@@ -180,17 +179,12 @@ def sample_region(t, window, alpha=math.pi / 2, y_samples=None, slice_fn=None,
     e = _embedding_of(t)
     re, im = window.grid()
     Z = (re[:, None] + 1j * im[None, :]).reshape(-1)
-    if slice_fn is None:
-        Z1, Z2 = Z, np.zeros_like(Z)
-    else:
-        Z1, Z2 = slice_fn(Z)
-        Z1 = np.broadcast_to(np.asarray(Z1, dtype=complex), Z.shape).copy()
-        Z2 = np.broadcast_to(np.asarray(Z2, dtype=complex), Z.shape).copy()
+    Z2 = np.zeros_like(Z)
 
     max_abs = np.zeros(Z.shape[0])
     flagged = np.zeros(Z.shape[0], dtype=bool)
     for z0 in z0s:
-        R, singular = _sweep_lower_triangular(e, z0, Z1, Z2, singular_tol)
+        R, singular = _sweep_lower_triangular(e, z0, Z, Z2, singular_tol)
         flagged |= singular
         np.maximum(max_abs, np.where(singular, np.inf, np.abs(R)), out=max_abs)
 

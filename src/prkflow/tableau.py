@@ -341,6 +341,9 @@ def tableau_to_dict(t):
 
 
 def tableau_from_dict(doc):
+    missing = [key for key in ("s", "A", "D1", "D2", "b") if key not in doc]
+    if missing:
+        raise TableauStructureError(f"tableau lacks keys {missing}")
     s = int(doc["s"])
     t = PRKTableau(A=doc["A"], D1=doc["D1"], D2=doc["D2"], b=doc["b"])
     if t.s != s:

@@ -138,7 +138,8 @@ def test_discrete_operator_identities(rng):
                        np.abs(laplacian(unit).matrix @ np.ones(unit.n_nodes)).max() == 0.0))
     k = 4
     grid = Grid(3, k + 1, 1.0 / k,
-                faces=tuple(lambda x: np.full(3, (x ** 2).sum()) for _ in range(6)))
+                faces=tuple(lambda x: np.repeat((x ** 2).sum(axis=1)[:, None], 3, axis=1)
+                            for _ in range(6)))
     lap = laplacian(grid)
     q = (grid.coords ** 2).sum(axis=1)
     out = lap.matrix @ q + lap.bc_contribution[0]

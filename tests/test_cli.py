@@ -86,6 +86,31 @@ def test_dump_config_parses(capsys):
     assert doc["k"] == 24 and doc["tau"] == 1e-4
 
 
+@pytest.mark.parametrize("edit, key", [
+    (lambda doc: doc.update(grid_size=8), "grid_size"),
+    (lambda doc: doc.pop("tau"), "tau"),
+], ids=["unknown-key", "missing-key"])
+def test_dump_config_malformed_json_is_usage_error(edit, key, tmp_path, capsys):
+    from prkflow.harness import preset, config_to_json
+    doc = json.loads(config_to_json(preset("custom")))
+    edit(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["dump-config", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+
+
+def test_check_tableau_without_s_is_usage_error(tmp_path, capsys):
+    doc = tableau_to_dict(prk2_tableau())
+    del doc["s"]
+    path = tmp_path / "no_s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-tableau", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'s'" in err
+
+
 def test_run_custom_emits_artifacts(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = main(["run", "--preset", "custom", "--k", "6", "--tau", "1e-3",

@@ -109,7 +109,8 @@ def test_dirichlet_quadratic_exactness():
     # central differences are exact on quadratics; dyadic h keeps it exact in fp
     k = 4
     grid = Grid(3, k + 1, 1.0 / k, origin=(0.0, 0.0, 0.0),
-                faces=tuple(lambda x: np.full(3, (x ** 2).sum()) for _ in range(6)))
+                faces=tuple(lambda x: np.repeat((x ** 2).sum(axis=1)[:, None], 3, axis=1)
+                            for _ in range(6)))
     lap = laplacian(grid)
     q = (grid.coords ** 2).sum(axis=1)
     out = lap.matrix @ q + lap.bc_contribution[0]
@@ -126,9 +127,8 @@ def test_dirichlet_consistency_exact():
     vals = rng.integers(-8, 8, size=(3, (k + 1) ** 3)) * 0.125
 
     def provider(x):
-        i = int(round(x[0] * k)) + (k + 1) * (int(round(x[1] * k)) +
-                                              (k + 1) * int(round(x[2] * k)))
-        return vals[:, i]
+        i, j, l = np.rint(x * k).astype(int).T
+        return vals[:, i + (k + 1) * (j + (k + 1) * l)].T
 
     grid = Grid(3, k + 1, 1.0 / k, origin=(0.0, 0.0, 0.0), faces=(provider,) * 6)
     lap = laplacian(grid)
@@ -161,7 +161,7 @@ def test_mixed_faces_neumann_and_dirichlet():
     # z faces Dirichlet, sides Neumann: constants with matching boundary data
     # are in the Laplacian's null space
     k = 4
-    anchor = lambda _x: np.array([0.25, 0.5, -0.125])
+    anchor = lambda x: np.tile([0.25, 0.5, -0.125], (len(x), 1))
     grid = Grid(3, k + 1, 1.0 / k, faces=(NEUMANN,) * 4 + (anchor, anchor))
     lap = laplacian(grid)
     comps = np.tile(np.array([0.25, 0.5, -0.125])[:, None], (1, grid.n_nodes))
@@ -169,6 +169,25 @@ def test_mixed_faces_neumann_and_dirichlet():
     assert np.abs(out).max() == 0.0
     # Dirichlet-fixed rows stay identically zero
     assert np.abs(out[:, grid.dirichlet_mask]).max() == 0.0
+
+
+def test_later_face_owns_a_shared_node():
+    # the corner (x_high, y_low) takes y_low's value, the later face in axis order
+    k = 4
+    x_high = lambda x: np.tile([1.0, 0.0, 0.0], (len(x), 1))
+    y_low = lambda x: np.tile([0.0, 1.0, 0.0], (len(x), 1))
+    grid = Grid(2, k + 1, 1.0 / k, faces=(NEUMANN, x_high, y_low, NEUMANN))
+    corner = grid.node_index((k, 0))
+    assert grid.dirichlet_mask[corner]
+    assert np.array_equal(grid.dirichlet_values[:, corner], [0.0, 1.0, 0.0])
+    side = grid.node_index((k, 2))
+    assert np.array_equal(grid.dirichlet_values[:, side], [1.0, 0.0, 0.0])
+    assert grid.dirichlet_mask.sum() == 2 * (k + 1) - 1
+
+
+def test_provider_must_return_one_row_per_node():
+    with pytest.raises(ValueError):
+        Grid(2, 5, 0.25, faces=(lambda x: np.array([1.0, 0.0, 0.0]),) + (NEUMANN,) * 3)
 
 
 def test_inner_product_constants_measure_domain():

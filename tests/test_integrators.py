@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
 from prkflow.field import ProjectionParams, VectorField, normalize, diagnostics
 from prkflow.grid import Grid, discrete_energy, laplacian
@@ -174,6 +176,28 @@ def test_lm2_records_multiplier_extremes():
     assert np.isfinite(rec.lm2_lambda_min) and np.isfinite(rec.lm2_lambda_max)
     assert rec.lm2_lambda_min <= rec.lm2_lambda_max
     assert np.isfinite(rec.lm2_eta)
+
+
+@pytest.mark.parametrize("preset_name, k, tau", [("llg_blowup42", 12, 1e-3),
+                                                 ("point_defect43", 8, 4e-3)],
+                         ids=["neumann", "dirichlet"])
+def test_lm2_predictor_matches_sparse_direct_solve(preset_name, k, tau):
+    # (I - tau alpha/2 D_h) m~ = rhs on the whole grid: D_h has zero rows and
+    # columns at Dirichlet nodes, so the matrix is the identity there
+    cfg = preset(preset_name, k=k, tau=tau)
+    grid = build_grid(cfg)
+    p = scheme_params(cfg, scheme="lm2")
+    lap = laplacian(grid)
+    c = p.tau * p.projection.alpha / 2.0
+    s = (sparse.identity(grid.n_nodes, format="csr") - c * lap.matrix).tocsc()
+    m = normalize(build_initial(cfg, grid))
+    aux = lm2_init(m, p)
+    for _ in range(2):
+        m0 = m.components
+        rhs = m0 + c * lap.apply(aux.predictor) + 2.0 * c * aux.lam * m0
+        ref = np.vstack([spla.spsolve(s, r) for r in rhs])
+        m, aux, _rec = lm2_step(m, aux, p)
+        assert np.abs(aux.predictor - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _reference_params(tau):
