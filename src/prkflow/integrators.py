@@ -23,6 +23,7 @@ preconditioner of the beta = 0 stage solves applies.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field as dataclass_field, replace
 
@@ -30,8 +31,8 @@ import numpy as np
 import scipy.optimize
 
 from . import linalg
-from .field import (VectorField, ProjectionParams, normalize, diagnostics,
-                    projector_blocks, apply_blocks)
+from .field import (ZERO_LENGTH_THRESHOLD, VectorField, ProjectionParams, normalize,
+                    diagnostics, projector_blocks, apply_blocks)
 from .grid import laplacian, discrete_energy, inner_product, shifted_laplacian_inverse
 from .linalg import SolverConfig, StageOperator, TangentBlocks, solve
 from .tableau import PRKTableau, prk2_tableau, validate
@@ -151,10 +152,12 @@ def _tangent(field, projection):
     return TangentBlocks(field, projection.alpha)
 
 
-def _stage_solve(lap, blocks, coeff, rhs, solver, stage, tangent=None):
+def _stage_solve(lap, blocks, coeff, rhs, solver, stage, x0, tangent=None):
     """Solve (I - coeff P D_h) U = rhs + coeff P bc for U (3, N); returns (U, iters, residual).
 
     The boundary forcing of the Laplacian enters the right-hand side here.
+    The iterative solvers start from ``x0`` (3, N), an O(tau) guess of U:
+    the previous stage value, or an extrapolation of the history.
     ``tangent`` (see ``_tangent``) marks blocks that are alpha P_t of one
     field; BiCGStab then takes the tangent-space spectral preconditioner if
     the stage is stiff (see ``linalg``).
@@ -162,7 +165,8 @@ def _stage_solve(lap, blocks, coeff, rhs, solver, stage, tangent=None):
     """
     rhs = rhs + coeff * apply_blocks(blocks, lap.bc_contribution)
     try:
-        x, nit, res = solve(StageOperator(lap, blocks, coeff, tangent), rhs.reshape(-1), solver)
+        x, nit, res = solve(StageOperator(lap, blocks, coeff, tangent), rhs.reshape(-1), solver,
+                            x0=x0.reshape(-1))
     except (linalg.NonConvergenceError, linalg.BreakdownError) as exc:
         raise StepFailureError(stage, exc) from exc
     return x.reshape(3, -1), nit, res
@@ -216,7 +220,8 @@ def prk_step(state, p, step_index=0, t0=0.0):
         mu += Atab[i, i] * apply_blocks(blocks, y_partial)
 
         coeff = tau * Atab[i, i] * Dtab[i, i]
-        U, nit, res = _stage_solve(lap, blocks, coeff, U0 + tau * mu, p.solver, i + 1,
+        # stage i starts from U^{i-1}, stage 1 from U^0
+        U, nit, res = _stage_solve(lap, blocks, coeff, U0 + tau * mu, p.solver, i + 1, U,
                                    _tangent(mobility, p.projection))
         iters.append(nit)
         resids.append(res)
@@ -261,7 +266,7 @@ def prk_alt_step(state, p, step_index=0, t0=0.0):
         rhs = U0.copy()
         for j in range(i):
             rhs += tau * Ahat[i, j] * PD[j]
-        U, nit, res = _stage_solve(lap, p_avg, tau * Ahat[i, i], rhs, p.solver, i + 1)
+        U, nit, res = _stage_solve(lap, p_avg, tau * Ahat[i, i], rhs, p.solver, i + 1, U)
         iters.append(nit)
         resids.append(res)
         PD.append(apply_blocks(p_avg, lap.apply(U)))
@@ -282,7 +287,7 @@ def sip1_step(state, p, step_index=0, t0=0.0):
     blocks = projector_blocks(state, p.projection)
     rhs = state.components + tau * (1.0 - theta) * apply_blocks(blocks, lap.apply(state.components))
     m_tilde, nit, res = _stage_solve(lap, blocks, tau * theta, rhs, p.solver, 1,
-                                     _tangent(state, p.projection))
+                                     state.components, _tangent(state, p.projection))
     return _finish_step(grid, m_tilde, step_index, t0 + tau, [nit], [res], t_wall)
 
 
@@ -311,14 +316,22 @@ def _lm2_energy(comps, grid):
 
 
 def _lm2_scalar_root(F, bracket, xtol=1e-12, scan_step=0.0025):
-    """Root of F nearest zero inside [-bracket, bracket]; None when no sign change."""
+    """Root of F nearest zero inside [-bracket, bracket]; None when no sign change.
+
+    A non-finite F (LM2's: the field vanishes at a node) is no sign change.
+    """
     f0 = F(0.0)
     if f0 == 0.0:
         return 0.0
+
+    def changes_sign(eta):
+        f = F(eta)
+        return math.isfinite(f) and f0 * f < 0
+
     for d in np.arange(scan_step, bracket + 0.5 * scan_step, scan_step):
-        if f0 * F(d) < 0:
+        if changes_sign(d):
             return scipy.optimize.brentq(F, 0.0, d, xtol=xtol)
-        if f0 * F(-d) < 0:
+        if changes_sign(-d):
             return scipy.optimize.brentq(F, -d, 0.0, xtol=xtol)
     return None
 
@@ -359,6 +372,8 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
     def F(eta):
         v = m_hat + eta * e_dir
         vn = np.sqrt(np.einsum("ln,ln->n", v, v))
+        if vn.min() < ZERO_LENGTH_THRESHOLD:
+            return np.nan      # v / |v| is undefined where v vanishes
         return _lm2_energy(v / vn, grid) - target
 
     eta = _lm2_scalar_root(F, _LM2_BRACKET)
@@ -406,7 +421,7 @@ def bdf4_step(state, hist, p, step_index=0, t0=0.0):
     blocks = projector_blocks(mobility, p.projection)
     rhs = (48.0 * h3 - 36.0 * h2 + 16.0 * h1 - 3.0 * h0) / 25.0
     x, nit, res = _stage_solve(laplacian(grid), blocks, tau * 12.0 / 25.0, rhs, p.solver, 1,
-                               _tangent(mobility, p.projection))
+                               m_star, _tangent(mobility, p.projection))
     out, rec = _finish_step(grid, x, step_index, t0 + tau, [nit], [res], t_wall)
     return out, hist[1:] + (out,), rec
 

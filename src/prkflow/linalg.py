@@ -10,7 +10,14 @@ Jacobi diagonal is 1 - coeff * P_ll * D_ii.  The assembled 3N x 3N matrix
 The matvec order is deterministic, so repeated runs are bit-identical.
 
 Solvers: preconditioned BiCGStab (default), restarted GMRES, and a sparse
-direct factorization.  BiCGStab takes the tangent-space spectral
+direct factorization.  The iterative solvers start from the caller's guess
+x0 (the stage solves pass the previous stage value, an O(tau) guess).
+BiCGStab is an in-place loop with scipy's ``bicgstab`` arithmetic, bit for
+bit (van der Vorst, SIAM J. Sci. Stat. Comput. 13, 1992): the same
+convergence test, breakdown codes and iteration count, preallocated work
+vectors, and the stage operator's and the preconditioner's kernels called
+directly, with no ``LinearOperator.matvec`` dispatch per application.
+BiCGStab takes the tangent-space spectral
 preconditioner when the stage operator carries its blocks as a tangent
 projector alpha P_t(mh) = alpha (I - mh mh^T) (beta = 0) and is stiff,
 coeff alpha 4 dim / h^2 >= 1.5:
@@ -187,16 +194,86 @@ def _preconditioner(A):
     return spla.LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
 
 
-def _true_residual(A, x, rhs):
-    return float(np.linalg.norm(A @ x - rhs))
+def _matvec_kernel(A):
+    """x -> A x: a StageOperator's kernel itself, any other input through aslinearoperator."""
+    return A._matvec if isinstance(A, StageOperator) else spla.aslinearoperator(A).matvec
 
 
-def solve(A, rhs, cfg=None):
-    """Solve A x = rhs; returns (x, iterations, residual).
+def _true_residual(matvec, x, rhs):
+    return float(np.linalg.norm(matvec(x) - rhs))
 
-    The returned residual is the true 2-norm residual, checked against
-    max(rel_tol * ||rhs||, abs_tol).  Raises NonConvergenceError (with best
-    iterate) or BreakdownError.
+
+# scipy's rho and omega breakdown floors (its comment: "These values make no
+# sense but coming from original Fortran code")
+_BREAKDOWN_TOL = np.finfo(np.float64).eps ** 2
+
+
+def _bicgstab(matvec, psolve, b, x, atol, maxiter):
+    """Preconditioned BiCGStab on A x = b from x, updating x in place; returns (info, iterations).
+
+    The arithmetic of ``scipy.sparse.linalg.bicgstab`` step for step, so x
+    is bit-identical to it: stop when ||r|| < atol, info -10 (rho) and -11
+    (omega or rtilde.v) on breakdown, maxiter when the budget runs out, and
+    iterations counted as its callback counts them (full iterations only).
+    ``matvec`` and ``psolve`` must return new arrays; they are scaled in place.
+    """
+    if np.linalg.norm(b) == 0:
+        x.fill(0.0)
+        return 0, 0
+    r = b - matvec(x) if x.any() else b.copy()
+    rtilde = r.copy()
+    p = np.empty_like(r)
+    alpha_v = np.empty_like(r)
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return 0, iteration
+        rho = np.dot(rtilde, r)
+        if np.abs(rho) < _BREAKDOWN_TOL:
+            return -10, iteration
+        if iteration > 0:
+            if np.abs(omega) < _BREAKDOWN_TOL:
+                return -11, iteration
+            beta = (rho / rho_prev) * (alpha / omega)
+            v *= omega
+            p -= v
+            p *= beta
+            p += r
+        else:
+            p[:] = r
+        phat = psolve(p)
+        v = matvec(phat)
+        rv = np.dot(rtilde, v)
+        if rv == 0:
+            return -11, iteration
+        alpha = rho / rv
+        np.multiply(v, alpha, out=alpha_v)
+        r -= alpha_v
+        # scipy copies r into s here; r is not written again until s is used up
+        phat *= alpha
+        if np.linalg.norm(r) < atol:
+            x += phat
+            return 0, iteration
+        shat = psolve(r)
+        t = matvec(shat)
+        omega = np.dot(t, r) / np.dot(t, t)
+        x += phat
+        shat *= omega
+        x += shat
+        t *= omega
+        r -= t
+        rho_prev = rho
+    return maxiter, maxiter
+
+
+def solve(A, rhs, cfg=None, x0=None):
+    """Solve A x = rhs from the start guess x0; returns (x, iterations, residual).
+
+    BiCGStab and GMRES start from x0 (zero when None); the direct solver
+    ignores it, and the caller's array is never written to.  The returned
+    residual is the true 2-norm residual, checked against
+    max(rel_tol * ||rhs||, abs_tol); an iterative solver whose recursive
+    residual has drifted restarts from its iterate, up to four rounds.
+    Raises NonConvergenceError (with best iterate) or BreakdownError.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -205,36 +282,38 @@ def solve(A, rhs, cfg=None):
     if A.shape != (n, n):
         raise ValueError("system must be square and match the rhs")
     target = max(cfg.rel_tol * np.linalg.norm(rhs), cfg.abs_tol)
+    matvec = _matvec_kernel(A)
 
     if cfg.method == "direct":
         lu = spla.splu(A.tocsc())
         x = lu.solve(rhs)
-        return x, 1, _true_residual(A, x, rhs)
+        return x, 1, _true_residual(matvec, x, rhs)
 
     budget = cfg.iteration_budget(n)
-    precond = _preconditioner(A) if cfg.method == "bicgstab" else None
+    if cfg.method == "bicgstab":
+        psolve = _preconditioner(A)._matvec
+        x = np.zeros(n) if x0 is None else np.array(x0, dtype=float).reshape(n)
+    else:
+        x = x0
 
-    x = None
     total_iters = 0
     for _ in range(4):
-        iters = [0]
-
         if cfg.method == "bicgstab":
-            def cb(_xk):
-                iters[0] += 1
-            x, info = spla.bicgstab(A, rhs, x0=x, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                                    maxiter=budget, M=precond, callback=cb)
+            info, iters = _bicgstab(matvec, psolve, rhs, x, target, budget)
         else:
+            counter = [0]
+
             def cb(_rk):
-                iters[0] += 1
+                counter[0] += 1
             outer = max(1, budget // _GMRES_RESTART)
             x, info = spla.gmres(A, rhs, x0=x, rtol=cfg.rel_tol, atol=cfg.abs_tol,
                                  restart=_GMRES_RESTART, maxiter=outer,
                                  callback=cb, callback_type="pr_norm")
-        total_iters += iters[0]
+            iters = counter[0]
+        total_iters += iters
         if info < 0:
             raise BreakdownError(f"solver breakdown (scipy info={info})")
-        resid = _true_residual(A, x, rhs)
+        resid = _true_residual(matvec, x, rhs)
         if resid <= target:
             return x, total_iters, resid
     raise NonConvergenceError(x, resid, total_iters)

@@ -313,3 +313,37 @@ def test_run_records_failure_and_partial_trace(monkeypatch):
     assert trace.failure is not None
     assert len(trace) == 3
     assert trace.failure[0] == pytest.approx(4e-3)
+
+
+def test_warm_started_stage_solves_take_fewer_iterations(monkeypatch):
+    import prkflow.integrators as integ
+    import prkflow.linalg as linalg
+    cfg = preset("llg_blowup42", k=12)
+    grid = build_grid(cfg)
+    p = scheme_params(cfg, scheme="prk")
+    warm, warm_trace = run(build_initial(cfg, grid), p, 20 * p.tau)
+    # the same run with every stage solve started from zero
+    monkeypatch.setattr(integ, "solve", lambda A, rhs, cfg=None, x0=None: linalg.solve(A, rhs, cfg))
+    cold, cold_trace = run(build_initial(cfg, grid), p, 20 * p.tau)
+    assert warm_trace.failure is None and cold_trace.failure is None
+    warm_iters = sum(r.solver_iters_total for r in warm_trace.records)
+    cold_iters = sum(r.solver_iters_total for r in cold_trace.records)
+    assert 0 < warm_iters < cold_iters, (warm_iters, cold_iters)
+    assert np.abs(warm.components - cold.components).max() <= 1e-9
+
+
+def test_lm2_vanishing_field_raises_no_warning():
+    # point_defect43 at k = 8: the energy-enforcement scan meets an eta where
+    # m_hat + eta e vanishes at a node before the step at t = 0.028 finds no root
+    import warnings
+    from prkflow.integrators import NoRealRootError
+    cfg = preset("point_defect43", k=8, tau=4e-3)
+    grid = build_grid(cfg)
+    p = scheme_params(cfg, scheme="lm2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, trace = run(build_initial(cfg, grid), p, 10 * p.tau)
+    assert len(trace) == 6
+    t_fail, exc = trace.failure
+    assert t_fail == pytest.approx(0.028)
+    assert isinstance(exc, NoRealRootError)

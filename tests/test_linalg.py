@@ -1,13 +1,17 @@
 """Matrix-free stage operator against its assembled form and a composition oracle,
-and solver contracts."""
+and solver contracts, among them the in-place BiCGStab against scipy's and the
+start guess."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
+import prkflow.linalg as linalg
 from prkflow.field import ProjectionParams, VectorField, normalize, projector_blocks
 from prkflow.grid import Grid, laplacian
-from prkflow.harness import build_grid, preset
+from prkflow.harness import build_grid, build_initial, preset, scheme_params
+from prkflow.integrators import _tangent
 from prkflow.linalg import (BreakdownError, NonConvergenceError, SolverConfig,
                             StageOperator, solve)
 from prkflow.tableau import prk2_tableau
@@ -177,3 +181,56 @@ def test_rectangular_rejected():
     a = sparse.csr_matrix(np.ones((3, 2)))
     with pytest.raises(ValueError):
         solve(a, np.ones(3))
+
+
+def _first_stage(preset_name, k):
+    """The first PRK2 stage operator of a preset's initial field, and the field (3N)."""
+    cfg = preset(preset_name, k=k)
+    grid = build_grid(cfg)
+    m = normalize(build_initial(cfg, grid))
+    p = scheme_params(cfg, scheme="prk")
+    tab = p.tableau
+    op = StageOperator(laplacian(grid), projector_blocks(m, p.projection),
+                       p.tau * tab.A[0, 0] * tab.D2[0, 0], _tangent(m, p.projection))
+    return op, m.components.reshape(-1)
+
+
+@pytest.mark.parametrize("start", ["zero", "field"])
+@pytest.mark.parametrize("preset_name, precond", [("llg_blowup42", "jacobi"),
+                                                  ("twisted_nematic44", "tangent")])
+def test_bicgstab_loop_is_scipys_bit_for_bit(preset_name, precond, start, rng):
+    op, m = _first_stage(preset_name, 12)
+    M = linalg._preconditioner(op)
+    assert isinstance(M, linalg.TangentPreconditioner) is (precond == "tangent")
+    rhs = m + 1e-2 * rng.standard_normal(m.shape)
+    x0 = None if start == "zero" else m.copy()
+    cfg = SolverConfig()
+    budget = cfg.iteration_budget(rhs.shape[0])
+    calls = [0]
+
+    def count(_xk):
+        calls[0] += 1
+    ref, ref_info = spla.bicgstab(op, rhs, x0=x0, rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                                  maxiter=budget, M=M, callback=count)
+    x = np.zeros_like(rhs) if x0 is None else x0.copy()
+    target = max(cfg.rel_tol * np.linalg.norm(rhs), cfg.abs_tol)
+    info, iters = linalg._bicgstab(op._matvec, M._matvec, rhs, x, target, budget)
+    assert np.array_equal(x, ref)
+    assert info == ref_info == 0
+    assert iters == calls[0] > 0
+
+
+@pytest.mark.parametrize("method", ["bicgstab", "gmres"])
+def test_start_guess_meeting_the_target_takes_no_iteration(method, rng):
+    op, m = _first_stage("llg_blowup42", 12)
+    rhs = m + 1e-2 * rng.standard_normal(m.shape)
+    cfg = SolverConfig(method=method)
+    x, iters, resid = solve(op, rhs, cfg)
+    assert iters > 0
+    x0 = x.copy()
+    again, iters, resid_again = solve(op, rhs, cfg, x0=x0)
+    assert iters == 0
+    assert np.array_equal(again, x) and resid_again == resid
+    assert np.array_equal(x0, x)
+    again[:] = 0.0
+    assert np.array_equal(x0, x)

@@ -71,11 +71,11 @@ def _count_builds(monkeypatch):
             counts["builds"] += 1
             super().__init__(A)
 
-    def counting_solve(A, rhs, cfg=None):
+    def counting_solve(A, rhs, cfg=None, x0=None):
         counts["solves"] += 1
         if A.tangent is not None and linalg._stiffness(A) >= linalg._TANGENT_MIN_STIFFNESS:
             counts["stiff"] += 1
-        return solve(A, rhs, cfg)
+        return solve(A, rhs, cfg, x0)
 
     monkeypatch.setattr(linalg, "TangentPreconditioner", Counting)
     monkeypatch.setattr(integrators, "solve", counting_solve)
@@ -163,10 +163,10 @@ def test_preconditioned_iterations_at_most_half_of_jacobi(preset_name, monkeypat
     iters = {"tangent": 0, "jacobi": 0}
     counting_solve = integrators.solve
 
-    def both(A, rhs, cfg=None):
-        x, nit, res = counting_solve(A, rhs, cfg)
+    def both(A, rhs, cfg=None, x0=None):
+        x, nit, res = counting_solve(A, rhs, cfg, x0)
         iters["tangent"] += nit
-        iters["jacobi"] += solve(StageOperator(A.lap, A.blocks, A.coeff), rhs, cfg)[1]
+        iters["jacobi"] += solve(StageOperator(A.lap, A.blocks, A.coeff), rhs, cfg, x0)[1]
         return x, nit, res
 
     monkeypatch.setattr(integrators, "solve", both)
