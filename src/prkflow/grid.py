@@ -103,7 +103,18 @@ class Grid:
 
         w1 = np.ones(n)
         w1[0] = w1[-1] = 0.5
-        self._w1 = w1
+        # discrete_energy's terms along each axis of shape(): the slices of the
+        # upper and lower nodes of a (3,) + shape() array and the weight, the
+        # product of the other axes' trapezoid weights (1/2 or 1, so exact)
+        self._energy_axes = []
+        for a in range(dim):
+            wt = np.ones((1,) * dim)
+            for other in range(dim):
+                if other != a:
+                    wt = wt * w1.reshape([n if b == other else 1 for b in range(dim)])
+            hi = tuple(slice(1, None) if b == a else slice(None) for b in range(dim))
+            lo = tuple(slice(None, -1) if b == a else slice(None) for b in range(dim))
+            self._energy_axes.append(((slice(None),) + hi, (slice(None),) + lo, wt))
         w = np.ones(self.n_nodes)
         for a in range(dim):
             w *= w1[self._axis_index[a]]
@@ -345,14 +356,10 @@ def discrete_energy(field, grid=None):
     n_comp = comps.shape[0]
     u = comps.reshape((n_comp,) + grid.shape())
     totals = np.zeros(n_comp)
-    for axis in range(grid.dim):
-        d = np.diff(u, axis=axis + 1)
-        d = d * d
-        for other in range(grid.dim):
-            if other != axis:
-                shape = [1] * (grid.dim + 1)
-                shape[other + 1] = grid.n_per_axis
-                d = d * grid._w1.reshape(shape)
+    for hi, lo, weight in grid._energy_axes:
+        d = np.subtract(u[hi], u[lo])
+        np.multiply(d, d, out=d)
+        np.multiply(d, weight, out=d)
         # a row sum adds each component's terms in the order of summing it alone
         totals += d.reshape(n_comp, -1).sum(axis=1)
     return grid.h ** (grid.dim - 2) * sum(totals.tolist())

@@ -16,6 +16,10 @@ Schemes:
 
 ``run`` is the only time loop: ``make_stepper`` binds each scheme, with the
 auxiliary state of the multistep schemes (LM2, BDF4), to one per-step form.
+For prk, prk_alt and sip1 it keeps the stage increments U^i - U^n of the
+last three steps (``_StageHistory``), and stage i starts its solve from U^n
+plus their quadratic extrapolation in time; a direct step call keeps none
+and starts stage i from U^{i-1} (stage 1 from U^n).
 LM2's predictor system (I - tau alpha/2 D_h) m~ = rhs is solved exactly by
 ``grid.shifted_laplacian_inverse``, the inverse the tangent-space
 preconditioner of the beta = 0 stage solves applies.
@@ -57,10 +61,12 @@ __all__ = [
 TRACE_COLUMNS = ("step", "t", "energy", "energy_pre_projection", "min_len_pre",
                  "max_unit_dev", "solver_iters_total", "wall_ms")
 
-# LM2: the energy-enforcement direction (1, 1, 1)/sqrt(3) and the half-width
-# of the bracket searched for its scalar multiplier
+# LM2: the energy-enforcement direction e = (1, 1, 1)/sqrt(3) and the
+# half-width of the bracket searched for its scalar multiplier
 _LM2_DIRECTION = np.ones(3) / np.linalg.norm(np.ones(3))
 _LM2_BRACKET = 10.0
+# below this max |m_hat . e| every |m_hat + eta e| is at least 1e-3
+_LM2_PARALLEL = 1.0 - 1e-6
 
 
 class StepFailureError(RuntimeError):
@@ -172,6 +178,39 @@ def _stage_solve(lap, blocks, coeff, rhs, solver, stage, x0, tangent=None):
     return x.reshape(3, -1), nit, res
 
 
+class _StageHistory:
+    """Stage increments dU^i = U^i - U^n of the last three steps, for start guesses.
+
+    Preallocated as (3 steps, s stages, 3, N) and written in place.  Stage i
+    of step n starts from U^n plus the extrapolation of its increments in
+    time: 3 dU^i_{n-1} - 3 dU^i_{n-2} + dU^i_{n-3} (quadratic), with fewer
+    stored steps 2 dU^i_{n-1} - dU^i_{n-2}, then dU^i_{n-1}.
+    """
+
+    _WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
+
+    def __init__(self, n_stages, n_nodes):
+        self._dU = np.empty((3, n_stages, 3, n_nodes))
+        self._count = 0           # steps stored, at most 3
+        self._newest = 2          # slot of the newest step
+
+    def guess(self, i, U0, fallback):
+        """Start guess of stage i (0-based) of the step from U0; fallback with no history."""
+        if not self._count:
+            return fallback
+        x = U0.copy()
+        for back, w in enumerate(self._WEIGHTS[self._count - 1]):
+            x += w * self._dU[(self._newest - back) % 3, i]
+        return x
+
+    def push(self, stages, U0):
+        """Store the increments of one step's stage values over U0 as the newest."""
+        self._newest = (self._newest + 1) % 3
+        for dU, U in zip(self._dU[self._newest], stages):
+            np.subtract(U, U0, out=dU)
+        self._count = min(self._count + 1, 3)
+
+
 def _finish_step(grid, m_tilde, step_index, t_next, iters, resids, t_wall0, extra=None):
     pre = VectorField(m_tilde, grid)
     e_pre = discrete_energy(pre)
@@ -190,12 +229,15 @@ def _finish_step(grid, m_tilde, step_index, t_next, iters, resids, t_wall0, extr
     return out, rec
 
 
-def prk_step(state, p, step_index=0, t0=0.0):
+def prk_step(state, p, step_index=0, t0=0.0, *, history=None):
     """One step of the product scheme (mobility at the lagged stage, D2-averaged Laplacian).
 
     The averaged Laplacian Y_j = sum_{k<=j} D2[j,k] D_h U^k and its image
     P_j Y_j are formed once, right after stage j is solved, and reused by the
-    later stages and the final update.
+    later stages and the final update.  Stage i starts from the previous stage
+    value or, given the ``history`` that ``make_stepper`` keeps, from the
+    extrapolation of the past steps' stage increments; the step then stores
+    its own increments there.
     """
     grid = state.grid
     lap = laplacian(grid)
@@ -206,7 +248,7 @@ def prk_step(state, p, step_index=0, t0=0.0):
 
     U0 = state.components
     U = U0
-    DU, PY = [], []
+    stages, DU, PY = [], [], []
     iters, resids = [], []
     for i in range(s):
         mobility = VectorField(U, grid)
@@ -220,24 +262,29 @@ def prk_step(state, p, step_index=0, t0=0.0):
         mu += Atab[i, i] * apply_blocks(blocks, y_partial)
 
         coeff = tau * Atab[i, i] * Dtab[i, i]
-        # stage i starts from U^{i-1}, stage 1 from U^0
-        U, nit, res = _stage_solve(lap, blocks, coeff, U0 + tau * mu, p.solver, i + 1, U,
+        # without history stage i starts from U^{i-1}, stage 1 from U^0
+        x0 = U if history is None else history.guess(i, U0, U)
+        U, nit, res = _stage_solve(lap, blocks, coeff, U0 + tau * mu, p.solver, i + 1, x0,
                                    _tangent(mobility, p.projection))
+        stages.append(U)
         iters.append(nit)
         resids.append(res)
         DU.append(lap.apply(U))
         PY.append(apply_blocks(blocks, y_partial + Dtab[i, i] * DU[i]))
 
+    if history is not None:
+        history.push(stages, U0)
     m_tilde = U0.copy()
     for j in range(s):
         m_tilde += tau * btab[j] * PY[j]
     return _finish_step(grid, m_tilde, step_index, t0 + tau, iters, resids, t_wall)
 
 
-def prk_alt_step(state, p, step_index=0, t0=0.0):
+def prk_alt_step(state, p, step_index=0, t0=0.0, *, history=None):
     """Variant form: averaged projector times the un-averaged stage Laplacian.
 
-    Uses Ahat = A D2, bhat = D2^T b and averaging weights G = D2^{-1}.
+    Uses Ahat = A D2, bhat = D2^T b and averaging weights G = D2^{-1}.  The
+    stage solves start as in ``prk_step``.
     """
     grid = state.grid
     lap = laplacian(grid)
@@ -254,6 +301,7 @@ def prk_alt_step(state, p, step_index=0, t0=0.0):
 
     U0 = state.components
     U = U0
+    stages = []
     P_single = []
     PD = []          # P_avg[j] D_h U^j, formed once per stage
     iters, resids = [], []
@@ -266,28 +314,40 @@ def prk_alt_step(state, p, step_index=0, t0=0.0):
         rhs = U0.copy()
         for j in range(i):
             rhs += tau * Ahat[i, j] * PD[j]
-        U, nit, res = _stage_solve(lap, p_avg, tau * Ahat[i, i], rhs, p.solver, i + 1, U)
+        x0 = U if history is None else history.guess(i, U0, U)
+        U, nit, res = _stage_solve(lap, p_avg, tau * Ahat[i, i], rhs, p.solver, i + 1, x0)
+        stages.append(U)
         iters.append(nit)
         resids.append(res)
         PD.append(apply_blocks(p_avg, lap.apply(U)))
 
+    if history is not None:
+        history.push(stages, U0)
     m_tilde = U0.copy()
     for j in range(s):
         m_tilde += tau * bhat[j] * PD[j]
     return _finish_step(grid, m_tilde, step_index, t0 + tau, iters, resids, t_wall)
 
 
-def sip1_step(state, p, step_index=0, t0=0.0):
-    """Semi-implicit predictor (I - tau theta P D_h) m~ = m + tau (1-theta) P D_h m."""
+def sip1_step(state, p, step_index=0, t0=0.0, *, history=None):
+    """Semi-implicit predictor (I - tau theta P D_h) m~ = m + tau (1-theta) P D_h m.
+
+    The solve starts from m, or from the extrapolation of ``history`` (see
+    ``prk_step``).
+    """
     grid = state.grid
     lap = laplacian(grid)
     tau, theta = p.tau, p.theta
     t_wall = time.perf_counter()
 
+    m = state.components
     blocks = projector_blocks(state, p.projection)
-    rhs = state.components + tau * (1.0 - theta) * apply_blocks(blocks, lap.apply(state.components))
-    m_tilde, nit, res = _stage_solve(lap, blocks, tau * theta, rhs, p.solver, 1,
-                                     state.components, _tangent(state, p.projection))
+    rhs = m + tau * (1.0 - theta) * apply_blocks(blocks, lap.apply(m))
+    x0 = m if history is None else history.guess(0, m, m)
+    m_tilde, nit, res = _stage_solve(lap, blocks, tau * theta, rhs, p.solver, 1, x0,
+                                     _tangent(state, p.projection))
+    if history is not None:
+        history.push((m_tilde,), m)
     return _finish_step(grid, m_tilde, step_index, t0 + tau, [nit], [res], t_wall)
 
 
@@ -368,11 +428,14 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
     target = _lm2_energy(m, grid) - tau * alpha * dissipation
 
     e_dir = _LM2_DIRECTION[:, None]
+    # |m_hat + eta e| >= (1 - (m_hat.e)^2)^(1/2) at every node, so v can vanish
+    # only where m_hat is parallel to e; elsewhere F needs no length check
+    near_parallel = np.abs(_LM2_DIRECTION @ m_hat).max() > _LM2_PARALLEL
 
     def F(eta):
         v = m_hat + eta * e_dir
         vn = np.sqrt(np.einsum("ln,ln->n", v, v))
-        if vn.min() < ZERO_LENGTH_THRESHOLD:
+        if near_parallel and vn.min() < ZERO_LENGTH_THRESHOLD:
             return np.nan      # v / |v| is undefined where v vanishes
         return _lm2_energy(v / vn, grid) - target
 
@@ -438,16 +501,20 @@ def _step_count(T, tau):
 def make_stepper(initial, p):
     """Bind scheme state and return step(field, i, t) -> (field, record).
 
-    The multistep schemes keep their auxiliary state in this closure.  Step
-    functions are looked up by name at every call, so that wrappers put on
-    the module's names take effect.
+    The closure keeps the auxiliary state of the multistep schemes (LM2,
+    BDF4) and, for prk, prk_alt and sip1, a fresh stage-increment history
+    that starts their stage solves.  Step functions are looked up by name at
+    every call, so that wrappers put on the module's names take effect.
     """
+    if p.scheme in ("prk", "prk_alt", "sip1"):
+        n_stages = 1 if p.scheme == "sip1" else p.tableau.s
+        history = _StageHistory(n_stages, initial.grid.n_nodes)
     if p.scheme == "prk":
-        return lambda m, i, t: prk_step(m, p, i, t)
+        return lambda m, i, t: prk_step(m, p, i, t, history=history)
     if p.scheme == "prk_alt":
-        return lambda m, i, t: prk_alt_step(m, p, i, t)
+        return lambda m, i, t: prk_alt_step(m, p, i, t, history=history)
     if p.scheme == "sip1":
-        return lambda m, i, t: sip1_step(m, p, i, t)
+        return lambda m, i, t: sip1_step(m, p, i, t, history=history)
     aux = lm2_init(initial, p) if p.scheme == "lm2" else (normalize(initial),)
 
     def step(m, i, t):

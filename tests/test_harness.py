@@ -142,7 +142,7 @@ def test_convergence_driver_deterministic(tmp_path):
 
 def test_convergence_driver_records_nan_rows(monkeypatch, tmp_path):
     # a scheme failing at every tau yields NAN cells without raising
-    def always_failing(state, p, step_index=0, t0=0.0):
+    def always_failing(state, p, step_index=0, t0=0.0, **kwargs):
         raise integ.StepFailureError(1, "synthetic")
 
     monkeypatch.setattr(integ, "prk_alt_step", always_failing)
@@ -267,9 +267,9 @@ def test_work_precision_one_run_per_cell(monkeypatch):
     calls = {}
     original = integ.prk_step
 
-    def counting(state, p, step_index=0, t0=0.0):
+    def counting(state, p, step_index=0, t0=0.0, **kwargs):
         calls[p.tau] = calls.get(p.tau, 0) + 1
-        return original(state, p, step_index, t0)
+        return original(state, p, step_index, t0, **kwargs)
 
     monkeypatch.setattr(integ, "prk_step", counting)
     cfg = preset("llg_blowup42", k=8, reference="self", ref_tau=2.5e-4)

@@ -300,11 +300,11 @@ def test_run_records_failure_and_partial_trace(monkeypatch):
     calls = {"n": 0}
     original = integ.prk_step
 
-    def failing(state, p, step_index=0, t0=0.0):
+    def failing(state, p, step_index=0, t0=0.0, **kwargs):
         calls["n"] += 1
         if calls["n"] > 3:
             raise integ.StepFailureError(1, "synthetic failure")
-        return original(state, p, step_index, t0)
+        return original(state, p, step_index, t0, **kwargs)
 
     monkeypatch.setattr(integ, "prk_step", failing)
     grid = Grid(2, 5, 0.25)
@@ -347,3 +347,54 @@ def test_lm2_vanishing_field_raises_no_warning():
     t_fail, exc = trace.failure
     assert t_fail == pytest.approx(0.028)
     assert isinstance(exc, NoRealRootError)
+
+
+@pytest.mark.parametrize("stepper", [prk_step, prk_alt_step, sip1_step],
+                         ids=["prk", "prk_alt", "sip1"])
+def test_run_starts_the_stage_solves_from_the_stage_history(stepper):
+    # run starts every stage solve from the extrapolated stage increments of
+    # the last three steps; a loop of direct step calls keeps no history
+    cfg = preset("llg_blowup42", k=12)
+    grid = build_grid(cfg)
+    p = scheme_params(cfg, scheme=stepper.__name__[:-len("_step")])
+    initial = build_initial(cfg, grid)
+    fields = []
+    final, trace = run(initial, p, 40 * p.tau, observers=[lambda i, t, m: fields.append(m)])
+    assert trace.failure is None and len(trace) == 40
+    again, _ = run(initial, p, 40 * p.tau)
+    assert np.array_equal(final.components, again.components)
+
+    m, t, direct = normalize(initial), 0.0, []
+    start = m
+    for i in range(1, 41):
+        m, rec = stepper(m, p, i, t)
+        t = rec.t
+        direct.append(rec)
+        if i == 1:       # no history yet: bit for bit the direct call
+            assert np.array_equal(m.components, fields[0].components)
+            assert rec.solver_iters == trace.records[0].solver_iters
+    assert np.abs(final.components - m.components).max() <= 1e-9
+    with_history = sum(r.solver_iters_total for r in trace.records)
+    without = sum(r.solver_iters_total for r in direct)
+    # 2 against 4 iterations per stage once three steps are stored; the
+    # first three steps take 4, 3 and 3
+    assert with_history <= 0.55 * without, (with_history, without)
+
+    energies = np.concatenate([[discrete_energy(start)], trace.energies()])
+    assert np.all(np.diff(energies) <= 0.0)
+    # prk_alt averages the projector and has no length floor of its own: its
+    # first step, which has no history, reaches 1 - 3.2e-8 here
+    floor = min(1.0 - 1e-9, min(r.min_len_pre for r in direct))
+    assert min(r.min_len_pre for r in trace.records) >= floor
+
+
+def test_llg2d_prk_iteration_gate():
+    # 201 prk steps of llg_blowup42 at k = 24 (the llg2d-prk benchmark run):
+    # 2,434 Jacobi-BiCGStab iterations when each stage starts from the previous
+    # stage value, 782 from the stage history; deterministic, unlike a wall clock
+    cfg = preset("llg_blowup42", k=24)
+    p = scheme_params(cfg, scheme="prk")
+    _, trace = run(build_initial(cfg, build_grid(cfg)), p, 201 * p.tau)
+    assert trace.failure is None and len(trace) == 201
+    total = sum(r.solver_iters_total for r in trace.records)
+    assert total <= 1000, total

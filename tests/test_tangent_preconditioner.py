@@ -192,3 +192,13 @@ def test_preconditioned_runs_keep_the_theorem_and_match_direct(preset_name, tau,
         assert min(r.min_len_pre for r in trace.records) >= 1.0 - 1e-9
     direct, _ = _steps(preset_name, scheme, 5, k=8, tau=tau, solver_method="direct")
     assert np.abs(final.components - direct.components).max() <= 1e-9
+
+
+@pytest.mark.parametrize("scheme", ["prk", "sip1"])
+def test_stages_started_from_the_history_build_one_preconditioner_per_solve(scheme,
+                                                                            monkeypatch):
+    # from step 4 on, run starts every stage from the three-step extrapolation
+    counts = _count_builds(monkeypatch)
+    _final, trace = _steps("twisted_nematic44", scheme, 8, k=8)
+    n_solves = sum(len(r.solver_iters) for r in trace.records)
+    assert counts["builds"] == counts["stiff"] == counts["solves"] == n_solves
