@@ -287,6 +287,7 @@ def shifted_laplacian_inverse(grid, c):
     1 - c (sum of the axis eigenvalues), one V product per axis.  Nodes on
     Dirichlet faces are left as they are, since D_h has zero rows and columns
     there.  The rows must be C-contiguous; the function returns its argument.
+    A complex c needs a complex array.
     """
     free_nodes, mats, eigenvalues = _laplacian_eigenbasis(grid)
     shape = grid.shape()

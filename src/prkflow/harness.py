@@ -433,7 +433,8 @@ def config_to_json(cfg):
 
 
 def config_from_json(text):
-    """ExperimentConfig from JSON; ValueError naming any unknown or missing keys."""
+    """ExperimentConfig from JSON; ValueError naming any unknown or missing keys,
+    or a scheme or solver_method that SchemeParams or SolverConfig rejects."""
     doc = json.loads(text)
     fields = dataclasses.fields(ExperimentConfig)
     unknown = sorted(set(doc) - {f.name for f in fields})
@@ -443,4 +444,6 @@ def config_from_json(text):
     doc["origin"] = tuple(doc["origin"])
     doc["faces"] = tuple(doc["faces"])
     doc["snapshot_times"] = tuple(doc.get("snapshot_times", ()))
-    return ExperimentConfig(**doc)
+    cfg = ExperimentConfig(**doc)
+    scheme_params(cfg)
+    return cfg

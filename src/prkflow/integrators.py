@@ -22,7 +22,8 @@ plus their quadratic extrapolation in time; a direct step call keeps none
 and starts stage i from U^{i-1} (stage 1 from U^n).
 LM2's predictor system (I - tau alpha/2 D_h) m~ = rhs is solved exactly by
 ``grid.shifted_laplacian_inverse``, the inverse the tangent-space
-preconditioner of the beta = 0 stage solves applies.
+preconditioner of the stage solves applies with the shift
+coeff (alpha + i beta).
 """
 
 from __future__ import annotations
@@ -151,20 +152,13 @@ class RunTrace:
         return np.array([r.energy for r in self.records])
 
 
-def _tangent(field, projection):
-    """TangentBlocks of projector_blocks(field, projection) when beta = 0, else None."""
-    if projection.beta != 0.0:
-        return None
-    return TangentBlocks(field, projection.alpha)
-
-
 def _stage_solve(lap, blocks, coeff, rhs, solver, stage, x0, tangent=None):
     """Solve (I - coeff P D_h) U = rhs + coeff P bc for U (3, N); returns (U, iters, residual).
 
     The boundary forcing of the Laplacian enters the right-hand side here.
-    The iterative solvers start from ``x0`` (3, N), an O(tau) guess of U:
+    BiCGStab starts from ``x0`` (3, N), an O(tau) guess of U:
     the previous stage value, or an extrapolation of the history.
-    ``tangent`` (see ``_tangent``) marks blocks that are alpha P_t of one
+    ``tangent``, a TangentBlocks, marks blocks that are the mobility of one
     field; BiCGStab then takes the tangent-space spectral preconditioner if
     the stage is stiff (see ``linalg``).
     Solver failures become StepFailureError(stage, ...).
@@ -265,7 +259,7 @@ def prk_step(state, p, step_index=0, t0=0.0, *, history=None):
         # without history stage i starts from U^{i-1}, stage 1 from U^0
         x0 = U if history is None else history.guess(i, U0, U)
         U, nit, res = _stage_solve(lap, blocks, coeff, U0 + tau * mu, p.solver, i + 1, x0,
-                                   _tangent(mobility, p.projection))
+                                   TangentBlocks(mobility, p.projection))
         stages.append(U)
         iters.append(nit)
         resids.append(res)
@@ -284,7 +278,9 @@ def prk_alt_step(state, p, step_index=0, t0=0.0, *, history=None):
     """Variant form: averaged projector times the un-averaged stage Laplacian.
 
     Uses Ahat = A D2, bhat = D2^T b and averaging weights G = D2^{-1}.  The
-    stage solves start as in ``prk_step``.
+    stage solves start as in ``prk_step``.  The variant keeps the energy
+    decrease but not the pre-projection length bound of the structure
+    theorem: its length can fall below 1.
     """
     grid = state.grid
     lap = laplacian(grid)
@@ -345,7 +341,7 @@ def sip1_step(state, p, step_index=0, t0=0.0, *, history=None):
     rhs = m + tau * (1.0 - theta) * apply_blocks(blocks, lap.apply(m))
     x0 = m if history is None else history.guess(0, m, m)
     m_tilde, nit, res = _stage_solve(lap, blocks, tau * theta, rhs, p.solver, 1, x0,
-                                     _tangent(state, p.projection))
+                                     TangentBlocks(state, p.projection))
     if history is not None:
         history.push((m_tilde,), m)
     return _finish_step(grid, m_tilde, step_index, t0 + tau, [nit], [res], t_wall)
@@ -484,7 +480,7 @@ def bdf4_step(state, hist, p, step_index=0, t0=0.0):
     blocks = projector_blocks(mobility, p.projection)
     rhs = (48.0 * h3 - 36.0 * h2 + 16.0 * h1 - 3.0 * h0) / 25.0
     x, nit, res = _stage_solve(laplacian(grid), blocks, tau * 12.0 / 25.0, rhs, p.solver, 1,
-                               m_star, _tangent(mobility, p.projection))
+                               m_star, TangentBlocks(mobility, p.projection))
     out, rec = _finish_step(grid, x, step_index, t0 + tau, [nit], [res], t_wall)
     return out, hist[1:] + (out,), rec
 

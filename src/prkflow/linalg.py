@@ -3,32 +3,34 @@
 Stage systems have the form (I - coeff * P * D_h) over the 3N-dimensional
 stacked field, where P is a per-node 3x3 block operator and D_h the scalar
 Laplacian applied blockwise.  The operator is nonsymmetric (tangential
-projector and cross term) and is never assembled for the Krylov solvers: a
-matvec is three scalar Laplacian matvecs plus one blockwise product, and the
-Jacobi diagonal is 1 - coeff * P_ll * D_ii.  The assembled 3N x 3N matrix
+projector and cross term) and is never assembled for BiCGStab: a matvec is
+three scalar Laplacian matvecs plus one blockwise product, and the Jacobi
+diagonal is 1 - coeff * P_ll * D_ii.  The assembled 3N x 3N matrix
 (``StageOperator.tocsr``) serves the sparse direct factorization and the tests.
 The matvec order is deterministic, so repeated runs are bit-identical.
 
-Solvers: preconditioned BiCGStab (default), restarted GMRES, and a sparse
-direct factorization.  The iterative solvers start from the caller's guess
-x0 (the stage solves pass the previous stage value, an O(tau) guess).
-BiCGStab is an in-place loop with scipy's ``bicgstab`` arithmetic, bit for
-bit (van der Vorst, SIAM J. Sci. Stat. Comput. 13, 1992): the same
-convergence test, breakdown codes and iteration count, preallocated work
-vectors, and the stage operator's and the preconditioner's kernels called
-directly, with no ``LinearOperator.matvec`` dispatch per application.
-BiCGStab takes the tangent-space spectral
-preconditioner when the stage operator carries its blocks as a tangent
-projector alpha P_t(mh) = alpha (I - mh mh^T) (beta = 0) and is stiff,
-coeff alpha 4 dim / h^2 >= 1.5:
+Solvers: preconditioned BiCGStab (default) from the caller's guess x0 (the
+stage solves pass an O(tau) guess, see ``integrators._StageHistory``), and
+a sparse direct factorization.  BiCGStab is an in-place loop with scipy's
+``bicgstab`` arithmetic, bit for bit (van der Vorst, SIAM J. Sci. Stat.
+Comput. 13, 1992): the same convergence test, breakdown codes and iteration
+count, preallocated work vectors, and the stage operator's and the
+preconditioner's own kernels called directly (neither is a ``LinearOperator``).
+It takes the tangent-space spectral preconditioner when the stage operator's
+blocks are the mobility P = alpha P_t + beta J of one field, P_t = I - mh mh^T
+and J = mh x, and the stage is stiff, coeff |alpha + i beta| 4 dim / h^2 >= 1.5.
+Freezing mh, J^2 = -1 on the tangent plane, so for each eigenvalue lambda of
+D_h (1 - coeff lambda (alpha + beta J))^-1 = f + g J with
+f + i g = 1 / (1 - coeff (alpha + i beta) lambda), and
 
-    M^-1 v = mh (mh.v) + P_t S^-1 P_t v,    S = I - coeff alpha D_h,
+    M^-1 v = mh (mh.v) + P_t Re(S^-1 P_t v) + mh x Im(S^-1 P_t v),
+    S = I - coeff (alpha + i beta) D_h,
 
-with S^-1 exact on the free nodes (``grid.shifted_laplacian_inverse``, the
-same inverse LM2's predictor applies).  Every other operator takes Jacobi.
-Every successful solve is verified against the true residual
-||A x - b||_2 <= max(rel_tol ||b||_2, abs_tol); iterative solvers restart
-from the current iterate when the recursively updated residual has drifted.
+with S^-1 exact on the free nodes (``grid.shifted_laplacian_inverse``; with
+beta = 0 the shift is real and so is the arithmetic).  Every other operator
+takes Jacobi.  Every successful solve is verified against the true residual
+||A x - b||_2 <= max(rel_tol ||b||_2, abs_tol); BiCGStab restarts from its
+iterate when the recursively updated residual has drifted.
 """
 
 from __future__ import annotations
@@ -51,12 +53,12 @@ __all__ = [
     "solve",
 ]
 
-_GMRES_RESTART = 60      # gmres restart length; gmres runs unpreconditioned
-# The tangent-space preconditioner is taken from this stiffness coeff alpha rho
+# The tangent-space preconditioner is taken from this stiffness coeff |alpha + i beta| rho
 # (see _stiffness) on.  Below it Jacobi needs at most about ten iterations, and
 # one spectral application, which costs a few matvecs, does not pay for the
-# iterations it saves: per-step break-even is near 1 on 2-D and 3-D grids
-# with 9 to 65 nodes per axis.
+# iterations it saves: per-step break-even is near 1 at beta = 0 on 2-D and
+# 3-D grids with 9 to 65 nodes per axis, and between 1.3 and 3.3 at beta = 1,
+# where the application is complex, on 2-D grids with 25 and 65 nodes per axis.
 _TANGENT_MIN_STIFFNESS = 1.5
 
 
@@ -72,12 +74,12 @@ class NonConvergenceError(RuntimeError):
 
 
 class BreakdownError(RuntimeError):
-    """Krylov recurrence broke down (scipy reported an illegal state)."""
+    """BiCGStab's recurrence broke down, or Jacobi met a zero diagonal entry."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "bicgstab"          # bicgstab | gmres | direct
+    method: str = "bicgstab"          # bicgstab | direct
     rel_tol: float = 1e-11
     abs_tol: float = 1e-14
     max_iters: int = 0                # 0 -> max(100, 10 sqrt(n)), n the system size 3N
@@ -85,7 +87,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.method not in ("bicgstab", "gmres", "direct"):
+        if self.method not in ("bicgstab", "direct"):
             raise ValueError(f"unknown method {self.method!r}")
 
     def iteration_budget(self, n):
@@ -94,31 +96,33 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class TangentBlocks:
-    """Blocks that are alpha (I - mh mh^T) at every node, mh the directions of ``field``."""
+    """Blocks that are the mobility P(mh) = alpha P_t + beta J of ``field`` at
+    every node: ``projector_blocks(field, projection)``."""
 
     field: object
-    alpha: float
+    projection: object
 
 
-class StageOperator(spla.LinearOperator):
+class StageOperator:
     """I - coeff * blocks * D over the stacked field (3N x 3N), applied matrix-free.
 
     ``lap`` is a DiscreteLaplacian (only its matrix D is used: boundary
     forcing belongs in the right-hand side), ``blocks`` the per-node 3x3
-    blocks (3, 3, N).  ``tangent`` is a TangentBlocks when the blocks are a
-    tangent projector; BiCGStab then takes the tangent-space spectral
-    preconditioner if the operator is stiff (``_stiffness``).
+    blocks (3, 3, N).  ``tangent`` is a TangentBlocks when the blocks are the
+    mobility of one field; BiCGStab then takes the tangent-space spectral
+    preconditioner if the operator is stiff (``_stiffness``).  ``solve``
+    uses what it shares with a sparse matrix: shape, dot, diagonal, tocsr.
     """
 
     def __init__(self, lap, blocks, coeff, tangent=None):
-        n = lap.matrix.shape[0]
-        super().__init__(np.float64, (3 * n, 3 * n))
+        n = 3 * lap.matrix.shape[0]
+        self.shape = (n, n)
         self.lap = lap
         self.blocks = blocks
         self.coeff = coeff
         self.tangent = tangent
 
-    def _matvec(self, x):
+    def dot(self, x):
         x = x.reshape(3, -1)
         out = np.einsum("lmn,mn->ln", self.blocks, self.lap.apply_homogeneous(x))
         # in place, and bit-identical to x - coeff * out
@@ -137,28 +141,32 @@ class StageOperator(spla.LinearOperator):
                                for l in range(3)], format="csr")
         return (sparse.identity(self.shape[0], format="csr") - self.coeff * coupled).tocsr()
 
-    def tocsc(self):
-        return self.tocsr().tocsc()
 
+class TangentPreconditioner:
+    """v -> M^-1 v (module docstring) for a StageOperator with TangentBlocks.
 
-class TangentPreconditioner(spla.LinearOperator):
-    """M^-1 v = mh (mh.v) + P_t S^-1 P_t v for a StageOperator with TangentBlocks.
-
-    S = I - coeff alpha D_h acts per component; ``shifted_solve`` is its
-    exact inverse on the free nodes, ``grid.shifted_laplacian_inverse``.
-    Nodes on Dirichlet faces pass through (A is the identity there).  mh is
-    not stored: mh (mh.v) = m (m.v) / |m|^2 with m the field of the blocks.
+    S = I - coeff (alpha + i beta) D_h acts per component; ``shifted_solve``
+    is its exact inverse on the free nodes, on the complex ``work`` when
+    beta != 0.  Nodes on Dirichlet faces pass through (A is the identity
+    there).  mh is not stored: mh (mh.v) = m (m.v) / |m|^2 and
+    mh x w = (m x w) / |m| with m the field of the blocks.
     """
 
     def __init__(self, A):
         tangent = A.tangent
-        super().__init__(np.float64, A.shape)
+        alpha, beta = tangent.projection.alpha, tangent.projection.beta
         self.m = tangent.field.components
         self.inv_len2 = 1.0 / np.einsum("ln,ln->n", self.m, self.m)
-        self.shifted_solve = shifted_laplacian_inverse(tangent.field.grid,
-                                                       A.coeff * tangent.alpha)
+        if beta == 0.0:
+            self.work = None
+            shift = A.coeff * alpha
+        else:
+            self.work = np.empty(self.m.shape, dtype=complex)
+            self.inv_len = np.sqrt(self.inv_len2)
+            shift = A.coeff * complex(alpha, beta)
+        self.shifted_solve = shifted_laplacian_inverse(tangent.field.grid, shift)
 
-    def _matvec(self, v):
+    def __call__(self, v):
         v = v.reshape(3, -1)
         m = self.m
         normal = np.einsum("ln,ln->n", m, v)
@@ -168,7 +176,14 @@ class TangentPreconditioner(spla.LinearOperator):
         for l in range(3):
             np.multiply(m[l], normal, out=out[l])
             np.subtract(v[l], out[l], out=out[l])
-        self.shifted_solve(out)
+        if self.work is None:
+            self.shifted_solve(out)
+        else:
+            np.copyto(self.work, out)
+            self.shifted_solve(self.work)
+            np.copyto(out, self.work.real)
+            # mh x Im(S^-1 P_t v) is tangent; the projection below keeps it
+            out += np.cross(m, self.work.imag, axis=0) * self.inv_len
         tangential = np.einsum("ln,ln->n", m, out)
         tangential *= self.inv_len2
         normal -= tangential
@@ -178,29 +193,27 @@ class TangentPreconditioner(spla.LinearOperator):
 
 
 def _stiffness(A):
-    """coeff alpha rho of a StageOperator with TangentBlocks, rho = 4 dim / h^2 >= |lambda(D_h)|."""
+    """coeff |alpha + i beta| rho of a StageOperator with TangentBlocks,
+    rho = 4 dim / h^2 >= |lambda(D_h)|."""
     grid = A.tangent.field.grid
-    return A.coeff * A.tangent.alpha * 4.0 * grid.dim / grid.h ** 2
+    projection = A.tangent.projection
+    return (A.coeff * abs(complex(projection.alpha, projection.beta))
+            * 4.0 * grid.dim / grid.h ** 2)
 
 
 def _preconditioner(A):
-    """TangentPreconditioner when A carries TangentBlocks and is stiff enough, Jacobi otherwise."""
+    """v -> M^-1 v: TangentPreconditioner if A has TangentBlocks and is stiff, else Jacobi."""
     if getattr(A, "tangent", None) is not None and _stiffness(A) >= _TANGENT_MIN_STIFFNESS:
         return TangentPreconditioner(A)
     diag = A.diagonal()
     if np.abs(diag).min() == 0.0:
         raise BreakdownError("zero diagonal entry; Jacobi preconditioner unusable")
     inv_diag = 1.0 / diag
-    return spla.LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
+    return lambda v: inv_diag * v
 
 
-def _matvec_kernel(A):
-    """x -> A x: a StageOperator's kernel itself, any other input through aslinearoperator."""
-    return A._matvec if isinstance(A, StageOperator) else spla.aslinearoperator(A).matvec
-
-
-def _true_residual(matvec, x, rhs):
-    return float(np.linalg.norm(matvec(x) - rhs))
+def _true_residual(A, x, rhs):
+    return float(np.linalg.norm(A.dot(x) - rhs))
 
 
 # scipy's rho and omega breakdown floors (its comment: "These values make no
@@ -268,11 +281,12 @@ def _bicgstab(matvec, psolve, b, x, atol, maxiter):
 def solve(A, rhs, cfg=None, x0=None):
     """Solve A x = rhs from the start guess x0; returns (x, iterations, residual).
 
-    BiCGStab and GMRES start from x0 (zero when None); the direct solver
-    ignores it, and the caller's array is never written to.  The returned
-    residual is the true 2-norm residual, checked against
-    max(rel_tol * ||rhs||, abs_tol); an iterative solver whose recursive
-    residual has drifted restarts from its iterate, up to four rounds.
+    ``A`` is a StageOperator or a sparse matrix.  BiCGStab starts from x0
+    (zero when None); the direct solver ignores it, and the caller's array
+    is never written to.  The returned residual is the true 2-norm residual,
+    checked against max(rel_tol * ||rhs||, abs_tol); when BiCGStab's
+    recursive residual has drifted, it restarts from its iterate, up to four
+    rounds.
     Raises NonConvergenceError (with best iterate) or BreakdownError.
     """
     if cfg is None:
@@ -282,38 +296,22 @@ def solve(A, rhs, cfg=None, x0=None):
     if A.shape != (n, n):
         raise ValueError("system must be square and match the rhs")
     target = max(cfg.rel_tol * np.linalg.norm(rhs), cfg.abs_tol)
-    matvec = _matvec_kernel(A)
 
     if cfg.method == "direct":
-        lu = spla.splu(A.tocsc())
+        lu = spla.splu(A.tocsr().tocsc())
         x = lu.solve(rhs)
-        return x, 1, _true_residual(matvec, x, rhs)
+        return x, 1, _true_residual(A, x, rhs)
 
     budget = cfg.iteration_budget(n)
-    if cfg.method == "bicgstab":
-        psolve = _preconditioner(A)._matvec
-        x = np.zeros(n) if x0 is None else np.array(x0, dtype=float).reshape(n)
-    else:
-        x = x0
-
+    psolve = _preconditioner(A)
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float).reshape(n)
     total_iters = 0
     for _ in range(4):
-        if cfg.method == "bicgstab":
-            info, iters = _bicgstab(matvec, psolve, rhs, x, target, budget)
-        else:
-            counter = [0]
-
-            def cb(_rk):
-                counter[0] += 1
-            outer = max(1, budget // _GMRES_RESTART)
-            x, info = spla.gmres(A, rhs, x0=x, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                                 restart=_GMRES_RESTART, maxiter=outer,
-                                 callback=cb, callback_type="pr_norm")
-            iters = counter[0]
+        info, iters = _bicgstab(A.dot, psolve, rhs, x, target, budget)
         total_iters += iters
         if info < 0:
             raise BreakdownError(f"solver breakdown (scipy info={info})")
-        resid = _true_residual(matvec, x, rhs)
+        resid = _true_residual(A, x, rhs)
         if resid <= target:
             return x, total_iters, resid
     raise NonConvergenceError(x, resid, total_iters)

@@ -89,16 +89,20 @@ def test_dump_config_parses(capsys):
 @pytest.mark.parametrize("edit, key", [
     (lambda doc: doc.update(grid_size=8), "grid_size"),
     (lambda doc: doc.pop("tau"), "tau"),
-], ids=["unknown-key", "missing-key"])
+    (lambda doc: doc.update(solver_method="cg"), "cg"),
+    (lambda doc: doc.update(solver_method="gmres"), "gmres"),
+    (lambda doc: doc.update(scheme="rk4"), "rk4"),
+], ids=["unknown-key", "missing-key", "cg", "gmres", "unknown-scheme"])
 def test_dump_config_malformed_json_is_usage_error(edit, key, tmp_path, capsys):
     from prkflow.harness import preset, config_to_json
     doc = json.loads(config_to_json(preset("custom")))
     edit(doc)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    assert main(["dump-config", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and repr(key) in err
+    for command in ("dump-config", "run"):
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
 
 
 def test_check_tableau_without_s_is_usage_error(tmp_path, capsys):

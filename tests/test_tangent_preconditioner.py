@@ -1,10 +1,11 @@
-"""Tangent-space spectral preconditioner of the beta = 0 stage solves.
+"""Tangent-space spectral preconditioner of the single-field stage solves.
 
 Its scalar S^-1 = (I - coeff alpha D_h)^-1 (``grid.shifted_laplacian_inverse``)
-against a sparse direct solve, where BiCGStab selects it (beta = 0 stages
-from the stiffness coeff alpha 4 dim / h^2 = 1.5 on), how many iterations it
-saves, and the structure theorem and the direct-solver oracle on the runs
-that use it.
+against a sparse direct solve, the whole M^-1 against the stage operator on
+a uniform field, where it is exact, where BiCGStab selects it (stages of
+prk, sip1 and bdf4_ref from the stiffness coeff |alpha + i beta| 4 dim / h^2
+= 1.5 on), how many iterations it saves, and the structure theorem and the
+direct-solver oracle on the runs that use it.
 """
 
 import numpy as np
@@ -96,16 +97,33 @@ def _prk_stiffness(cfg):
     return cfg.tau * cfg.alpha * 4.0 * cfg.dim / cfg.h ** 2
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.8])
+@pytest.mark.parametrize("kind", ["neumann", "twisted-nematic"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_uniform_field_preconditioner_is_the_exact_inverse(dim, kind, beta, rng):
+    # with mh constant, P commutes with D_h and M^-1 A = I
+    grid = Grid(dim, 5, 0.25, faces=_faces(kind, dim))
+    mdir = normalize(VectorField(np.tile([[0.3], [-0.5], [0.8]], grid.n_nodes), grid))
+    projection = ProjectionParams(1.3, beta)
+    op = StageOperator(laplacian(grid), projector_blocks(mdir, projection), 0.7,
+                       TangentBlocks(mdir, projection))
+    x = rng.standard_normal(op.shape[0])
+    got = TangentPreconditioner(op)(op.dot(x))
+    assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
+
+
 def test_selection_threshold():
     grid = Grid(3, 5, 0.25)
     mdir = normalize(VectorField(np.ones((3, grid.n_nodes)), grid))
-    blocks = projector_blocks(mdir, ProjectionParams(1.0))
-    edge = linalg._TANGENT_MIN_STIFFNESS / (4.0 * 3 / 0.25 ** 2)
-    for coeff, spectral in ((edge, True), (edge * (1 - 1e-9), False)):
-        op = StageOperator(laplacian(grid), blocks, coeff, TangentBlocks(mdir, 1.0))
-        assert isinstance(linalg._preconditioner(op), TangentPreconditioner) is spectral
-    plain = StageOperator(laplacian(grid), blocks, 10 * edge)
-    assert not isinstance(linalg._preconditioner(plain), TangentPreconditioner)
+    for projection in (ProjectionParams(1.0), ProjectionParams(0.6, 0.8)):
+        blocks = projector_blocks(mdir, projection)
+        # |alpha + i beta| = 1 in both
+        edge = linalg._TANGENT_MIN_STIFFNESS / (4.0 * 3 / 0.25 ** 2)
+        for coeff, spectral in ((edge, True), (edge * (1 - 1e-9), False)):
+            op = StageOperator(laplacian(grid), blocks, coeff, TangentBlocks(mdir, projection))
+            assert isinstance(linalg._preconditioner(op), TangentPreconditioner) is spectral
+        plain = StageOperator(laplacian(grid), blocks, 10 * edge)
+        assert not isinstance(linalg._preconditioner(plain), TangentPreconditioner)
 
 
 @pytest.mark.parametrize("scheme", ["prk", "sip1", "bdf4_ref"])
@@ -120,21 +138,23 @@ def test_stiff_beta0_stages_build_one_preconditioner_per_solve(scheme, monkeypat
         assert counts["solves"] > counts["stiff"]
 
 
-@pytest.mark.parametrize("preset_name, scheme, overrides", [
-    ("twisted_nematic44", "prk_alt", {}),
-    ("llg_blowup42", "prk", {"tau": 2e-2}),
-    ("llg_blowup42", "sip1", {"tau": 2e-2}),
-    ("twisted_nematic44", "prk", {"solver_method": "gmres"}),
-    ("twisted_nematic44", "prk", {"solver_method": "direct"}),
-    ("point_defect43", "lm2", {"tau": 4e-3}),
-], ids=["prk_alt", "beta1-prk", "beta1-sip1", "gmres", "direct", "lm2"])
-def test_other_stages_keep_their_solver(preset_name, scheme, overrides, monkeypatch):
+@pytest.mark.parametrize("preset_name, scheme, overrides, builds_per_solve", [
+    ("twisted_nematic44", "prk_alt", {}, 0),
+    ("llg_blowup42", "prk", {"tau": 2e-2}, 1),
+    ("llg_blowup42", "sip1", {"tau": 2e-2}, 1),
+    ("twisted_nematic44", "prk", {"solver_method": "direct"}, 0),
+    ("point_defect43", "lm2", {"tau": 4e-3}, 0),
+], ids=["prk_alt", "beta1-prk", "beta1-sip1", "direct", "lm2"])
+def test_other_stages_keep_their_solver(preset_name, scheme, overrides, builds_per_solve,
+                                        monkeypatch):
     # every case is stiff enough that a beta = 0 PRK stage would take the
-    # preconditioner
+    # preconditioner; beta = 1 stages of prk and sip1 take it as well
     assert _prk_stiffness(preset(preset_name, k=8, **overrides)) >= 2 * linalg._TANGENT_MIN_STIFFNESS
     counts = _count_builds(monkeypatch)
     _steps(preset_name, scheme, 3, k=8, **overrides)
-    assert counts["builds"] == 0
+    assert counts["builds"] == builds_per_solve * counts["solves"]
+    if builds_per_solve:
+        assert counts["solves"] > 0
 
 
 @pytest.mark.parametrize("preset_name, k, tau", [
@@ -149,7 +169,7 @@ def test_mild_beta0_stages_keep_jacobi_bit_identically(preset_name, k, tau, monk
     final, trace = _steps(preset_name, "prk", 4, k=k, tau=tau, beta=0.0)
     assert counts["solves"] > 0 and counts["builds"] == 0
     # the same run with no TangentBlocks at all
-    monkeypatch.setattr(integrators, "_tangent", lambda field, projection: None)
+    monkeypatch.setattr(integrators, "TangentBlocks", lambda field, projection: None)
     plain, plain_trace = _steps(preset_name, "prk", 4, k=k, tau=tau, beta=0.0)
     assert np.array_equal(final.components, plain.components)
     assert [r.solver_iters for r in trace.records] == [r.solver_iters for r in plain_trace.records]
@@ -177,7 +197,8 @@ def test_preconditioned_iterations_at_most_half_of_jacobi(preset_name, monkeypat
 
 @pytest.mark.parametrize("scheme", ["prk", "sip1"])
 @pytest.mark.parametrize("preset_name, tau", [("twisted_nematic44", 5e-3),
-                                              ("point_defect43", 4e-3)])
+                                              ("point_defect43", 4e-3),
+                                              ("llg_blowup42", 2e-2)])     # beta = 1
 def test_preconditioned_runs_keep_the_theorem_and_match_direct(preset_name, tau, scheme,
                                                                monkeypatch):
     counts = _count_builds(monkeypatch)
