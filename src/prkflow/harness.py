@@ -158,7 +158,6 @@ class ExperimentConfig:
     seed: int = 20240817
     solver_rel_tol: float = 1e-11
     solver_abs_tol: float = 1e-14
-    solver_method: str = "bicgstab"
 
     @property
     def h(self):
@@ -235,8 +234,7 @@ def effective_beta(scheme, cfg):
 def scheme_params(cfg, scheme=None, tau=None):
     scheme = scheme or cfg.scheme
     tau = tau if tau is not None else cfg.tau
-    solver = SolverConfig(method=cfg.solver_method, rel_tol=cfg.solver_rel_tol,
-                          abs_tol=cfg.solver_abs_tol)
+    solver = SolverConfig(rel_tol=cfg.solver_rel_tol, abs_tol=cfg.solver_abs_tol)
     proj = ProjectionParams(alpha=cfg.alpha, beta=effective_beta(scheme, cfg))
     return SchemeParams(scheme=scheme, tau=tau, projection=proj,
                         theta=cfg.theta, solver=solver)
@@ -267,8 +265,7 @@ def reference_snapshots(cfg, initial, times, beta=None):
     proj = ProjectionParams(alpha=cfg.alpha, beta=cfg.beta if beta is None else beta)
     # reference trajectories run at a tightened tolerance so that accumulated
     # solver residuals stay below the Richardson qualification bound
-    solver = SolverConfig(method=cfg.solver_method, rel_tol=min(cfg.solver_rel_tol, 1e-12),
-                          abs_tol=cfg.solver_abs_tol)
+    solver = SolverConfig(rel_tol=min(cfg.solver_rel_tol, 1e-12), abs_tol=cfg.solver_abs_tol)
     scheme = "bdf4_ref" if cfg.reference == "bdf4" else "prk"
     p = SchemeParams(scheme=scheme, tau=cfg.ref_tau, projection=proj, solver=solver)
     snaps, trace = _snapshot_run(initial, p, steps)
@@ -434,7 +431,11 @@ def config_to_json(cfg):
 
 def config_from_json(text):
     """ExperimentConfig from JSON; ValueError naming any unknown or missing keys,
-    or a scheme or solver_method that SchemeParams or SolverConfig rejects."""
+    or a scheme or tolerance that SchemeParams or SolverConfig rejects.
+
+    Configurations dumped before the solver became automatic carry
+    ``solver_method``, which is now an unknown key.
+    """
     doc = json.loads(text)
     fields = dataclasses.fields(ExperimentConfig)
     unknown = sorted(set(doc) - {f.name for f in fields})

@@ -20,6 +20,8 @@ For prk, prk_alt and sip1 it keeps the stage increments U^i - U^n of the
 last three steps (``_StageHistory``), and stage i starts its solve from U^n
 plus their quadratic extrapolation in time; a direct step call keeps none
 and starts stage i from U^{i-1} (stage 1 from U^n).
+A stage solve that BiCGStab fails is taken over by SuperLU and named in
+the step record's ``fallback_stages`` (``_stage_solve``).
 LM2's predictor system (I - tau alpha/2 D_h) m~ = rhs is solved exactly by
 ``grid.shifted_laplacian_inverse``, the inverse the tangent-space
 preconditioner of the stage solves applies with the shift
@@ -39,7 +41,7 @@ from . import linalg
 from .field import (ZERO_LENGTH_THRESHOLD, VectorField, ProjectionParams, normalize,
                     diagnostics, projector_blocks, apply_blocks)
 from .grid import laplacian, discrete_energy, inner_product, shifted_laplacian_inverse
-from .linalg import SolverConfig, StageOperator, TangentBlocks, solve
+from .linalg import SolverConfig, StageOperator, TangentBlocks, direct_solve, solve
 from .tableau import PRKTableau, prk2_tableau, validate
 
 __all__ = [
@@ -71,7 +73,8 @@ _LM2_PARALLEL = 1.0 - 1e-6
 
 
 class StepFailureError(RuntimeError):
-    """A step failed; carries the stage index (or None) and the underlying cause."""
+    """A step failed; carries the 1-based index of the failing solve in the
+    step (or None) and the underlying cause."""
 
     def __init__(self, stage, cause):
         super().__init__(f"step failed at stage {stage}: {cause}")
@@ -120,6 +123,7 @@ class StepRecord:
     solver_iters: tuple
     solver_residuals: tuple
     wall_ms: float
+    fallback_stages: tuple = ()      # 1-based solves (see solver_iters) that SuperLU solved
     lm2_lambda_min: float = np.nan
     lm2_lambda_max: float = np.nan
     lm2_eta: float = np.nan
@@ -152,24 +156,43 @@ class RunTrace:
         return np.array([r.energy for r in self.records])
 
 
-def _stage_solve(lap, blocks, coeff, rhs, solver, stage, x0, tangent=None):
-    """Solve (I - coeff P D_h) U = rhs + coeff P bc for U (3, N); returns (U, iters, residual).
+class _Solves:
+    """The solves of one step, in order: iterations, true residuals and the
+    1-based indices of those that fell back to SuperLU."""
+
+    def __init__(self, iters=(), resids=()):
+        self.iters, self.resids, self.fallbacks = list(iters), list(resids), []
+
+
+def _stage_solve(solves, lap, blocks, coeff, rhs, solver, x0, tangent=None):
+    """Solve (I - coeff P D_h) U = rhs + coeff P bc for U (3, N), recorded in ``solves``.
 
     The boundary forcing of the Laplacian enters the right-hand side here.
     BiCGStab starts from ``x0`` (3, N), an O(tau) guess of U:
     the previous stage value, or an extrapolation of the history.
     ``tangent``, a TangentBlocks, marks blocks that are the mobility of one
     field; BiCGStab then takes the tangent-space spectral preconditioner if
-    the stage is stiff (see ``linalg``).
-    Solver failures become StepFailureError(stage, ...).
+    the stage is stiff (see ``linalg``).  When BiCGStab fails, SuperLU solves
+    the same operator; the solve records BiCGStab's iterations, SuperLU's
+    residual and its index in ``solves.fallbacks``.  When SuperLU fails too,
+    the step raises StepFailureError(index, SuperLU's error), whose context
+    is BiCGStab's.
     """
-    rhs = rhs + coeff * apply_blocks(blocks, lap.bc_contribution)
+    stage = len(solves.iters) + 1
+    A = StageOperator(lap, blocks, coeff, tangent)
+    rhs = (rhs + coeff * apply_blocks(blocks, lap.bc_contribution)).reshape(-1)
     try:
-        x, nit, res = solve(StageOperator(lap, blocks, coeff, tangent), rhs.reshape(-1), solver,
-                            x0=x0.reshape(-1))
+        x, nit, res = solve(A, rhs, solver, x0=x0.reshape(-1))
     except (linalg.NonConvergenceError, linalg.BreakdownError) as exc:
-        raise StepFailureError(stage, exc) from exc
-    return x.reshape(3, -1), nit, res
+        try:
+            x, res = direct_solve(A, rhs, solver)
+        except (linalg.NonConvergenceError, linalg.BreakdownError) as direct_exc:
+            raise StepFailureError(stage, direct_exc) from direct_exc
+        nit = exc.iterations
+        solves.fallbacks.append(stage)
+    solves.iters.append(nit)
+    solves.resids.append(res)
+    return x.reshape(3, -1)
 
 
 class _StageHistory:
@@ -205,7 +228,7 @@ class _StageHistory:
         self._count = min(self._count + 1, 3)
 
 
-def _finish_step(grid, m_tilde, step_index, t_next, iters, resids, t_wall0, extra=None):
+def _finish_step(grid, m_tilde, step_index, t_next, solves, t_wall0, extra=None):
     pre = VectorField(m_tilde, grid)
     e_pre = discrete_energy(pre)
     d_pre = diagnostics(pre)
@@ -215,7 +238,8 @@ def _finish_step(grid, m_tilde, step_index, t_next, iters, resids, t_wall0, extr
     rec = StepRecord(step=step_index, t=t_next, energy=e_post,
                      energy_pre_projection=e_pre, min_len_pre=d_pre.min_length,
                      max_unit_dev=d_post.max_unit_deviation,
-                     solver_iters=tuple(iters), solver_residuals=tuple(resids),
+                     solver_iters=tuple(solves.iters), solver_residuals=tuple(solves.resids),
+                     fallback_stages=tuple(solves.fallbacks),
                      wall_ms=(time.perf_counter() - t_wall0) * 1e3)
     if extra:
         for k, v in extra.items():
@@ -223,7 +247,7 @@ def _finish_step(grid, m_tilde, step_index, t_next, iters, resids, t_wall0, extr
     return out, rec
 
 
-def prk_step(state, p, step_index=0, t0=0.0, *, history=None):
+def prk_step(state, p, step_index=0, t0=0.0, *, history=None, solves=None):
     """One step of the product scheme (mobility at the lagged stage, D2-averaged Laplacian).
 
     The averaged Laplacian Y_j = sum_{k<=j} D2[j,k] D_h U^k and its image
@@ -231,7 +255,9 @@ def prk_step(state, p, step_index=0, t0=0.0, *, history=None):
     later stages and the final update.  Stage i starts from the previous stage
     value or, given the ``history`` that ``make_stepper`` keeps, from the
     extrapolation of the past steps' stage increments; the step then stores
-    its own increments there.
+    its own increments there.  The record's solves are those of ``solves``
+    (a ``_Solves`` shared by several steps, which BDF4's start-up passes)
+    followed by the step's own.
     """
     grid = state.grid
     lap = laplacian(grid)
@@ -243,7 +269,7 @@ def prk_step(state, p, step_index=0, t0=0.0, *, history=None):
     U0 = state.components
     U = U0
     stages, DU, PY = [], [], []
-    iters, resids = [], []
+    solves = _Solves() if solves is None else solves
     for i in range(s):
         mobility = VectorField(U, grid)
         blocks = projector_blocks(mobility, p.projection)
@@ -258,11 +284,9 @@ def prk_step(state, p, step_index=0, t0=0.0, *, history=None):
         coeff = tau * Atab[i, i] * Dtab[i, i]
         # without history stage i starts from U^{i-1}, stage 1 from U^0
         x0 = U if history is None else history.guess(i, U0, U)
-        U, nit, res = _stage_solve(lap, blocks, coeff, U0 + tau * mu, p.solver, i + 1, x0,
-                                   TangentBlocks(mobility, p.projection))
+        U = _stage_solve(solves, lap, blocks, coeff, U0 + tau * mu, p.solver, x0,
+                         TangentBlocks(mobility, p.projection))
         stages.append(U)
-        iters.append(nit)
-        resids.append(res)
         DU.append(lap.apply(U))
         PY.append(apply_blocks(blocks, y_partial + Dtab[i, i] * DU[i]))
 
@@ -271,7 +295,7 @@ def prk_step(state, p, step_index=0, t0=0.0, *, history=None):
     m_tilde = U0.copy()
     for j in range(s):
         m_tilde += tau * btab[j] * PY[j]
-    return _finish_step(grid, m_tilde, step_index, t0 + tau, iters, resids, t_wall)
+    return _finish_step(grid, m_tilde, step_index, t0 + tau, solves, t_wall)
 
 
 def prk_alt_step(state, p, step_index=0, t0=0.0, *, history=None):
@@ -300,7 +324,7 @@ def prk_alt_step(state, p, step_index=0, t0=0.0, *, history=None):
     stages = []
     P_single = []
     PD = []          # P_avg[j] D_h U^j, formed once per stage
-    iters, resids = [], []
+    solves = _Solves()
     for i in range(s):
         P_single.append(projector_blocks(VectorField(U, grid), p.projection))
         p_avg = np.zeros_like(P_single[0])
@@ -311,10 +335,8 @@ def prk_alt_step(state, p, step_index=0, t0=0.0, *, history=None):
         for j in range(i):
             rhs += tau * Ahat[i, j] * PD[j]
         x0 = U if history is None else history.guess(i, U0, U)
-        U, nit, res = _stage_solve(lap, p_avg, tau * Ahat[i, i], rhs, p.solver, i + 1, x0)
+        U = _stage_solve(solves, lap, p_avg, tau * Ahat[i, i], rhs, p.solver, x0)
         stages.append(U)
-        iters.append(nit)
-        resids.append(res)
         PD.append(apply_blocks(p_avg, lap.apply(U)))
 
     if history is not None:
@@ -322,7 +344,7 @@ def prk_alt_step(state, p, step_index=0, t0=0.0, *, history=None):
     m_tilde = U0.copy()
     for j in range(s):
         m_tilde += tau * bhat[j] * PD[j]
-    return _finish_step(grid, m_tilde, step_index, t0 + tau, iters, resids, t_wall)
+    return _finish_step(grid, m_tilde, step_index, t0 + tau, solves, t_wall)
 
 
 def sip1_step(state, p, step_index=0, t0=0.0, *, history=None):
@@ -340,11 +362,12 @@ def sip1_step(state, p, step_index=0, t0=0.0, *, history=None):
     blocks = projector_blocks(state, p.projection)
     rhs = m + tau * (1.0 - theta) * apply_blocks(blocks, lap.apply(m))
     x0 = m if history is None else history.guess(0, m, m)
-    m_tilde, nit, res = _stage_solve(lap, blocks, tau * theta, rhs, p.solver, 1, x0,
-                                     TangentBlocks(state, p.projection))
+    solves = _Solves()
+    m_tilde = _stage_solve(solves, lap, blocks, tau * theta, rhs, p.solver, x0,
+                           TangentBlocks(state, p.projection))
     if history is not None:
         history.push((m_tilde,), m)
-    return _finish_step(grid, m_tilde, step_index, t0 + tau, [nit], [res], t_wall)
+    return _finish_step(grid, m_tilde, step_index, t0 + tau, solves, t_wall)
 
 
 @dataclass
@@ -442,7 +465,7 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
     v = m_hat + eta * e_dir
     m_tilde_post = v  # the field entering the final projection
     aux_new = LM2State(lam=lam_new, predictor=m_tilde, solve=aux.solve)
-    out, rec = _finish_step(grid, m_tilde_post, step_index, t0 + tau, [1], [0.0], t_wall,
+    out, rec = _finish_step(grid, m_tilde_post, step_index, t0 + tau, _Solves([1], [0.0]), t_wall,
                             extra={"lm2_lambda_min": float(lam_new.min()),
                                    "lm2_lambda_max": float(lam_new.max()),
                                    "lm2_eta": float(eta)})
@@ -463,14 +486,10 @@ def bdf4_step(state, hist, p, step_index=0, t0=0.0):
     t_wall = time.perf_counter()
     if len(hist) < 4:
         startup = replace(p, scheme="prk", tau=tau / 10.0, tableau=prk2_tableau())
-        m = hist[-1]
-        iters, resids = [], []
+        m, solves = hist[-1], _Solves()
         for _ in range(10):
-            m, rec = prk_step(m, startup)
-            iters.extend(rec.solver_iters)
-            resids.extend(rec.solver_residuals)
-        rec = replace(rec, step=step_index, t=t0 + tau, solver_iters=tuple(iters),
-                      solver_residuals=tuple(resids),
+            m, rec = prk_step(m, startup, solves=solves)
+        rec = replace(rec, step=step_index, t=t0 + tau,
                       wall_ms=(time.perf_counter() - t_wall) * 1e3)
         return m, hist + (m,), rec
 
@@ -479,9 +498,10 @@ def bdf4_step(state, hist, p, step_index=0, t0=0.0):
     mobility = VectorField(m_star, grid)
     blocks = projector_blocks(mobility, p.projection)
     rhs = (48.0 * h3 - 36.0 * h2 + 16.0 * h1 - 3.0 * h0) / 25.0
-    x, nit, res = _stage_solve(laplacian(grid), blocks, tau * 12.0 / 25.0, rhs, p.solver, 1,
-                               m_star, TangentBlocks(mobility, p.projection))
-    out, rec = _finish_step(grid, x, step_index, t0 + tau, [nit], [res], t_wall)
+    solves = _Solves()
+    x = _stage_solve(solves, laplacian(grid), blocks, tau * 12.0 / 25.0, rhs, p.solver, m_star,
+                     TangentBlocks(mobility, p.projection))
+    out, rec = _finish_step(grid, x, step_index, t0 + tau, solves, t_wall)
     return out, hist[1:] + (out,), rec
 
 

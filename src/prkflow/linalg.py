@@ -28,9 +28,9 @@ f + i g = 1 / (1 - coeff (alpha + i beta) lambda), and
 
 with S^-1 exact on the free nodes (``grid.shifted_laplacian_inverse``; with
 beta = 0 the shift is real and so is the arithmetic).  Every other operator
-takes Jacobi.  Every successful solve is verified against the true residual
-||A x - b||_2 <= max(rel_tol ||b||_2, abs_tol); BiCGStab restarts from its
-iterate when the recursively updated residual has drifted.
+takes Jacobi.  Both solvers verify their result against the true residual,
+||A x - b||_2 <= max(rel_tol ||b||_2, abs_tol), and raise a typed error
+(NonConvergenceError or BreakdownError) when they fail.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ __all__ = [
     "TangentBlocks",
     "TangentPreconditioner",
     "solve",
+    "direct_solve",
 ]
 
 # The tangent-space preconditioner is taken from this stiffness coeff |alpha + i beta| rho
@@ -63,10 +64,11 @@ _TANGENT_MIN_STIFFNESS = 1.5
 
 
 class NonConvergenceError(RuntimeError):
-    """Iteration budget exhausted; carries the best iterate and its residual."""
+    """The true residual misses the target; carries the best iterate, its
+    residual and the iterations spent (0 for SuperLU)."""
 
     def __init__(self, best, residual, iterations):
-        super().__init__(f"linear solver did not converge: residual {residual:.3e} "
+        super().__init__(f"linear solve missed its target: residual {residual:.3e} "
                          f"after {iterations} iterations")
         self.best = best
         self.residual = residual
@@ -74,24 +76,27 @@ class NonConvergenceError(RuntimeError):
 
 
 class BreakdownError(RuntimeError):
-    """BiCGStab's recurrence broke down, or Jacobi met a zero diagonal entry."""
+    """BiCGStab's recurrence broke down, Jacobi met a zero diagonal entry or
+    SuperLU a singular factor; carries the iterations spent."""
+
+    def __init__(self, message, iterations=0):
+        super().__init__(message)
+        self.iterations = iterations
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "bicgstab"          # bicgstab | direct
     rel_tol: float = 1e-11
     abs_tol: float = 1e-14
-    max_iters: int = 0                # 0 -> max(100, 10 sqrt(n)), n the system size 3N
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.method not in ("bicgstab", "direct"):
-            raise ValueError(f"unknown method {self.method!r}")
 
-    def iteration_budget(self, n):
-        return self.max_iters if self.max_iters > 0 else max(100, int(10 * np.sqrt(n)))
+    @staticmethod
+    def iteration_budget(n):
+        """BiCGStab's budget for a system of size n (3N): max(100, 10 sqrt(n))."""
+        return max(100, int(10 * np.sqrt(n)))
 
 
 @dataclass(frozen=True)
@@ -278,40 +283,52 @@ def _bicgstab(matvec, psolve, b, x, atol, maxiter):
     return maxiter, maxiter
 
 
-def solve(A, rhs, cfg=None, x0=None):
-    """Solve A x = rhs from the start guess x0; returns (x, iterations, residual).
-
-    ``A`` is a StageOperator or a sparse matrix.  BiCGStab starts from x0
-    (zero when None); the direct solver ignores it, and the caller's array
-    is never written to.  The returned residual is the true 2-norm residual,
-    checked against max(rel_tol * ||rhs||, abs_tol); when BiCGStab's
-    recursive residual has drifted, it restarts from its iterate, up to four
-    rounds.
-    Raises NonConvergenceError (with best iterate) or BreakdownError.
-    """
-    if cfg is None:
-        cfg = SolverConfig()
+def _system(A, rhs, cfg):
+    """rhs as a float vector and the residual target max(rel_tol ||rhs||, abs_tol)."""
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
     if A.shape != (n, n):
         raise ValueError("system must be square and match the rhs")
-    target = max(cfg.rel_tol * np.linalg.norm(rhs), cfg.abs_tol)
+    return rhs, max(cfg.rel_tol * np.linalg.norm(rhs), cfg.abs_tol)
 
-    if cfg.method == "direct":
-        lu = spla.splu(A.tocsr().tocsc())
-        x = lu.solve(rhs)
-        return x, 1, _true_residual(A, x, rhs)
 
-    budget = cfg.iteration_budget(n)
+def solve(A, rhs, cfg=None, x0=None):
+    """Solve A x = rhs by preconditioned BiCGStab from x0; returns (x, iterations, residual).
+
+    ``A`` is a StageOperator or a sparse matrix.  BiCGStab starts from x0
+    (zero when None; the caller's array is never written to) and runs once,
+    within ``SolverConfig.iteration_budget``.  The returned residual is the
+    true 2-norm residual, checked against max(rel_tol * ||rhs||, abs_tol).
+    Raises NonConvergenceError (with the last iterate) when it misses that
+    target, and BreakdownError when the recurrence or Jacobi breaks down;
+    both carry the iterations spent.
+    """
+    cfg = cfg or SolverConfig()
+    rhs, target = _system(A, rhs, cfg)
     psolve = _preconditioner(A)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float).reshape(n)
-    total_iters = 0
-    for _ in range(4):
-        info, iters = _bicgstab(A.dot, psolve, rhs, x, target, budget)
-        total_iters += iters
-        if info < 0:
-            raise BreakdownError(f"solver breakdown (scipy info={info})")
-        resid = _true_residual(A, x, rhs)
-        if resid <= target:
-            return x, total_iters, resid
-    raise NonConvergenceError(x, resid, total_iters)
+    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float).reshape(rhs.shape)
+    info, iters = _bicgstab(A.dot, psolve, rhs, x, target, cfg.iteration_budget(rhs.size))
+    if info < 0:
+        raise BreakdownError(f"solver breakdown (scipy info={info})", iters)
+    resid = _true_residual(A, x, rhs)
+    if not resid <= target:
+        raise NonConvergenceError(x, resid, iters)
+    return x, iters, resid
+
+
+def direct_solve(A, rhs, cfg=None):
+    """Solve A x = rhs by SuperLU on the assembled matrix (``tocsr``); returns (x, residual).
+
+    Verified as ``solve`` is: raises BreakdownError on a singular factor and
+    NonConvergenceError (with x) when the true residual misses the target.
+    """
+    cfg = cfg or SolverConfig()
+    rhs, target = _system(A, rhs, cfg)
+    try:
+        x = spla.splu(A.tocsr().tocsc()).solve(rhs)
+    except RuntimeError as exc:       # "Factor is exactly singular"
+        raise BreakdownError(f"SuperLU: {exc}") from exc
+    resid = _true_residual(A, x, rhs)
+    if not resid <= target:
+        raise NonConvergenceError(x, resid, 0)
+    return x, resid

@@ -13,3 +13,17 @@ import pytest  # noqa: E402
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def superlu_stage_solves(monkeypatch):
+    """Call it to have SuperLU (``linalg.direct_solve``) take every later stage
+    solve of ``prkflow.integrators``, recorded with 0 iterations."""
+    import prkflow.integrators as integrators
+    from prkflow.linalg import direct_solve
+
+    def direct(A, rhs, cfg=None, x0=None):
+        x, resid = direct_solve(A, rhs, cfg)
+        return x, 0, resid
+
+    return lambda: monkeypatch.setattr(integrators, "solve", direct)

@@ -46,15 +46,15 @@ def test_lm2_constant_field_fixed_point():
     assert rec.lm2_eta == 0.0
 
 
-def test_prk_step_against_dense_oracle():
+def test_prk_step_against_dense_oracle(superlu_stage_solves):
     # 1-D three-node instance, alpha = 1, beta = 0: both stages solved densely
     grid = Grid(1, 3, 1.0)
     m = normalize(VectorField(np.array([[0.6, 0.0, -0.8],
                                         [0.8, 1.0, 0.0],
                                         [0.0, 0.2, 0.6]]), grid))
     tau = 0.05
-    p = _params("prk", tau, beta=0.0, solver=SolverConfig(method="direct"))
-    out, _rec = prk_step(m, p)
+    superlu_stage_solves()
+    out, _rec = prk_step(m, _params("prk", tau, beta=0.0))
 
     # independent dense computation (numpy only)
     g = np.array([[-2.0, 2.0, 0.0], [1.0, -2.0, 1.0], [0.0, 2.0, -2.0]])
@@ -114,15 +114,13 @@ def test_sip1_predictor_orthogonal_increment():
     m = normalize(build_initial(cfg, grid))
     lap = laplacian(grid)
     p = scheme_params(cfg, scheme="sip1", tau=1e-4)
-    p = SchemeParams(scheme="sip1", tau=1e-4, projection=p.projection,
-                     theta=1.0, solver=SolverConfig(method="direct"))
     # reconstruct the predictor from the step by re-solving the linear system
     from prkflow.field import projector_blocks
-    from prkflow.linalg import StageOperator, solve
+    from prkflow.linalg import StageOperator, direct_solve
     blocks = projector_blocks(m, p.projection)
     rhs = m.components    # theta = 1: the explicit Laplacian term drops out
     system = StageOperator(lap, blocks, p.tau * 1.0)
-    x, _, _ = solve(system, rhs.reshape(-1), p.solver)
+    x, _ = direct_solve(system, rhs.reshape(-1))
     m_tilde = x.reshape(3, -1)
     incr = m_tilde - m.components
     dots = np.abs(np.einsum("ln,ln->n", incr, m.components))
@@ -398,3 +396,76 @@ def test_llg2d_prk_iteration_gate():
     assert trace.failure is None and len(trace) == 201
     total = sum(r.solver_iters_total for r in trace.records)
     assert total <= 1000, total
+
+
+def _watch_bicgstab(monkeypatch):
+    """Wrap the stage solves' BiCGStab; returns, per call in order, the
+    iterations it spent when it failed, or None when it succeeded."""
+    import prkflow.integrators as integ
+    import prkflow.linalg as linalg
+    failures = []
+    original = integ.solve
+
+    def watching(A, rhs, cfg=None, x0=None):
+        try:
+            out = original(A, rhs, cfg, x0)
+        except (linalg.NonConvergenceError, linalg.BreakdownError) as exc:
+            failures.append(exc.iterations)
+            raise
+        failures.append(None)
+        return out
+
+    monkeypatch.setattr(integ, "solve", watching)
+    return failures
+
+
+@pytest.mark.parametrize("tau, n_steps", [(0.1, 10), (1.0, 3)])
+def test_failed_bicgstab_stages_fall_back_to_superlu(tau, n_steps, monkeypatch):
+    # prk_alt on llg_blowup42 at k = 24: Jacobi-BiCGStab misses its target
+    # within the budget on the stages of the early steps, which then only
+    # SuperLU solves; with no fallback both runs stop at step 1
+    failures = _watch_bicgstab(monkeypatch)
+    cfg = preset("llg_blowup42", tau=tau)
+    m0 = build_initial(cfg, build_grid(cfg))
+    _, trace = run(m0, scheme_params(cfg, scheme="prk_alt"), n_steps * tau)
+    assert trace.failure is None and len(trace) == n_steps
+    assert failures[0] is not None
+    for r in trace.records:
+        spent = failures[2 * (r.step - 1):2 * r.step]      # two stage solves per step
+        failed = [i for i, n in enumerate(spent) if n is not None]
+        assert r.fallback_stages == tuple(i + 1 for i in failed)
+        assert all(r.solver_iters[i] == spent[i] > 0 for i in failed)
+    e = np.concatenate([[discrete_energy(m0)], trace.energies()])
+    pre = np.array([r.energy_pre_projection for r in trace.records])
+    assert np.all(pre - e[:-1] <= 1e-12 * e[:-1])
+    assert np.all(np.diff(e) <= 1e-12 * e[:-1])
+
+
+def test_step_fails_only_when_superlu_fails_too(monkeypatch):
+    import prkflow.integrators as integ
+    import prkflow.linalg as linalg
+    calls = [0]
+    original = integ.solve
+
+    def fifth_breaks_down(A, rhs, cfg=None, x0=None):
+        calls[0] += 1
+        if calls[0] == 5:          # step 3, stage 1
+            raise linalg.BreakdownError("synthetic breakdown", 7)
+        return original(A, rhs, cfg, x0)
+
+    def failing_direct(A, rhs, cfg=None):
+        raise linalg.NonConvergenceError(np.zeros_like(rhs), 1.0, 0)
+
+    monkeypatch.setattr(integ, "solve", fifth_breaks_down)
+    monkeypatch.setattr(integ, "direct_solve", failing_direct)
+    cfg = preset("llg_blowup42", k=8)
+    p = scheme_params(cfg, scheme="prk")
+    _, trace = run(build_initial(cfg, build_grid(cfg)), p, 10 * p.tau)
+    assert len(trace) == 2
+    assert all(r.fallback_stages == () for r in trace.records)
+    t, err = trace.failure
+    assert t == pytest.approx(3 * p.tau)
+    assert isinstance(err, integ.StepFailureError) and err.stage == 1
+    assert isinstance(err.cause, linalg.NonConvergenceError) and err.__cause__ is err.cause
+    bicgstab_error = err.cause.__context__
+    assert isinstance(bicgstab_error, linalg.BreakdownError) and bicgstab_error.iterations == 7

@@ -1,6 +1,8 @@
 """Matrix-free stage operator against its assembled form and a composition oracle,
-and solver contracts, among them the in-place BiCGStab against scipy's and the
-start guess."""
+and solver contracts, among them the in-place BiCGStab against scipy's, the
+start guess and the verified SuperLU solve."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from prkflow.field import ProjectionParams, VectorField, normalize, projector_bl
 from prkflow.grid import Grid, laplacian
 from prkflow.harness import build_grid, build_initial, preset, scheme_params
 from prkflow.linalg import (BreakdownError, NonConvergenceError, SolverConfig,
-                            StageOperator, TangentBlocks, solve)
+                            StageOperator, TangentBlocks, direct_solve, solve)
 from prkflow.tableau import prk2_tableau
 
 from test_field import pointwise_p
@@ -139,8 +141,41 @@ def test_direct_path(rng):
     grid, mdir, _ = _setup(8)
     a = _stage_matrix(grid, mdir, 1e-3, ProjectionParams(alpha=1.0, beta=0.5))
     rhs = rng.standard_normal(a.shape[0])
-    x, _iters, resid = solve(a, rhs, SolverConfig(method="direct"))
+    x, resid = direct_solve(a, rhs)
     assert np.linalg.norm(a @ x - rhs) <= max(1e-11 * np.linalg.norm(rhs), 1e-13)
+
+
+def test_singular_factor_is_a_breakdown():
+    a = sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(BreakdownError, match="singular") as err:
+        direct_solve(a, np.ones(2))
+    assert err.value.iterations == 0
+
+
+def test_superlu_residual_over_the_target_is_nonconvergence():
+    # SuperLU on the 10 x 10 Hilbert matrix leaves a residual of about 1.7e-10,
+    # over the target 1e-11 ||b|| = 3.2e-11
+    n = 10
+    i = np.arange(n)
+    a = sparse.csr_matrix(1.0 / (i[:, None] + i[None, :] + 1.0))
+    rhs = np.ones(n)
+    with pytest.raises(NonConvergenceError) as err:
+        direct_solve(a, rhs)
+    target = 1e-11 * np.linalg.norm(rhs)
+    assert err.value.residual > target and err.value.iterations == 0
+    assert err.value.residual == np.linalg.norm(a @ err.value.best - rhs)
+
+
+def test_bicgstab_breakdown_carries_its_iterations():
+    # a nonsingular system whose BiCGStab recurrence breaks down (rho = 0) in
+    # its second iteration; SuperLU solves it
+    a = sparse.csr_matrix(np.array([[1.0, 2.0, 1.0], [1.0, 1.0, 1.0], [-2.0, -2.0, 1.0]]))
+    rhs = np.array([-1.0, 0.0, 0.0])
+    with pytest.raises(BreakdownError, match="info=-10") as err:
+        solve(a, rhs)
+    assert err.value.iterations == 1
+    x, resid = direct_solve(a, rhs)
+    assert resid <= 1e-11 * np.linalg.norm(rhs)
 
 
 def test_solve_deterministic(rng):
@@ -152,14 +187,18 @@ def test_solve_deterministic(rng):
     assert np.array_equal(x1, x2) and i1 == i2 and r1 == r2
 
 
-def test_nonconvergence_carries_best_iterate(rng):
-    grid, mdir, _ = _setup(12)
-    a = _stage_matrix(grid, mdir, 5e-3, ProjectionParams(alpha=1.0, beta=1.0))
-    rhs = rng.standard_normal(a.shape[0])
+def test_nonconvergence_carries_best_iterate():
+    # the 1-D Dirichlet Laplacian on 2,000 nodes (condition number about 1.6e6)
+    # takes Jacobi-BiCGStab beyond its budget of 447 iterations
+    n = 2000
+    a = sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
+                     format="csr")
+    rhs = np.ones(n)
     with pytest.raises(NonConvergenceError) as err:
-        solve(a, rhs, SolverConfig(max_iters=1, rel_tol=1e-14, abs_tol=1e-300))
-    assert err.value.best is not None
-    assert err.value.residual > 0
+        solve(a, rhs)
+    assert err.value.iterations == SolverConfig.iteration_budget(n) == 447
+    assert err.value.residual == np.linalg.norm(a @ err.value.best - rhs)
+    assert err.value.residual > 1e-11 * np.linalg.norm(rhs)
 
 
 def test_zero_diagonal_breaks_jacobi():
@@ -169,9 +208,8 @@ def test_zero_diagonal_breaks_jacobi():
 
 
 def test_solver_config_validation():
-    for method in ("cg", "gmres"):
-        with pytest.raises(ValueError, match=repr(method)):
-            SolverConfig(method=method)
+    # the tolerances are the only knobs
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["rel_tol", "abs_tol"]
     with pytest.raises(ValueError):
         SolverConfig(rel_tol=-1.0)
 

@@ -5,7 +5,7 @@ against a sparse direct solve, the whole M^-1 against the stage operator on
 a uniform field, where it is exact, where BiCGStab selects it (stages of
 prk, sip1 and bdf4_ref from the stiffness coeff |alpha + i beta| 4 dim / h^2
 = 1.5 on), how many iterations it saves, and the structure theorem and the
-direct-solver oracle on the runs that use it.
+SuperLU oracle (``linalg.direct_solve``) on the runs that use it.
 """
 
 import numpy as np
@@ -19,8 +19,7 @@ from prkflow.field import ProjectionParams, VectorField, normalize, projector_bl
 from prkflow.grid import NEUMANN, Grid, discrete_energy, laplacian, shifted_laplacian_inverse
 from prkflow.harness import build_grid, build_initial, preset, scheme_params
 from prkflow.integrators import run
-from prkflow.linalg import (SolverConfig, StageOperator, TangentBlocks,
-                            TangentPreconditioner, solve)
+from prkflow.linalg import StageOperator, TangentBlocks, TangentPreconditioner, solve
 
 
 def _anchor(x):
@@ -142,9 +141,8 @@ def test_stiff_beta0_stages_build_one_preconditioner_per_solve(scheme, monkeypat
     ("twisted_nematic44", "prk_alt", {}, 0),
     ("llg_blowup42", "prk", {"tau": 2e-2}, 1),
     ("llg_blowup42", "sip1", {"tau": 2e-2}, 1),
-    ("twisted_nematic44", "prk", {"solver_method": "direct"}, 0),
     ("point_defect43", "lm2", {"tau": 4e-3}, 0),
-], ids=["prk_alt", "beta1-prk", "beta1-sip1", "direct", "lm2"])
+], ids=["prk_alt", "beta1-prk", "beta1-sip1", "lm2"])
 def test_other_stages_keep_their_solver(preset_name, scheme, overrides, builds_per_solve,
                                         monkeypatch):
     # every case is stiff enough that a beta = 0 PRK stage would take the
@@ -200,7 +198,8 @@ def test_preconditioned_iterations_at_most_half_of_jacobi(preset_name, monkeypat
                                               ("point_defect43", 4e-3),
                                               ("llg_blowup42", 2e-2)])     # beta = 1
 def test_preconditioned_runs_keep_the_theorem_and_match_direct(preset_name, tau, scheme,
-                                                               monkeypatch):
+                                                               monkeypatch,
+                                                               superlu_stage_solves):
     counts = _count_builds(monkeypatch)
     final, trace = _steps(preset_name, scheme, 5, k=8, tau=tau)
     assert counts["builds"] == counts["solves"] > 0
@@ -211,7 +210,8 @@ def test_preconditioned_runs_keep_the_theorem_and_match_direct(preset_name, tau,
     assert max(r.max_unit_dev for r in trace.records) <= 1e-12
     if scheme == "prk":
         assert min(r.min_len_pre for r in trace.records) >= 1.0 - 1e-9
-    direct, _ = _steps(preset_name, scheme, 5, k=8, tau=tau, solver_method="direct")
+    superlu_stage_solves()
+    direct, _ = _steps(preset_name, scheme, 5, k=8, tau=tau)
     assert np.abs(final.components - direct.components).max() <= 1e-9
 
 
