@@ -106,11 +106,9 @@ def projector_blocks(Mdir, params):
     """
     mh = Mdir.components / _checked_lengths(Mdir)
     alpha, beta = params.alpha, params.beta
-    n = mh.shape[1]
-    p = np.empty((3, 3, n))
+    # (-alpha mh_l) mh_m, multiplied in the order of -alpha * mh[l] * mh[m]
+    p = (-alpha * mh)[:, None, :] * mh[None, :, :]
     for l in range(3):
-        for m in range(3):
-            p[l, m] = -alpha * mh[l] * mh[m]
         p[l, l] += alpha
     if beta != 0.0:
         p[0, 1] -= beta * mh[2]

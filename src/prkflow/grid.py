@@ -5,8 +5,11 @@ with the x index fastest.  Each face carries its own boundary condition:
 homogeneous Neumann uses the ghost-free one-sided stencil rows (-2, 2), and
 Dirichlet faces are eliminated from the operator (zero rows and columns) with
 the known boundary values folded into a forcing vector, so that
-``matrix @ u + bc_contribution`` reproduces the full stencil action at the
-remaining nodes.
+``D_h u_l + bc_contribution[l]`` reproduces the full stencil action at the
+remaining nodes.  A grid stores D_h once, as the diagonals (DIA format) of
+the block-diagonal diag(D_h, D_h, D_h) over the stacked (3, N) field, so
+that one banded product applies it to all three components
+(``DiscreteLaplacian``).
 
 Every Dirichlet face is a whole face, so the free nodes form a tensor
 product and D_h on them is the Kronecker sum of the 1-D stencils restricted
@@ -145,24 +148,37 @@ class Grid:
 
 @dataclass
 class DiscreteLaplacian:
-    """Sparse Laplacian with boundary handling folded in.
+    """D_h with the boundary handling folded in, stored once for the stacked field.
 
-    ``matrix`` is the integer stencil scaled by 1/h^2.  Rows and columns of
-    Dirichlet-fixed nodes are zero; ``bc_contribution`` (3, N) carries the
-    couplings into the fixed nodes times their boundary values, so applying
-    the operator to a vector field is ``matrix @ u_l + bc_contribution[l]``.
+    ``stacked`` is the block-diagonal 3N x 3N operator diag(D_h, D_h, D_h)
+    as a DIA matrix, for a (3, N) field flattened to 3N: offsets ascending,
+    each diagonal indexed by column and N wide per block, zero where it
+    leaves its block.  D_h is the integer stencil scaled by 1/h^2; its rows
+    and columns at Dirichlet-fixed nodes are zero, and ``bc_contribution``
+    (3, N) carries the couplings into the fixed nodes times their boundary
+    values, so applying the operator to a vector field u is
+    D_h u_l + bc_contribution[l] for each component l.
+
+    scipy's DIA product adds each row up over the diagonals in their stored
+    order, which with ascending offsets is the sorted-column order of a CSR
+    product, and the padding adds exact zeros: one product of ``stacked`` is
+    bit-identical to three CSR products of ``matrix``.
     """
 
-    matrix: sparse.csr_matrix
+    stacked: sparse.dia_matrix
     bc_contribution: np.ndarray
 
+    @property
+    def matrix(self):
+        """D_h as an N x N CSR matrix (sorted indices, no stored zeros), built on each access."""
+        n = self.stacked.shape[0] // 3
+        block = sparse.dia_matrix((self.stacked.data[:, :n], self.stacked.offsets), shape=(n, n))
+        return block.tocsr()
+
     def apply_homogeneous(self, components):
-        """``matrix`` applied to each of the three components, without the boundary forcing."""
+        """D_h applied to each of the three components, without the boundary forcing."""
         components = np.asarray(components)
-        out = np.empty_like(components)
-        for l in range(3):
-            out[l] = self.matrix @ components[l]
-        return out
+        return (self.stacked @ components.reshape(-1)).reshape(components.shape)
 
     def apply(self, components):
         out = self.apply_homogeneous(components)
@@ -173,9 +189,10 @@ class DiscreteLaplacian:
 def _assemble_stencil(grid):
     """Nodewise integer-stencil assembly, for any mix of face conditions.
 
-    Returns (stencil, coupling): couplings among free nodes and couplings
-    into Dirichlet-fixed nodes, both unscaled; without a Dirichlet face the
-    coupling is empty.
+    Returns (stencil, coupling): the (rows, cols, vals) couplings among free
+    nodes, unscaled and with one diagonal entry per axis, and the couplings
+    into Dirichlet-fixed nodes as an unscaled CSR matrix; without a
+    Dirichlet face the coupling is empty.
     """
     n = grid.n_per_axis
     fixed = grid.dirichlet_mask
@@ -204,15 +221,24 @@ def _assemble_stencil(grid):
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
     into_fixed = fixed[cols]
-    stencil = sparse.csr_matrix(
-        (vals[~into_fixed], (rows[~into_fixed], cols[~into_fixed])),
-        shape=(grid.n_nodes, grid.n_nodes))
     coupling = sparse.csr_matrix(
         (vals[into_fixed], (rows[into_fixed], cols[into_fixed])),
         shape=(grid.n_nodes, grid.n_nodes))
-    stencil.sum_duplicates()
-    stencil.sort_indices()
-    return stencil, coupling
+    keep = ~into_fixed
+    return (rows[keep], cols[keep], vals[keep]), coupling
+
+
+def _stacked_diagonals(n, rows, cols, vals):
+    """(offsets, data) of diag(S, S, S) in DIA form, S the n x n sum of the (rows, cols, vals) entries.
+
+    Filled straight from the entries, N wide per block: a COO or CSR
+    ``todia()`` sizes the data to the last non-empty column, which misaligns
+    the tiled blocks when the last nodes are fixed.  The entries are small
+    integers, so the order in which duplicates are summed does not matter.
+    """
+    offsets, diagonal = np.unique(cols - rows, return_inverse=True)
+    data = np.bincount(diagonal * n + cols, weights=vals, minlength=offsets.size * n)
+    return offsets, np.tile(data.reshape(offsets.size, n), 3)
 
 
 def laplacian(grid):
@@ -220,12 +246,12 @@ def laplacian(grid):
     if grid._laplacian is not None:
         return grid._laplacian
     scaling = 1.0 / grid.h ** 2
-    stencil, coupling = _assemble_stencil(grid)
+    (rows, cols, vals), coupling = _assemble_stencil(grid)
     scaled_coupling = (coupling * scaling).tocsr()
     bc = np.vstack([scaled_coupling @ grid.dirichlet_values[l] for l in range(3)])
-    matrix = (stencil * scaling).tocsr()
-    matrix.sort_indices()
-    lap = DiscreteLaplacian(matrix, bc)
+    offsets, data = _stacked_diagonals(grid.n_nodes, rows, cols, vals)
+    size = 3 * grid.n_nodes
+    lap = DiscreteLaplacian(sparse.dia_matrix((data * scaling, offsets), shape=(size, size)), bc)
     grid._laplacian = lap
     return lap
 
@@ -287,25 +313,45 @@ def shifted_laplacian_inverse(grid, c):
     1 - c (sum of the axis eigenvalues), one V product per axis.  Nodes on
     Dirichlet faces are left as they are, since D_h has zero rows and columns
     there.  The rows must be C-contiguous; the function returns its argument.
-    A complex c needs a complex array.
+    A complex c takes a real (2, n_comp, N) array instead, the real and
+    imaginary parts of the rows: each product then runs over both parts at
+    once in real arithmetic, and only the division is complex.
     """
     free_nodes, mats, eigenvalues = _laplacian_eigenbasis(grid)
     shape = grid.shape()
     inv_denom = 1.0 / (1.0 - c * eigenvalues)
+    complex_shift = np.iscomplexobj(inv_denom)
+    lead = (2,) if complex_shift else ()
+    free_index = (slice(None),) * len(lead) + free_nodes
     # one component at a time, the 2 dim products alternate between two
-    # free-node buffers, from a into b first and, an even count, into a last
-    a, b = np.empty_like(inv_denom), np.empty_like(inv_denom)
-    steps = _transforms(mats, a, b)
+    # free-node buffers (with a leading real/imaginary axis for a complex c),
+    # from a into b first and, an even count, into a last
+    a = np.empty(lead + eigenvalues.shape)
+    b = np.empty_like(a)
+    steps = _transforms(mats, grid.dim, a, b)
     forward, backward = steps[:grid.dim], steps[grid.dim:]
     scaled = b if grid.dim % 2 else a
+    if complex_shift:
+        re, im = np.ascontiguousarray(inv_denom.real), np.ascontiguousarray(inv_denom.imag)
+        swapped = np.empty_like(scaled)
+
+        def divide():
+            # (x + i y)(re + i im) = (x re - y im) + i (y re + x im)
+            np.multiply(scaled[::-1], im, out=swapped)
+            np.multiply(scaled, re, out=scaled)
+            scaled[0] -= swapped[0]
+            scaled[1] += swapped[1]
+    else:
+        def divide():
+            np.multiply(scaled, inv_denom, out=scaled)
 
     def solve(u):
-        for comp in u:
-            free = comp.reshape(shape)[free_nodes]
+        for l in range(u.shape[-2]):
+            free = u[..., l, :].reshape(lead + shape)[free_index]
             np.copyto(a, free)
             for x, y, out in forward:
                 np.matmul(x, y, out=out)
-            np.multiply(scaled, inv_denom, out=scaled)
+            divide()
             for x, y, out in backward:
                 np.matmul(x, y, out=out)
             np.copyto(free, a)
@@ -314,17 +360,18 @@ def shifted_laplacian_inverse(grid, c):
     return solve
 
 
-def _transforms(mats, a, b):
-    """np.matmul arguments (x, y, out) applying mats[i] along axis i % a.ndim.
+def _transforms(mats, dim, a, b):
+    """np.matmul arguments (x, y, out) applying mats[i] along grid axis i % dim.
 
-    a and b are C-contiguous and of the same shape; the products go from a
+    a and b are C-contiguous and of the same shape, the dim grid axes last;
+    a leading axis is batched through each product.  The products go from a
     into b, then from b into a, and so on.  The last (fastest) axis is
     multiplied from the right, by a C-ordered transpose.
     """
     shape = a.shape
     steps = []
     for i, mat in enumerate(mats):
-        p = i % len(shape)
+        p = len(shape) - dim + i % dim
         lead, trail = math.prod(shape[:p]), math.prod(shape[p + 1:])
         if p == len(shape) - 1:
             rows = (lead, shape[p])

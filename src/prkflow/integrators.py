@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 TRACE_COLUMNS = ("step", "t", "energy", "energy_pre_projection", "min_len_pre",
-                 "max_unit_dev", "solver_iters_total", "wall_ms")
+                 "max_unit_dev", "solver_iters_total", "fallback_solves", "wall_ms")
 
 # LM2: the energy-enforcement direction e = (1, 1, 1)/sqrt(3) and the
 # half-width of the bracket searched for its scalar multiplier
@@ -131,6 +131,10 @@ class StepRecord:
     @property
     def solver_iters_total(self):
         return int(sum(self.solver_iters))
+
+    @property
+    def fallback_solves(self):
+        return len(self.fallback_stages)
 
 
 class RunTrace:

@@ -4,9 +4,11 @@ Stage systems have the form (I - coeff * P * D_h) over the 3N-dimensional
 stacked field, where P is a per-node 3x3 block operator and D_h the scalar
 Laplacian applied blockwise.  The operator is nonsymmetric (tangential
 projector and cross term) and is never assembled for BiCGStab: a matvec is
-three scalar Laplacian matvecs plus one blockwise product, and the Jacobi
-diagonal is 1 - coeff * P_ll * D_ii.  The assembled 3N x 3N matrix
-(``StageOperator.tocsr``) serves the sparse direct factorization and the tests.
+one banded product of the grid's stacked Laplacian diag(D_h, D_h, D_h) on
+the flattened field plus one blockwise product, and the Jacobi diagonal is
+1 - coeff * P_ll * D_ii, with D_ii the main diagonal of the stacked
+Laplacian.  The assembled 3N x 3N matrix (``StageOperator.tocsr``) serves
+the sparse direct factorization and the tests.
 The matvec order is deterministic, so repeated runs are bit-identical.
 
 Solvers: preconditioned BiCGStab (default) from the caller's guess x0 (the
@@ -111,8 +113,8 @@ class TangentBlocks:
 class StageOperator:
     """I - coeff * blocks * D over the stacked field (3N x 3N), applied matrix-free.
 
-    ``lap`` is a DiscreteLaplacian (only its matrix D is used: boundary
-    forcing belongs in the right-hand side), ``blocks`` the per-node 3x3
+    ``lap`` is a DiscreteLaplacian (only D_h is used: boundary forcing
+    belongs in the right-hand side), ``blocks`` the per-node 3x3
     blocks (3, 3, N).  ``tangent`` is a TangentBlocks when the blocks are the
     mobility of one field; BiCGStab then takes the tangent-space spectral
     preconditioner if the operator is stiff (``_stiffness``).  ``solve``
@@ -120,8 +122,7 @@ class StageOperator:
     """
 
     def __init__(self, lap, blocks, coeff, tangent=None):
-        n = 3 * lap.matrix.shape[0]
-        self.shape = (n, n)
+        self.shape = lap.stacked.shape
         self.lap = lap
         self.blocks = blocks
         self.coeff = coeff
@@ -137,7 +138,8 @@ class StageOperator:
 
     def diagonal(self):
         p_diag = np.einsum("lln->ln", self.blocks)
-        return (1.0 - self.coeff * p_diag * self.lap.matrix.diagonal()).reshape(-1)
+        d_diag = self.lap.stacked.diagonal().reshape(p_diag.shape)
+        return (1.0 - self.coeff * p_diag * d_diag).reshape(-1)
 
     def tocsr(self):
         """The assembled matrix, for sparse direct factorization and as a reference."""
@@ -151,10 +153,11 @@ class TangentPreconditioner:
     """v -> M^-1 v (module docstring) for a StageOperator with TangentBlocks.
 
     S = I - coeff (alpha + i beta) D_h acts per component; ``shifted_solve``
-    is its exact inverse on the free nodes, on the complex ``work`` when
-    beta != 0.  Nodes on Dirichlet faces pass through (A is the identity
-    there).  mh is not stored: mh (mh.v) = m (m.v) / |m|^2 and
-    mh x w = (m x w) / |m| with m the field of the blocks.
+    is its exact inverse on the free nodes, on ``work``, the real and
+    imaginary parts (2, 3, N) of the field, when beta != 0.  Nodes on
+    Dirichlet faces pass through (A is the identity there).  mh is not
+    stored: mh (mh.v) = m (m.v) / |m|^2 and mh x w = (m x w) / |m| with m
+    the field of the blocks.
     """
 
     def __init__(self, A):
@@ -166,7 +169,7 @@ class TangentPreconditioner:
             self.work = None
             shift = A.coeff * alpha
         else:
-            self.work = np.empty(self.m.shape, dtype=complex)
+            self.work = np.empty((2,) + self.m.shape)
             self.inv_len = np.sqrt(self.inv_len2)
             shift = A.coeff * complex(alpha, beta)
         self.shifted_solve = shifted_laplacian_inverse(tangent.field.grid, shift)
@@ -184,11 +187,13 @@ class TangentPreconditioner:
         if self.work is None:
             self.shifted_solve(out)
         else:
-            np.copyto(self.work, out)
+            real, imag = self.work
+            np.copyto(real, out)
+            imag.fill(0.0)
             self.shifted_solve(self.work)
-            np.copyto(out, self.work.real)
+            np.copyto(out, real)
             # mh x Im(S^-1 P_t v) is tangent; the projection below keeps it
-            out += np.cross(m, self.work.imag, axis=0) * self.inv_len
+            out += np.cross(m, imag, axis=0) * self.inv_len
         tangential = np.einsum("ln,ln->n", m, out)
         tangential *= self.inv_len2
         normal -= tangential

@@ -159,3 +159,28 @@ def test_blocks_match_pointwise_reference(rng):
     direct = pointwise_p(m.components, v, p)
     via_blocks = apply_blocks(projector_blocks(m, p), v)
     assert np.abs(direct - via_blocks).max() <= 1e-14
+
+
+def _projector_blocks_loops(m, alpha, beta):
+    """Reference blocks: the entrywise formula, one (l, m) block at a time."""
+    mh = m.components / m.lengths()
+    p = np.empty((3, 3, mh.shape[1]))
+    for l in range(3):
+        for k in range(3):
+            p[l, k] = -alpha * mh[l] * mh[k]
+        p[l, l] += alpha
+    if beta != 0.0:
+        p[0, 1] -= beta * mh[2]
+        p[0, 2] += beta * mh[1]
+        p[1, 0] += beta * mh[2]
+        p[1, 2] -= beta * mh[0]
+        p[2, 0] -= beta * mh[1]
+        p[2, 1] += beta * mh[0]
+    return p
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+def test_projector_blocks_match_the_entrywise_loops(beta, rng):
+    m = VectorField(rng.standard_normal((3, 50)), Grid(1, 50, 0.1))
+    got = projector_blocks(m, ProjectionParams(0.7, beta))
+    assert np.array_equal(got, _projector_blocks_loops(m, 0.7, beta))

@@ -105,6 +105,59 @@ def test_neumann_stencil_is_kronecker_sum():
             assert not lap.bc_contribution.any()
 
 
+def _anchor(x):
+    # different values at each node and in each component, so that a
+    # misplaced coupling into a fixed node shows in the forcing
+    t = x.sum(axis=1)
+    return np.stack([np.sin(t), np.cos(t), x[:, 0]], axis=1)
+
+
+def _faces(kind, dim):
+    if kind == "neumann":
+        return (NEUMANN,) * (2 * dim)
+    if kind == "dirichlet":
+        return (_anchor,) * (2 * dim)
+    if kind == "high-face":
+        return (NEUMANN,) * (2 * dim - 1) + (_anchor,)
+    # twisted_nematic44: Neumann sides, both ends of the last axis anchored
+    return (NEUMANN,) * (2 * dim - 2) + (_anchor, _anchor)
+
+
+@pytest.mark.parametrize("kind", ["neumann", "dirichlet", "high-face", "twisted-nematic"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stacked_apply_matches_per_component_csr(dim, kind, rng):
+    # one banded product over the stacked field gives the bits of three CSR
+    # products; a high Dirichlet face leaves the last columns of D_h empty,
+    # and diagonals sized to the last non-empty column misalign the blocks
+    grid = Grid(dim, 5, 0.3, faces=_faces(kind, dim))
+    lap = laplacian(grid)
+    u = rng.standard_normal((3, grid.n_nodes))
+    d = lap.matrix
+    expected = np.vstack([d @ u[l] for l in range(3)])
+    assert np.array_equal(lap.apply_homogeneous(u), expected)
+    assert np.array_equal(lap.apply(u), expected + lap.bc_contribution)
+
+
+@pytest.mark.parametrize("kind", ["neumann", "high-face", "twisted-nematic"])
+def test_laplacian_stores_one_stacked_dia_matrix(kind):
+    grid = Grid(3, 4, 0.5, faces=_faces(kind, 3))
+    lap = laplacian(grid)
+    stored = [v for v in vars(lap).values() if sparse.issparse(v)]
+    assert len(stored) == 1 and stored[0] is lap.stacked
+    n = grid.n_nodes
+    assert lap.stacked.format == "dia" and lap.stacked.shape == (3 * n, 3 * n)
+    offsets = lap.stacked.offsets
+    assert np.all(np.diff(offsets) > 0)
+    assert lap.stacked.data.shape == (offsets.size, 3 * n)
+    blocks = lap.stacked.data.reshape(offsets.size, 3, n)
+    assert np.array_equal(blocks[:, 1], blocks[:, 0]) and np.array_equal(blocks[:, 2], blocks[:, 0])
+    assert np.array_equal(lap.stacked.toarray(),
+                          sparse.block_diag([lap.matrix] * 3).toarray())
+    # the derived N x N matrix is canonical CSR without stored zeros
+    d = lap.matrix
+    assert d.format == "csr" and d.has_sorted_indices and np.all(d.data != 0.0)
+
+
 def test_dirichlet_quadratic_exactness():
     # central differences are exact on quadratics; dyadic h keeps it exact in fp
     k = 4

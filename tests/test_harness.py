@@ -99,7 +99,7 @@ def test_trace_csv_round_trip(tmp_path):
     emit_trace_csv(trace, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == ("step,t,energy,energy_pre_projection,min_len_pre,"
-                        "max_unit_dev,solver_iters_total,wall_ms")
+                        "max_unit_dev,solver_iters_total,fallback_solves,wall_ms")
     for line, rec in zip(lines[1:], trace.records):
         parts = line.split(",")
         assert int(parts[0]) == rec.step
@@ -109,6 +109,7 @@ def test_trace_csv_round_trip(tmp_path):
         assert float(parts[4]) == rec.min_len_pre
         assert float(parts[5]) == rec.max_unit_dev
         assert int(parts[6]) == rec.solver_iters_total
+        assert int(parts[7]) == rec.fallback_solves == 0
 
 
 def test_convergence_driver_structure_and_consistency(tmp_path):

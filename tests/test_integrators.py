@@ -441,6 +441,32 @@ def test_failed_bicgstab_stages_fall_back_to_superlu(tau, n_steps, monkeypatch):
     assert np.all(np.diff(e) <= 1e-12 * e[:-1])
 
 
+def test_fallback_solves_reach_the_trace_csv(tmp_path, monkeypatch):
+    import prkflow.integrators as integ
+    import prkflow.linalg as linalg
+    from prkflow.harness import emit_trace_csv
+    calls = [0]
+    original = integ.solve
+
+    def breaks_down(A, rhs, cfg=None, x0=None):
+        calls[0] += 1
+        if calls[0] in (3, 4, 5):      # both stages of step 2, stage 1 of step 3
+            raise linalg.BreakdownError("synthetic breakdown", 7)
+        return original(A, rhs, cfg, x0)
+
+    monkeypatch.setattr(integ, "solve", breaks_down)
+    cfg = preset("llg_blowup42", k=8)
+    p = scheme_params(cfg, scheme="prk")
+    _, trace = run(build_initial(cfg, build_grid(cfg)), p, 4 * p.tau)
+    assert trace.failure is None
+    assert [r.fallback_stages for r in trace.records] == [(), (1, 2), (1,), ()]
+    path = tmp_path / "trace.csv"
+    emit_trace_csv(trace, str(path))
+    header, *rows = path.read_text().splitlines()
+    column = header.split(",").index("fallback_solves")
+    assert [int(row.split(",")[column]) for row in rows] == [0, 2, 1, 0]
+
+
 def test_step_fails_only_when_superlu_fails_too(monkeypatch):
     import prkflow.integrators as integ
     import prkflow.linalg as linalg

@@ -61,6 +61,29 @@ def test_shifted_solve_is_exact(dim, n, kind, rng):
             assert np.abs(got[l, free] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("kind", ["neumann", "dirichlet", "twisted-nematic",
+                                  "dirichlet-low-neumann-high"])
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_complex_shifted_solve_is_exact(dim, n, kind, rng):
+    # a complex shift takes the real and imaginary parts as a (2, 3, N) array
+    grid = Grid(dim, n, 1.0 / (n - 1), faces=_faces(kind, dim))
+    lap = laplacian(grid)
+    c = 0.7 * complex(1.3, -0.9)
+    parts = rng.standard_normal((2, 3, grid.n_nodes))
+    solved = shifted_laplacian_inverse(grid, c)(parts.copy())
+    u, got = parts[0] + 1j * parts[1], solved[0] + 1j * solved[1]
+
+    free = ~grid.dirichlet_mask
+    s = sparse.identity(grid.n_nodes, format="csr", dtype=complex) - c * lap.matrix
+    s_free = s[free][:, free].tocsc()
+    for l in range(3):
+        assert np.array_equal(got[l, ~free], u[l, ~free])
+        if free.any():
+            ref = np.atleast_1d(spla.spsolve(s_free, u[l, free]))
+            assert np.abs(got[l, free] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def _count_builds(monkeypatch):
     """Counters of preconditioner builds, of the steppers' solve calls and of
     those among them whose operator is stiff enough for the preconditioner."""
