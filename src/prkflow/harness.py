@@ -150,7 +150,6 @@ class ExperimentConfig:
     tau: float
     T: float
     scheme: str = "prk"
-    theta: float = 1.0
     snapshot_times: tuple = ()
     output_dir: str = "."
     reference: str = "bdf4"    # bdf4 | self
@@ -158,6 +157,15 @@ class ExperimentConfig:
     seed: int = 20240817
     solver_rel_tol: float = 1e-11
     solver_abs_tol: float = 1e-14
+
+    def __post_init__(self):
+        if not self.k >= 1:
+            raise ValueError(f"'k' (cells per axis) must be at least 1, got {self.k!r}")
+        for face in self.faces:
+            if face != NEUMANN and face not in BOUNDARY_PROVIDERS:
+                raise ValueError(f"unknown face {face!r}; know {(NEUMANN, *BOUNDARY_PROVIDERS)}")
+        if self.initial not in INITIAL_PROVIDERS:
+            raise ValueError(f"unknown initial {self.initial!r}; know {tuple(INITIAL_PROVIDERS)}")
 
     @property
     def h(self):
@@ -236,8 +244,7 @@ def scheme_params(cfg, scheme=None, tau=None):
     tau = tau if tau is not None else cfg.tau
     solver = SolverConfig(rel_tol=cfg.solver_rel_tol, abs_tol=cfg.solver_abs_tol)
     proj = ProjectionParams(alpha=cfg.alpha, beta=effective_beta(scheme, cfg))
-    return SchemeParams(scheme=scheme, tau=tau, projection=proj,
-                        theta=cfg.theta, solver=solver)
+    return SchemeParams(scheme=scheme, tau=tau, projection=proj, solver=solver)
 
 
 def l2_error(a, b, grid=None):
@@ -431,10 +438,12 @@ def config_to_json(cfg):
 
 def config_from_json(text):
     """ExperimentConfig from JSON; ValueError naming any unknown or missing keys,
-    or a scheme or tolerance that SchemeParams or SolverConfig rejects.
+    a face, initial field or cell count that ExperimentConfig rejects, or a
+    scheme or tolerance that SchemeParams or SolverConfig rejects.
 
     Configurations dumped before the solver became automatic carry
-    ``solver_method``, which is now an unknown key.
+    ``solver_method``, and those dumped before sip1 became the implicit-Euler
+    tableau carry ``theta``; both are now unknown keys.
     """
     doc = json.loads(text)
     fields = dataclasses.fields(ExperimentConfig)

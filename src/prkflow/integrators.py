@@ -7,16 +7,16 @@ energy, and the unit-length deviation.
 
 Schemes:
   * prk_step       -- the product IMEX-RK scheme: stage systems
-                      (I - tau a_ii d_ii P(U^{i-1}) D_h) U^i = U^0 + tau mu_i
+                      (I - tau a_ii d_ii P(U^{i-1}) D_h) U^i = U^0 + tau mu_i;
+                      scheme "sip1" is its one-stage implicit-Euler tableau
   * prk_alt_step   -- the variant that averages the projector instead of the
                       Laplacian, with transformed tableau Ahat = A D, G = D^{-1}
-  * sip1_step      -- first-order semi-implicit predictor + projection
   * lm2_step       -- second-order Lagrange-multiplier scheme (beta = 0)
   * bdf4_step      -- fourth-order semi-implicit BDF reference scheme
 
 ``run`` is the only time loop: ``make_stepper`` binds each scheme, with the
 auxiliary state of the multistep schemes (LM2, BDF4), to one per-step form.
-For prk, prk_alt and sip1 it keeps the stage increments U^i - U^n of the
+For prk, sip1 and prk_alt it keeps the stage increments U^i - U^n of the
 last three steps (``_StageHistory``), and stage i starts its solve from U^n
 plus their quadratic extrapolation in time; a direct step call keeps none
 and starts stage i from U^{i-1} (stage 1 from U^n).
@@ -42,7 +42,7 @@ from .field import (ZERO_LENGTH_THRESHOLD, VectorField, ProjectionParams, normal
                     diagnostics, projector_blocks, apply_blocks)
 from .grid import laplacian, discrete_energy, inner_product, shifted_laplacian_inverse
 from .linalg import SolverConfig, StageOperator, TangentBlocks, direct_solve, solve
-from .tableau import PRKTableau, prk2_tableau, validate
+from .tableau import PRKTableau, implicit_euler_tableau, prk2_tableau, tableau_to_dict, validate
 
 __all__ = [
     "SchemeParams",
@@ -53,7 +53,6 @@ __all__ = [
     "NoRealRootError",
     "prk_step",
     "prk_alt_step",
-    "sip1_step",
     "lm2_step",
     "lm2_init",
     "bdf4_step",
@@ -93,8 +92,7 @@ class SchemeParams:
     scheme: str                      # prk | prk_alt | sip1 | lm2 | bdf4_ref
     tau: float
     projection: ProjectionParams
-    tableau: PRKTableau = None
-    theta: float = 1.0               # sip1 implicitness, 1/2 <= theta <= 1
+    tableau: PRKTableau = None       # prk, prk_alt: default PRK2; sip1: implicit Euler only
     solver: SolverConfig = dataclass_field(default_factory=SolverConfig)
 
     def __post_init__(self):
@@ -102,10 +100,12 @@ class SchemeParams:
             raise ValueError("tau must be positive")
         if self.scheme not in ("prk", "prk_alt", "sip1", "lm2", "bdf4_ref"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheme == "sip1" and not 0.5 <= self.theta <= 1.0:
-            raise ValueError("sip1 requires 1/2 <= theta <= 1")
-        if self.scheme in ("prk", "prk_alt"):
-            tab = self.tableau if self.tableau is not None else prk2_tableau()
+        if self.scheme in ("prk", "prk_alt", "sip1"):
+            default = implicit_euler_tableau() if self.scheme == "sip1" else prk2_tableau()
+            tab = self.tableau if self.tableau is not None else default
+            if self.scheme == "sip1" and tableau_to_dict(tab) != tableau_to_dict(default):
+                raise ValueError("sip1 is the implicit-Euler tableau; step with scheme 'prk' "
+                                 "for another")
             object.__setattr__(self, "tableau", tab)
             bad = validate(tab)
             if bad:
@@ -283,7 +283,8 @@ def prk_step(state, p, step_index=0, t0=0.0, *, history=None, solves=None):
         mu = np.zeros_like(U0)
         for j in range(i):
             mu += Atab[i, j] * PY[j]
-        mu += Atab[i, i] * apply_blocks(blocks, y_partial)
+        if i:        # the first stage has no lagged Laplacian: y_partial = 0
+            mu += Atab[i, i] * apply_blocks(blocks, y_partial)
 
         coeff = tau * Atab[i, i] * Dtab[i, i]
         # without history stage i starts from U^{i-1}, stage 1 from U^0
@@ -348,29 +349,6 @@ def prk_alt_step(state, p, step_index=0, t0=0.0, *, history=None):
     m_tilde = U0.copy()
     for j in range(s):
         m_tilde += tau * bhat[j] * PD[j]
-    return _finish_step(grid, m_tilde, step_index, t0 + tau, solves, t_wall)
-
-
-def sip1_step(state, p, step_index=0, t0=0.0, *, history=None):
-    """Semi-implicit predictor (I - tau theta P D_h) m~ = m + tau (1-theta) P D_h m.
-
-    The solve starts from m, or from the extrapolation of ``history`` (see
-    ``prk_step``).
-    """
-    grid = state.grid
-    lap = laplacian(grid)
-    tau, theta = p.tau, p.theta
-    t_wall = time.perf_counter()
-
-    m = state.components
-    blocks = projector_blocks(state, p.projection)
-    rhs = m + tau * (1.0 - theta) * apply_blocks(blocks, lap.apply(m))
-    x0 = m if history is None else history.guess(0, m, m)
-    solves = _Solves()
-    m_tilde = _stage_solve(solves, lap, blocks, tau * theta, rhs, p.solver, x0,
-                           TangentBlocks(state, p.projection))
-    if history is not None:
-        history.push((m_tilde,), m)
     return _finish_step(grid, m_tilde, step_index, t0 + tau, solves, t_wall)
 
 
@@ -522,19 +500,16 @@ def make_stepper(initial, p):
     """Bind scheme state and return step(field, i, t) -> (field, record).
 
     The closure keeps the auxiliary state of the multistep schemes (LM2,
-    BDF4) and, for prk, prk_alt and sip1, a fresh stage-increment history
+    BDF4) and, for prk, sip1 and prk_alt, a fresh stage-increment history
     that starts their stage solves.  Step functions are looked up by name at
     every call, so that wrappers put on the module's names take effect.
     """
-    if p.scheme in ("prk", "prk_alt", "sip1"):
-        n_stages = 1 if p.scheme == "sip1" else p.tableau.s
-        history = _StageHistory(n_stages, initial.grid.n_nodes)
-    if p.scheme == "prk":
+    if p.scheme in ("prk", "sip1", "prk_alt"):
+        history = _StageHistory(p.tableau.s, initial.grid.n_nodes)
+    if p.scheme in ("prk", "sip1"):
         return lambda m, i, t: prk_step(m, p, i, t, history=history)
     if p.scheme == "prk_alt":
         return lambda m, i, t: prk_alt_step(m, p, i, t, history=history)
-    if p.scheme == "sip1":
-        return lambda m, i, t: sip1_step(m, p, i, t, history=history)
     aux = lm2_init(initial, p) if p.scheme == "lm2" else (normalize(initial),)
 
     def step(m, i, t):

@@ -28,6 +28,7 @@ __all__ = [
     "r_matrix",
     "certify",
     "prk2_tableau",
+    "implicit_euler_tableau",
     "measure_scalar_order",
     "third_order_nonexistence_certificate",
     "tableau_to_dict",
@@ -213,6 +214,14 @@ def prk2_tableau():
     D1 = np.eye(2)
     b = np.array([0.5, 0.5])
     return PRKTableau(A=A, D1=D1, D2=D2, b=b)
+
+
+def implicit_euler_tableau():
+    """One stage, A = D1 = D2 = [[1]], b = (1): first order, Q = R = [[1]] (certified).
+
+    The product step with it is SIP1: (I - tau P(m) D_h) U = m, m~ = m + tau P(m) D_h U.
+    """
+    return PRKTableau(A=[[1.0]], D1=[[1.0]], D2=[[1.0]], b=[1.0])
 
 
 def _numeric_derivative(f, x):

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The long experiment
 reproductions (full Table-1 sweep at h = 1/64 and the two 3-D runs) carry the
-``slow`` marker; the default selection is the CI-level gate.
+``slow`` marker.  The default selection runs them too; ``-m "not slow"``
+leaves them out and ``-m slow`` runs only them.
 
 Known red: test_table3_lm2_failure_onset.  The Lagrange-multiplier scheme
 implemented here (three-step form with the fixed-direction parametrization

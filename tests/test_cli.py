@@ -86,7 +86,7 @@ def test_dump_config_parses(capsys):
     assert main(["dump-config", "--preset", "llg_blowup42"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["k"] == 24 and doc["tau"] == 1e-4
-    assert "solver_method" not in doc
+    assert "solver_method" not in doc and "theta" not in doc
 
 
 @pytest.mark.parametrize("edit, key", [
@@ -94,8 +94,14 @@ def test_dump_config_parses(capsys):
     (lambda doc: doc.pop("tau"), "tau"),
     # configurations dumped while the solver was a setting carry this key
     (lambda doc: doc.update(solver_method="bicgstab"), "solver_method"),
+    # and those dumped while sip1 had its own implicitness setting this one
+    (lambda doc: doc.update(theta=1.0), "theta"),
     (lambda doc: doc.update(scheme="rk4"), "rk4"),
-], ids=["unknown-key", "missing-key", "solver-method", "unknown-scheme"])
+    (lambda doc: doc["faces"].__setitem__(1, "bogus"), "bogus"),
+    (lambda doc: doc.update(initial="vortex"), "vortex"),
+    (lambda doc: doc.update(k=0), "k"),
+], ids=["unknown-key", "missing-key", "solver-method", "theta", "unknown-scheme",
+        "unknown-face", "unknown-initial", "zero-cells"])
 def test_dump_config_malformed_json_is_usage_error(edit, key, tmp_path, capsys):
     from prkflow.harness import preset, config_to_json
     doc = json.loads(config_to_json(preset("custom")))
@@ -106,6 +112,14 @@ def test_dump_config_malformed_json_is_usage_error(edit, key, tmp_path, capsys):
         assert main([command, "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err
+
+
+def test_run_with_zero_cells_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--preset", "custom", "--k", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'k'" in err and "got 0" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_check_tableau_without_s_is_usage_error(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Stepper contracts: fixed points, dense oracle, structure records, LM2, BDF4."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -9,9 +11,9 @@ from prkflow.field import ProjectionParams, VectorField, normalize, diagnostics
 from prkflow.grid import Grid, discrete_energy, laplacian
 from prkflow.harness import build_grid, build_initial, l2_error, preset, scheme_params
 from prkflow.integrators import (SchemeParams, lm2_init,
-                                 lm2_step, prk_alt_step, prk_step, run, sip1_step)
+                                 lm2_step, prk_alt_step, prk_step, run)
 from prkflow.linalg import SolverConfig
-from prkflow.tableau import prk2_tableau
+from prkflow.tableau import implicit_euler_tableau, prk2_tableau, tableau_to_dict
 
 
 def _params(scheme, tau, alpha=1.0, beta=1.0, **kw):
@@ -28,7 +30,7 @@ def test_constant_field_fixed_points():
     grid = Grid(2, 9, 0.125, origin=(-0.5, -0.5))
     m = _constant_field(grid)
     for scheme, stepper in (("prk", prk_step), ("prk_alt", prk_alt_step),
-                            ("sip1", sip1_step)):
+                            ("sip1", prk_step)):
         p = _params(scheme, 1e-3)
         out, rec = stepper(m, p)
         assert np.abs(out.components - m.components).max() <= 1e-9
@@ -114,24 +116,30 @@ def test_sip1_predictor_orthogonal_increment():
     m = normalize(build_initial(cfg, grid))
     lap = laplacian(grid)
     p = scheme_params(cfg, scheme="sip1", tau=1e-4)
-    # reconstruct the predictor from the step by re-solving the linear system
+    # the semi-implicit predictor (I - tau P(m) D_h) m~ = m, solved directly
     from prkflow.field import projector_blocks
     from prkflow.linalg import StageOperator, direct_solve
     blocks = projector_blocks(m, p.projection)
-    rhs = m.components    # theta = 1: the explicit Laplacian term drops out
-    system = StageOperator(lap, blocks, p.tau * 1.0)
-    x, _ = direct_solve(system, rhs.reshape(-1))
+    system = StageOperator(lap, blocks, p.tau)
+    x, _ = direct_solve(system, m.components.reshape(-1))
     m_tilde = x.reshape(3, -1)
     incr = m_tilde - m.components
     dots = np.abs(np.einsum("ln,ln->n", incr, m.components))
     assert dots.max() <= 1e-13
     lengths = np.sqrt(np.einsum("ln,ln->n", m_tilde, m_tilde))
     assert lengths.min() >= 1.0 - 1e-10
+    # the implicit-Euler PRK step lands on the normalised predictor
+    out, rec = prk_step(m, p)
+    assert np.abs(out.components - m_tilde / lengths).max() <= 1e-9
+    assert rec.min_len_pre >= 1.0 - 1e-12
 
 
-def test_sip1_theta_range_enforced():
-    with pytest.raises(ValueError):
-        _params("sip1", 1e-3, theta=0.25)
+def test_sip1_is_the_implicit_euler_tableau():
+    p = _params("sip1", 1e-3)
+    assert tableau_to_dict(p.tableau) == tableau_to_dict(implicit_euler_tableau())
+    assert replace(p, tau=2e-3).tableau.s == 1
+    with pytest.raises(ValueError, match="implicit-Euler"):
+        _params("sip1", 1e-3, tableau=prk2_tableau())
 
 
 def test_lm2_requires_beta_zero():
@@ -347,14 +355,15 @@ def test_lm2_vanishing_field_raises_no_warning():
     assert isinstance(exc, NoRealRootError)
 
 
-@pytest.mark.parametrize("stepper", [prk_step, prk_alt_step, sip1_step],
+@pytest.mark.parametrize("scheme, stepper", [("prk", prk_step), ("prk_alt", prk_alt_step),
+                                             ("sip1", prk_step)],
                          ids=["prk", "prk_alt", "sip1"])
-def test_run_starts_the_stage_solves_from_the_stage_history(stepper):
+def test_run_starts_the_stage_solves_from_the_stage_history(scheme, stepper):
     # run starts every stage solve from the extrapolated stage increments of
     # the last three steps; a loop of direct step calls keeps no history
     cfg = preset("llg_blowup42", k=12)
     grid = build_grid(cfg)
-    p = scheme_params(cfg, scheme=stepper.__name__[:-len("_step")])
+    p = scheme_params(cfg, scheme=scheme)
     initial = build_initial(cfg, grid)
     fields = []
     final, trace = run(initial, p, 40 * p.tau, observers=[lambda i, t, m: fields.append(m)])

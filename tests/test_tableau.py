@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from prkflow.tableau import (PRKTableau, TableauStructureError, certify,
-                             measure_scalar_order, order_condition_residuals,
-                             prk2_tableau, q_matrix, r_matrix, satisfies_order,
+                             implicit_euler_tableau, measure_scalar_order,
+                             order_condition_residuals, prk2_tableau, q_matrix, r_matrix, satisfies_order,
                              shift_matrix, tableau_from_dict, tableau_to_dict,
                              third_order_nonexistence_certificate, validate,
                              _scalar_prk_step)
@@ -165,9 +165,17 @@ def test_q_identity_substitution():
 
 
 def test_single_stage_r_is_psd():
-    t = PRKTableau(A=[[1.0]], D1=[[1.0]], D2=[[1.0]], b=[1.0])
-    assert np.array_equal(r_matrix(t), [[1.0]])
-    assert certify(t).satisfies_theorem
+    # the implicit-Euler tableau, which scheme sip1 steps with
+    t = implicit_euler_tableau()
+    for name in ("A", "D1", "D2"):
+        assert np.array_equal(getattr(t, name), [[1.0]])
+    assert np.array_equal(t.b, [1.0])
+    assert validate(t) == []
+    rep = certify(t)
+    assert np.array_equal(rep.q_matrix, [[1.0]])
+    assert np.array_equal(rep.r_matrix, [[1.0]])
+    assert rep.satisfies_theorem
+    assert satisfies_order(t, 1) and not satisfies_order(t, 2)
 
 
 def test_q_r_symmetric_exactly():
@@ -218,6 +226,14 @@ def test_scalar_order_prk2_product_ode():
     result = measure_scalar_order(t, np.cos, lambda u: u, u0=1.0, T=1.0,
                                   tau_list=[0.1 / 2 ** j for j in range(6)])
     assert 1.9 <= result.slope <= 2.1
+
+
+def test_scalar_order_implicit_euler():
+    # u' = 1 * (-u^2); with the factors the other way round, u * (-u), the
+    # step u / (1 + tau u) is exact and shows no order
+    result = measure_scalar_order(implicit_euler_tableau(), lambda u: 1.0, lambda u: -u * u,
+                                  u0=1.0, T=1.0, tau_list=[0.1 / 2 ** j for j in range(6)])
+    assert 0.9 <= result.slope <= 1.1
 
 
 def test_single_linear_step_matches_stability_function():

@@ -231,8 +231,7 @@ def test_preconditioned_runs_keep_the_theorem_and_match_direct(preset_name, tau,
     e = np.concatenate([[e0], trace.energies()])
     assert np.all(np.diff(e) <= 1e-12 * e[:-1])
     assert max(r.max_unit_dev for r in trace.records) <= 1e-12
-    if scheme == "prk":
-        assert min(r.min_len_pre for r in trace.records) >= 1.0 - 1e-9
+    assert min(r.min_len_pre for r in trace.records) >= 1.0 - 1e-9
     superlu_stage_solves()
     direct, _ = _steps(preset_name, scheme, 5, k=8, tau=tau)
     assert np.abs(final.components - direct.components).max() <= 1e-9

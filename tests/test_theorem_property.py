@@ -2,9 +2,9 @@
 
 For any diagonally implicit tableau with b >= 0 and positive semi-definite Q
 and R, one product step keeps the pre-projection length >= 1 and does not
-increase the discrete energy, up to solver tolerance.  Tableaux with s = 2
-and s = 3 are drawn by a seeded sampler and kept when they pass ``validate``
-and ``certify``; each takes one PRK step (warm-started stage solves through
+increase the discrete energy, up to solver tolerance.  Beside the one-stage
+implicit-Euler tableau of sip1, tableaux with s = 2 and s = 3 are drawn by a
+seeded sampler and kept when they pass ``validate`` and ``certify``; each takes one PRK step (warm-started stage solves through
 every stage) from a random on-sphere field, with and without precession and
 at a mild, a stiff and a very large step size.  Up to tau = 0.1 BiCGStab
 solves every stage within its iteration budget, with no SuperLU fallback.
@@ -22,7 +22,7 @@ from prkflow.field import ProjectionParams, VectorField, normalize
 from prkflow.grid import discrete_energy
 from prkflow.harness import build_grid, build_initial, preset, scheme_params
 from prkflow.integrators import prk_step, run
-from prkflow.tableau import PRKTableau, certify, validate
+from prkflow.tableau import PRKTableau, certify, implicit_euler_tableau, validate
 
 
 def _lower_stochastic(rng, s):
@@ -56,7 +56,8 @@ def _certified_tableaux():
     return out
 
 
-TABLEAUX = _certified_tableaux()
+TABLEAUX = [("implicit Euler", implicit_euler_tableau())] + [
+    (f"drawn {i}", tab) for i, tab in enumerate(_certified_tableaux())]
 
 
 @pytest.fixture(scope="module")
@@ -72,11 +73,11 @@ def start():
 @pytest.mark.parametrize("beta", [1.0, 0.0])
 def test_certified_tableaux_keep_length_and_energy(beta, tau, start):
     cfg, m0, e0 = start
-    for i, tab in enumerate(TABLEAUX):
+    for name, tab in TABLEAUX:
         p = replace(scheme_params(cfg, scheme="prk"), tau=tau, tableau=tab,
                     projection=ProjectionParams(cfg.alpha, beta))
         _, rec = prk_step(m0, p)
-        where = f"tableau {i} (s={tab.s}): {rec}"
+        where = f"tableau {name} (s={tab.s}): {rec}"
         assert len(rec.solver_iters) == tab.s, where
         if tau <= 0.1:
             assert rec.fallback_stages == (), where
