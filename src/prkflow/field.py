@@ -72,8 +72,8 @@ class FieldDiagnostics:
     max_unit_deviation: float
 
 
-def _checked_lengths(M):
-    lengths = M.lengths()
+def _checked_lengths(M, lengths=None):
+    lengths = M.lengths() if lengths is None else lengths
     if lengths.size == 0:
         raise ValueError("empty field")
     bad = lengths < ZERO_LENGTH_THRESHOLD
@@ -81,9 +81,12 @@ def _checked_lengths(M):
         raise ZeroLengthError(int(np.argmax(bad)))
     return lengths
 
-def normalize(M):
-    """Pointwise projection onto the unit sphere; output carries the on-sphere flag."""
-    lengths = _checked_lengths(M)
+def normalize(M, lengths=None):
+    """Pointwise projection onto the unit sphere; output carries the on-sphere flag.
+
+    ``lengths``, when given, are ``M.lengths()``, which a caller has formed already.
+    """
+    lengths = _checked_lengths(M, lengths)
     return VectorField(M.components / lengths, M.grid, on_sphere=True)
 
 
@@ -111,12 +114,13 @@ def projector_blocks(Mdir, params):
     for l in range(3):
         p[l, l] += alpha
     if beta != 0.0:
-        p[0, 1] -= beta * mh[2]
-        p[0, 2] += beta * mh[1]
-        p[1, 0] += beta * mh[2]
-        p[1, 2] -= beta * mh[0]
-        p[2, 0] -= beta * mh[1]
-        p[2, 1] += beta * mh[0]
+        bm = beta * mh
+        p[0, 1] -= bm[2]
+        p[0, 2] += bm[1]
+        p[1, 0] += bm[2]
+        p[1, 2] -= bm[0]
+        p[2, 0] -= bm[1]
+        p[2, 1] += bm[0]
     return p
 
 

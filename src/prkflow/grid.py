@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.sparse as sparse
@@ -124,6 +124,7 @@ class Grid:
         self.trapezoid_weights = w
         self._laplacian = None
         self._eigenbasis = None
+        self._shifted = None          # (key, function) of the last shifted_laplacian_inverse
 
     @property
     def k(self):
@@ -163,10 +164,20 @@ class DiscreteLaplacian:
     order, which with ascending offsets is the sorted-column order of a CSR
     product, and the padding adds exact zeros: one product of ``stacked`` is
     bit-identical to three CSR products of ``matrix``.
+
+    Derived once from these: ``diagonal`` (3, N), the main diagonal of
+    ``stacked``, and ``forced``, whether ``bc_contribution`` has a nonzero
+    entry.
     """
 
     stacked: sparse.dia_matrix
     bc_contribution: np.ndarray
+    diagonal: np.ndarray = dataclass_field(init=False, repr=False)
+    forced: bool = dataclass_field(init=False)
+
+    def __post_init__(self):
+        self.diagonal = self.stacked.diagonal().reshape(self.bc_contribution.shape)
+        self.forced = bool(self.bc_contribution.any())
 
     @property
     def matrix(self):
@@ -313,50 +324,66 @@ def shifted_laplacian_inverse(grid, c):
     1 - c (sum of the axis eigenvalues), one V product per axis.  Nodes on
     Dirichlet faces are left as they are, since D_h has zero rows and columns
     there.  The rows must be C-contiguous; the function returns its argument.
-    A complex c takes a real (2, n_comp, N) array instead, the real and
-    imaginary parts of the rows: each product then runs over both parts at
-    once in real arithmetic, and only the division is complex.
+    A complex c takes a real (2, n_comp, N) array instead, whose first part
+    holds the real rows u; the second part is not read.  On return the two
+    parts hold the real and imaginary parts of (I - c D_h)^-1 u, with a zero
+    imaginary part on Dirichlet nodes.  The V^-1 products run on the real
+    rows alone, the division writes both parts, and each V product runs
+    over both at once in real arithmetic.
+    The grid keeps the function of the last c and returns it again for the
+    same c: the two stages of a PRK2 step share their shift.  Its callers
+    then share its work buffers, so one grid's solves run one at a time.
     """
+    key = (np.iscomplexobj(c), c)
+    if grid._shifted is not None and grid._shifted[0] == key:
+        return grid._shifted[1]
     free_nodes, mats, eigenvalues = _laplacian_eigenbasis(grid)
-    shape = grid.shape()
+    dim, shape = grid.dim, grid.shape()
     inv_denom = 1.0 / (1.0 - c * eigenvalues)
     complex_shift = np.iscomplexobj(inv_denom)
-    lead = (2,) if complex_shift else ()
-    free_index = (slice(None),) * len(lead) + free_nodes
-    # one component at a time, the 2 dim products alternate between two
-    # free-node buffers (with a leading real/imaginary axis for a complex c),
-    # from a into b first and, an even count, into a last
-    a = np.empty(lead + eigenvalues.shape)
+    # one component at a time, the dim V^-1 products alternate between two
+    # free-node buffers from a into b first, and leave their result in scaled;
+    # the dim V products alternate between two buffers from first into second
+    a = np.empty(eigenvalues.shape)
     b = np.empty_like(a)
-    steps = _transforms(mats, grid.dim, a, b)
-    forward, backward = steps[:grid.dim], steps[grid.dim:]
-    scaled = b if grid.dim % 2 else a
+    forward = _transforms(mats[:dim], dim, a, b)
+    scaled, spare = (b, a) if dim % 2 else (a, b)
     if complex_shift:
         re, im = np.ascontiguousarray(inv_denom.real), np.ascontiguousarray(inv_denom.imag)
-        swapped = np.empty_like(scaled)
+        first = np.empty((2,) + eigenvalues.shape)
+        second = np.empty_like(first)
 
         def divide():
-            # (x + i y)(re + i im) = (x re - y im) + i (y re + x im)
-            np.multiply(scaled[::-1], im, out=swapped)
-            np.multiply(scaled, re, out=scaled)
-            scaled[0] -= swapped[0]
-            scaled[1] += swapped[1]
+            # x (re + i im) = x re + i x im
+            np.multiply(scaled, re, out=first[0])
+            np.multiply(scaled, im, out=first[1])
     else:
+        first, second = scaled, spare
+
         def divide():
             np.multiply(scaled, inv_denom, out=scaled)
+    backward = _transforms(mats[dim:], dim, first, second)
+    result = second if dim % 2 else first
+    lead = (2,) if complex_shift else ()
+    real_free = (0,) * len(lead) + free_nodes
+    out_free = (slice(None),) * len(lead) + free_nodes
+    fixed = grid.dirichlet_mask if complex_shift and grid.dirichlet_mask.any() else None
 
     def solve(u):
         for l in range(u.shape[-2]):
-            free = u[..., l, :].reshape(lead + shape)[free_index]
-            np.copyto(a, free)
+            rows = u[..., l, :].reshape(lead + shape)
+            np.copyto(a, rows[real_free])
             for x, y, out in forward:
                 np.matmul(x, y, out=out)
             divide()
             for x, y, out in backward:
                 np.matmul(x, y, out=out)
-            np.copyto(free, a)
+            np.copyto(rows[out_free], result)
+        if fixed is not None:
+            u[1][:, fixed] = 0.0
         return u
 
+    grid._shifted = (key, solve)
     return solve
 
 

@@ -161,6 +161,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.k >= 1:
             raise ValueError(f"'k' (cells per axis) must be at least 1, got {self.k!r}")
+        if self.dim not in (1, 2, 3):
+            raise ValueError(f"'dim' must be 1, 2 or 3, got {self.dim!r}")
+        if len(self.faces) != 2 * self.dim:
+            raise ValueError(f"'faces' must have {2 * self.dim} entries at dim {self.dim}, "
+                             f"got {self.faces!r}")
         for face in self.faces:
             if face != NEUMANN and face not in BOUNDARY_PROVIDERS:
                 raise ValueError(f"unknown face {face!r}; know {(NEUMANN, *BOUNDARY_PROVIDERS)}")

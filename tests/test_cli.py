@@ -100,8 +100,12 @@ def test_dump_config_parses(capsys):
     (lambda doc: doc["faces"].__setitem__(1, "bogus"), "bogus"),
     (lambda doc: doc.update(initial="vortex"), "vortex"),
     (lambda doc: doc.update(k=0), "k"),
+    (lambda doc: doc.update(dim=4), "dim"),
+    (lambda doc: doc["faces"].pop(), "faces"),
+    (lambda doc: doc.update(dim=3), "faces"),
 ], ids=["unknown-key", "missing-key", "solver-method", "theta", "unknown-scheme",
-        "unknown-face", "unknown-initial", "zero-cells"])
+        "unknown-face", "unknown-initial", "zero-cells", "dim-4", "three-faces-at-dim-2",
+        "four-faces-at-dim-3"])
 def test_dump_config_malformed_json_is_usage_error(edit, key, tmp_path, capsys):
     from prkflow.harness import preset, config_to_json
     doc = json.loads(config_to_json(preset("custom")))

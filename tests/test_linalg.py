@@ -105,6 +105,24 @@ def test_matches_matrix_free_composition(case, rng):
         assert np.array_equal(a[fixed].toarray(), np.eye(a.shape[0])[fixed])
 
 
+@pytest.mark.parametrize("case", [_neumann_2d, _twisted_nematic_faces],
+                         ids=["neumann-2d", "twisted-nematic-faces-3d"])
+@pytest.mark.parametrize("solver", ["bicgstab", "superlu"])
+def test_operator_keeps_the_laplacian_of_the_solution(case, solver, rng):
+    # both solvers verify the solution last, so the operator's dx is D_h x,
+    # bit for bit, and the norms are np.linalg.norm's
+    grid, blocks, _ = case(rng)
+    lap = laplacian(grid)
+    op = StageOperator(lap, blocks, 3.7e-3)
+    rhs = rng.standard_normal(op.shape[0])
+    if solver == "bicgstab":
+        x, _, resid = solve(op, rhs, x0=rhs)
+    else:
+        x, resid = direct_solve(op, rhs)
+    assert np.array_equal(op.dx, lap.apply_homogeneous(x.reshape(3, -1)))
+    assert resid == np.linalg.norm(op.dot(x) - rhs)
+
+
 def test_identity_solve_immediate():
     n = 50
     eye = sparse.identity(n, format="csr")

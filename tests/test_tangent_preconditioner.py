@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
+import prkflow.grid as grid_module
 import prkflow.integrators as integrators
 import prkflow.linalg as linalg
 from prkflow.field import ProjectionParams, VectorField, normalize, projector_blocks
@@ -66,13 +67,14 @@ def test_shifted_solve_is_exact(dim, n, kind, rng):
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_complex_shifted_solve_is_exact(dim, n, kind, rng):
-    # a complex shift takes the real and imaginary parts as a (2, 3, N) array
+    # a complex shift reads a real (3, N) field from the first part of a
+    # (2, 3, N) array, ignores the second, and writes both parts of the image
     grid = Grid(dim, n, 1.0 / (n - 1), faces=_faces(kind, dim))
     lap = laplacian(grid)
     c = 0.7 * complex(1.3, -0.9)
     parts = rng.standard_normal((2, 3, grid.n_nodes))
     solved = shifted_laplacian_inverse(grid, c)(parts.copy())
-    u, got = parts[0] + 1j * parts[1], solved[0] + 1j * solved[1]
+    u, got = parts[0], solved[0] + 1j * solved[1]
 
     free = ~grid.dirichlet_mask
     s = sparse.identity(grid.n_nodes, format="csr", dtype=complex) - c * lap.matrix
@@ -82,6 +84,71 @@ def test_complex_shifted_solve_is_exact(dim, n, kind, rng):
         if free.any():
             ref = np.atleast_1d(spla.spsolve(s_free, u[l, free]))
             assert np.abs(got[l, free] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_shifted_solve_is_kept_for_the_last_shift():
+    grid = Grid(2, 5, 0.25)
+    solve = shifted_laplacian_inverse(grid, 0.5)
+    assert shifted_laplacian_inverse(grid, 0.5) is solve
+    # a complex c with zero imaginary part takes the two-part array
+    assert shifted_laplacian_inverse(grid, complex(0.5, 0.0)) is not solve
+    other = shifted_laplacian_inverse(grid, 0.25)
+    assert other is not solve and shifted_laplacian_inverse(grid, 0.25) is other
+    assert shifted_laplacian_inverse(Grid(2, 5, 0.25), 0.25) is not other
+
+
+def _two_part_shifted_solve(grid, c):
+    """(I - c D_h)^-1 for a complex c as it was before only the real part was
+    transformed: every product runs over both parts, the imaginary part of
+    the input set to zero, and the division is complex in full."""
+    free_nodes, mats, eigenvalues = grid_module._laplacian_eigenbasis(grid)
+    inv_denom = 1.0 / (1.0 - c * eigenvalues)
+    re, im = inv_denom.real.copy(), inv_denom.imag.copy()
+    a = np.empty((2,) + eigenvalues.shape)
+    b = np.empty_like(a)
+    steps = grid_module._transforms(mats, grid.dim, a, b)
+    scaled = b if grid.dim % 2 else a
+
+    def solve(u):
+        u[1] = 0.0
+        for l in range(u.shape[1]):
+            free = u[:, l, :].reshape((2,) + grid.shape())[(slice(None),) + free_nodes]
+            np.copyto(a, free)
+            for x, y, out in steps[:grid.dim]:
+                np.matmul(x, y, out=out)
+            swapped = scaled[::-1] * im
+            np.multiply(scaled, re, out=scaled)
+            scaled[0] -= swapped[0]
+            scaled[1] += swapped[1]
+            for x, y, out in steps[grid.dim:]:
+                np.matmul(x, y, out=out)
+            np.copyto(free, a)
+        return u
+
+    return solve
+
+
+@pytest.mark.parametrize("preset_name, overrides", [
+    ("llg_blowup42", {"k": 24}),
+    ("convergence41", {"k": 64}),
+    ("point_defect43", {"k": 8, "beta": 0.8}),      # 3-D, every face Dirichlet
+], ids=["llg_blowup42", "convergence41", "point_defect43"])
+def test_complex_shift_transforms_the_real_part_alone(preset_name, overrides, rng):
+    # the same M^-1 v as the two-part path, up to the blocking of the BLAS
+    # products (one unit in the last place of the largest entry measured)
+    cfg = preset(preset_name, **overrides)
+    grid = build_grid(cfg)
+    mdir = normalize(build_initial(cfg, grid))
+    projection = ProjectionParams(cfg.alpha, cfg.beta)
+    op = StageOperator(laplacian(grid), projector_blocks(mdir, projection), cfg.tau,
+                       TangentBlocks(mdir, projection))
+    precond = TangentPreconditioner(op)
+    assert precond.work is not None
+    v = rng.standard_normal(op.shape[0])
+    got = precond(v)
+    precond.shifted_solve = _two_part_shifted_solve(grid, op.coeff * complex(cfg.alpha, cfg.beta))
+    ref = precond(v)
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def _count_builds(monkeypatch):
@@ -240,7 +307,8 @@ def test_preconditioned_runs_keep_the_theorem_and_match_direct(preset_name, tau,
 @pytest.mark.parametrize("scheme", ["prk", "sip1"])
 def test_stages_started_from_the_history_build_one_preconditioner_per_solve(scheme,
                                                                             monkeypatch):
-    # from step 4 on, run starts every stage from the three-step extrapolation
+    # from step 2 on, run starts every stage from the history's extrapolation,
+    # the quartic of five steps from step 6 on
     counts = _count_builds(monkeypatch)
     _final, trace = _steps("twisted_nematic44", scheme, 8, k=8)
     n_solves = sum(len(r.solver_iters) for r in trace.records)
