@@ -8,9 +8,10 @@ energy, and the unit-length deviation.
 Schemes:
   * prk_step       -- the product IMEX-RK scheme: stage systems
                       (I - tau a_ii d_ii P(U^{i-1}) D_h) U^i = U^0 + tau mu_i;
-                      scheme "sip1" is its one-stage implicit-Euler tableau
-  * prk_alt_step   -- the variant that averages the projector instead of the
-                      Laplacian, with transformed tableau Ahat = A D, G = D^{-1}
+                      scheme "sip1" is its one-stage implicit-Euler tableau,
+                      scheme "prk_alt" the variant that averages the projector
+                      instead of the Laplacian, with the transformed tableau
+                      Ahat = A D2, bhat = D2^T b and G = D2^{-1}
   * lm2_step       -- second-order Lagrange-multiplier scheme (beta = 0)
   * bdf4_step      -- fourth-order semi-implicit BDF reference scheme
 
@@ -55,7 +56,6 @@ __all__ = [
     "StepFailureError",
     "NoRealRootError",
     "prk_step",
-    "prk_alt_step",
     "lm2_step",
     "lm2_init",
     "bdf4_step",
@@ -76,7 +76,7 @@ _LM2_PARALLEL = 1.0 - 1e-6
 
 class StepFailureError(RuntimeError):
     """A step failed; carries the 1-based index of the failing solve in the
-    step (or None) and the underlying cause."""
+    step and the underlying cause."""
 
     def __init__(self, stage, cause):
         super().__init__(f"step failed at stage {stage}: {cause}")
@@ -110,9 +110,13 @@ class SchemeParams:
                 raise ValueError("sip1 is the implicit-Euler tableau; step with scheme 'prk' "
                                  "for another")
             object.__setattr__(self, "tableau", tab)
-            bad = validate(tab)
+            # the stage solves need positive diagonals on A and D2 whatever the flag
+            bad = validate(replace(tab, implicit=True))
             if bad:
                 raise ValueError(f"tableau fails validation: {bad}")
+            if not np.array_equal(tab.D1, np.eye(tab.s)):
+                raise ValueError("tableau D1 must be the identity: every stepper takes the "
+                                 "mobility at the lagged stage")
 
 
 @dataclass
@@ -171,7 +175,7 @@ class _Solves:
         self.iters, self.resids, self.fallbacks = list(iters), list(resids), []
 
 
-def _stage_solve(solves, lap, blocks, coeff, rhs, solver, x0, tangent=None):
+def _stage_solve(solves, lap, blocks, coeff, rhs, solver, x0, tangent):
     """Solve (I - coeff P D_h) U = rhs + coeff P bc for U (3, N), recorded in ``solves``.
 
     Returns U and its Laplacian D_h U + bc, taken from the product that
@@ -180,13 +184,13 @@ def _stage_solve(solves, lap, blocks, coeff, rhs, solver, x0, tangent=None):
     The boundary forcing of the Laplacian enters the right-hand side here.
     BiCGStab starts from ``x0`` (3, N), an O(tau) guess of U:
     the previous stage value, or an extrapolation of the history.
-    ``tangent``, a TangentBlocks, marks blocks that are the mobility of one
-    field; BiCGStab then takes the tangent-space spectral preconditioner if
-    the stage is stiff (see ``linalg``).  When BiCGStab fails, SuperLU solves
-    the same operator; the solve records BiCGStab's iterations, SuperLU's
-    residual and its index in ``solves.fallbacks``.  When SuperLU fails too,
-    the step raises StepFailureError(index, SuperLU's error), whose context
-    is BiCGStab's.
+    ``tangent``, a TangentBlocks, names the field whose mobility the blocks
+    are, or are within O(tau) of; BiCGStab takes the tangent-space spectral
+    preconditioner of that mobility if the stage is stiff (see ``linalg``).
+    When BiCGStab fails, SuperLU solves the same operator; the solve records
+    BiCGStab's iterations, SuperLU's residual and its index in
+    ``solves.fallbacks``.  When SuperLU fails too, the step raises
+    StepFailureError(index, SuperLU's error), whose context is BiCGStab's.
     """
     stage = len(solves.iters) + 1
     A = StageOperator(lap, blocks, coeff, tangent)
@@ -253,12 +257,37 @@ class _StageHistory:
         self._count = min(self._count + 1, self._depth)
 
 
-def _weighted_sum(weights, terms):
-    """weights[0] terms[0] + weights[1] terms[1] + ..., added in that order into a new array."""
-    out = weights[0] * terms[0]
-    for w, term in zip(weights[1:], terms[1:]):
+def _average(weights, terms):
+    """sum_k weights[k] terms[k] over the nonzero weights, added in order into a new
+    array; a lone weight 1 returns its term itself, and no nonzero weight None.
+    The term of a zero weight is not read."""
+    picked = [(w, term) for w, term in zip(weights, terms) if w != 0.0]
+    if not picked:
+        return None
+    (w, term), rest = picked[0], picked[1:]
+    if w == 1.0 and not rest:
+        return term
+    out = w * term
+    for w, term in rest:
         out += w * term
     return out
+
+
+def _stage_weights(p):
+    """The four matrices of the stage loop: the outer weights, the Laplacian
+    averaging W, the output weights and the projector averaging G.
+
+    prk (and sip1) averages the Laplacian, (A, D2, b, I); prk_alt averages the
+    projector, (A D2, I, D2^T b, D2^{-1}).  ``SchemeParams`` keeps D2's
+    diagonal positive, so D2 is invertible.  They are returned as nested lists
+    of Python floats, which the stage loop indexes and tests more cheaply.
+    """
+    tab = p.tableau
+    if p.scheme == "prk_alt":
+        weights = tab.A @ tab.D2, np.eye(tab.s), tab.D2.T @ tab.b, np.linalg.inv(tab.D2)
+    else:
+        weights = tab.A, tab.D2, tab.b, np.eye(tab.s)
+    return [w.tolist() for w in weights]
 
 
 def _finish_step(grid, m_tilde, step_index, t_next, solves, t_wall0, extra=None):
@@ -281,99 +310,59 @@ def _finish_step(grid, m_tilde, step_index, t_next, solves, t_wall0, extra=None)
 
 
 def prk_step(state, p, step_index=0, t0=0.0, *, history=None, solves=None):
-    """One step of the product scheme (mobility at the lagged stage, D2-averaged Laplacian).
+    """One step of the product scheme, or of its variant prk_alt (``_stage_weights``).
 
-    The averaged Laplacian Y_j = sum_{k<=j} D2[j,k] D_h U^k and its image
-    P_j Y_j are formed once, right after stage j is solved, and reused by the
-    later stages and the final update.  Stage i starts from the previous stage
-    value or, given the ``history`` that ``make_stepper`` keeps, from the
-    extrapolation of the past steps' stage increments; the step then stores
-    its own increments there.  The record's solves are those of ``solves``
-    (a ``_Solves`` shared by several steps, which BDF4's start-up passes)
-    followed by the step's own.
+    Stage i takes the projector average B_i = sum_k G[i,k] P(U^{k-1}) and the
+    Laplacian average Y_i = sum_{k<=i} W[i,k] D_h U^k; with prk's G = I, B_i
+    is the mobility P(U^{i-1}) itself.  Y_i over the solved stages and its
+    image B_i Y_i are formed once, right after stage i is solved, and reused
+    by the later stages and the final update.  Every stage solve takes the
+    preconditioner of the mobility of U^{i-1}.  prk_alt keeps the energy
+    decrease but not the pre-projection length bound of the structure
+    theorem: its length can fall below 1.  Stage i starts from the previous
+    stage value or, given the ``history`` that ``make_stepper`` keeps, from
+    the extrapolation of the past steps' stage increments; the step then
+    stores its own increments there.  The record's solves are those of
+    ``solves`` (a ``_Solves`` shared by several steps, which BDF4's start-up
+    passes) followed by the step's own.
     """
     grid = state.grid
     lap = laplacian(grid)
-    tab = p.tableau
-    Atab, Dtab, btab, s = tab.A, tab.D2, tab.b, tab.s
+    A, W, b, G = _stage_weights(p)
     tau = p.tau
     t_wall = time.perf_counter()
 
     U0 = state.components
     U = U0
-    stages, DU, PY = [], [], []
+    stages, P, DU, PY = [], [], [], []
     solves = _Solves() if solves is None else solves
-    for i in range(s):
+    for i in range(len(b)):
         mobility = VectorField(U, grid)
-        blocks = projector_blocks(mobility, p.projection)
-        rhs, y_partial = U0, 0.0
-        if i:        # the first stage has no lagged Laplacian and no explicit terms
-            y_partial = _weighted_sum(Dtab[i, :i], DU)
-            mu = _weighted_sum(Atab[i, :i], PY)
-            mu += Atab[i, i] * apply_blocks(blocks, y_partial)
-            rhs = U0 + tau * mu
+        P.append(projector_blocks(mobility, p.projection))
+        blocks = _average(G[i][:i + 1], P)
+        if not any(row[i] for row in G[i + 1:]):
+            P[i] = None          # no later stage averages this mobility
+        y_partial = _average(W[i][:i], DU)
+        mu = _average(A[i][:i], PY)
+        if y_partial is not None:
+            lagged = A[i][i] * apply_blocks(blocks, y_partial)
+            mu = lagged if mu is None else mu + lagged
+        rhs = U0 if mu is None else U0 + tau * mu
 
-        coeff = tau * Atab[i, i] * Dtab[i, i]
         # without history stage i starts from U^{i-1}, stage 1 from U^0
         x0 = U if history is None else history.guess(i, U0, U)
-        U, DUi = _stage_solve(solves, lap, blocks, coeff, rhs, p.solver, x0,
+        U, DUi = _stage_solve(solves, lap, blocks, tau * A[i][i] * W[i][i], rhs, p.solver, x0,
                               TangentBlocks(mobility, p.projection))
         stages.append(U)
         DU.append(DUi)
-        PY.append(apply_blocks(blocks, y_partial + Dtab[i, i] * DUi))
+        y = DUi if W[i][i] == 1.0 else W[i][i] * DUi
+        PY.append(apply_blocks(blocks, y if y_partial is None else y_partial + y))
 
     if history is not None:
         history.push(stages, U0)
     m_tilde = U0.copy()
-    for j in range(s):
-        m_tilde += tau * btab[j] * PY[j]
-    return _finish_step(grid, m_tilde, step_index, t0 + tau, solves, t_wall)
-
-
-def prk_alt_step(state, p, step_index=0, t0=0.0, *, history=None):
-    """Variant form: averaged projector times the un-averaged stage Laplacian.
-
-    Uses Ahat = A D2, bhat = D2^T b and averaging weights G = D2^{-1}.  The
-    stage solves start as in ``prk_step``.  The variant keeps the energy
-    decrease but not the pre-projection length bound of the structure
-    theorem: its length can fall below 1.
-    """
-    grid = state.grid
-    lap = laplacian(grid)
-    tab = p.tableau
-    try:
-        G = np.linalg.inv(tab.D2)
-    except np.linalg.LinAlgError as exc:
-        raise StepFailureError(None, f"singular D2: {exc}") from exc
-    Ahat = tab.A @ tab.D2
-    bhat = tab.D2.T @ tab.b
-    s = tab.s
-    tau = p.tau
-    t_wall = time.perf_counter()
-
-    U0 = state.components
-    U = U0
-    stages = []
-    P_single = []
-    PD = []          # P_avg[j] D_h U^j, formed once per stage
-    solves = _Solves()
-    for i in range(s):
-        P_single.append(projector_blocks(VectorField(U, grid), p.projection))
-        p_avg = _weighted_sum(G[i, :i + 1], P_single)
-
-        rhs = U0.copy()
-        for j in range(i):
-            rhs += tau * Ahat[i, j] * PD[j]
-        x0 = U if history is None else history.guess(i, U0, U)
-        U, DUi = _stage_solve(solves, lap, p_avg, tau * Ahat[i, i], rhs, p.solver, x0)
-        stages.append(U)
-        PD.append(apply_blocks(p_avg, DUi))
-
-    if history is not None:
-        history.push(stages, U0)
-    m_tilde = U0.copy()
-    for j in range(s):
-        m_tilde += tau * bhat[j] * PD[j]
+    for j, PYj in enumerate(PY):
+        m_tilde += tau * b[j] * PYj
     return _finish_step(grid, m_tilde, step_index, t0 + tau, solves, t_wall)
 
 
@@ -525,16 +514,14 @@ def make_stepper(initial, p):
     """Bind scheme state and return step(field, i, t) -> (field, record).
 
     The closure keeps the auxiliary state of the multistep schemes (LM2,
-    BDF4) and, for prk, sip1 and prk_alt, a fresh stage-increment history
-    that starts their stage solves.  Step functions are looked up by name at
-    every call, so that wrappers put on the module's names take effect.
+    BDF4) and, for prk, sip1 and prk_alt, which all run ``prk_step``, a
+    fresh stage-increment history that starts their stage solves.  Step
+    functions are looked up by name at every call, so that wrappers put on
+    the module's names take effect.
     """
     if p.scheme in ("prk", "sip1", "prk_alt"):
         history = _StageHistory(p.tableau.s, initial.grid.n_nodes)
-    if p.scheme in ("prk", "sip1"):
         return lambda m, i, t: prk_step(m, p, i, t, history=history)
-    if p.scheme == "prk_alt":
-        return lambda m, i, t: prk_alt_step(m, p, i, t, history=history)
     aux = lm2_init(initial, p) if p.scheme == "lm2" else (normalize(initial),)
 
     def step(m, i, t):

@@ -18,9 +18,10 @@ a sparse direct factorization.  BiCGStab is an in-place loop with scipy's
 Comput. 13, 1992): the same convergence test, breakdown codes and iteration
 count, preallocated work vectors, and the stage operator's and the
 preconditioner's own kernels called directly (neither is a ``LinearOperator``).
-It takes the tangent-space spectral preconditioner when the stage operator's
-blocks are the mobility P = alpha P_t + beta J of one field, P_t = I - mh mh^T
-and J = mh x, and the stage is stiff, coeff |alpha + i beta| 4 dim / h^2 >= 1.5.
+It takes the tangent-space spectral preconditioner when the stage operator
+names a field mh whose mobility P = alpha P_t + beta J, P_t = I - mh mh^T and
+J = mh x, its blocks are or are within O(tau) of (``TangentBlocks``), and the
+stage is stiff, coeff |alpha + i beta| 4 dim / h^2 >= 1.5.
 Freezing mh, J^2 = -1 on the tangent plane, so for each eigenvalue lambda of
 D_h (1 - coeff lambda (alpha + beta J))^-1 = f + g J with
 f + i g = 1 / (1 - coeff (alpha + i beta) lambda), and
@@ -107,8 +108,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class TangentBlocks:
-    """Blocks that are the mobility P(mh) = alpha P_t + beta J of ``field`` at
-    every node: ``projector_blocks(field, projection)``."""
+    """The field whose mobility P(mh) = alpha P_t + beta J the preconditioner
+    inverts: the stage blocks are ``projector_blocks(field, projection)`` or,
+    for prk_alt, an average of stage mobilities within O(tau) of it."""
 
     field: object
     projection: object
@@ -119,10 +121,11 @@ class StageOperator:
 
     ``lap`` is a DiscreteLaplacian (only D_h is used: boundary forcing
     belongs in the right-hand side), ``blocks`` the per-node 3x3
-    blocks (3, 3, N).  ``tangent`` is a TangentBlocks when the blocks are the
-    mobility of one field; BiCGStab then takes the tangent-space spectral
-    preconditioner if the operator is stiff (``_stiffness``).  ``solve``
-    uses what it shares with a sparse matrix: shape, dot, diagonal, tocsr.
+    blocks (3, 3, N).  ``tangent`` is a TangentBlocks when the blocks are, or
+    are within O(tau) of, the mobility of one field; BiCGStab then takes the
+    tangent-space spectral preconditioner if the operator is stiff
+    (``_stiffness``).  ``solve`` uses what it shares with a sparse matrix:
+    shape, dot, diagonal, tocsr.
     ``dx`` holds D_h x (3, N) of the last x given to ``dot``: after
     ``solve`` or ``direct_solve``, which end on the true residual of the
     solution they return, that is D_h of the solution.

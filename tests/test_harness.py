@@ -142,11 +142,16 @@ def test_convergence_driver_deterministic(tmp_path):
 
 
 def test_convergence_driver_records_nan_rows(monkeypatch, tmp_path):
-    # a scheme failing at every tau yields NAN cells without raising
-    def always_failing(state, p, step_index=0, t0=0.0, **kwargs):
-        raise integ.StepFailureError(1, "synthetic")
+    # a scheme failing at every tau yields NAN cells without raising; the
+    # self reference runs prk through the same step function
+    original = integ.prk_step
 
-    monkeypatch.setattr(integ, "prk_alt_step", always_failing)
+    def failing_prk_alt(state, p, step_index=0, t0=0.0, **kwargs):
+        if p.scheme == "prk_alt":
+            raise integ.StepFailureError(1, "synthetic")
+        return original(state, p, step_index, t0, **kwargs)
+
+    monkeypatch.setattr(integ, "prk_step", failing_prk_alt)
     cfg = preset("convergence41", k=8, reference="self", ref_tau=2e-5, T=1.28e-3)
     rows = convergence_driver(cfg, ("prk_alt",), tau0=3.2e-4, n_halvings=1,
                               out_csv=str(tmp_path / "nan.csv"))

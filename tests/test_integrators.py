@@ -10,10 +10,9 @@ import scipy.sparse.linalg as spla
 from prkflow.field import ProjectionParams, VectorField, normalize, diagnostics
 from prkflow.grid import Grid, discrete_energy, laplacian
 from prkflow.harness import build_grid, build_initial, l2_error, preset, scheme_params
-from prkflow.integrators import (SchemeParams, lm2_init,
-                                 lm2_step, prk_alt_step, prk_step, run)
+from prkflow.integrators import SchemeParams, lm2_init, lm2_step, prk_step, run
 from prkflow.linalg import SolverConfig
-from prkflow.tableau import implicit_euler_tableau, prk2_tableau, tableau_to_dict
+from prkflow.tableau import PRKTableau, implicit_euler_tableau, prk2_tableau, tableau_to_dict
 
 
 def _params(scheme, tau, alpha=1.0, beta=1.0, **kw):
@@ -29,10 +28,9 @@ def _constant_field(grid, vec=(0.0, 0.0, 1.0)):
 def test_constant_field_fixed_points():
     grid = Grid(2, 9, 0.125, origin=(-0.5, -0.5))
     m = _constant_field(grid)
-    for scheme, stepper in (("prk", prk_step), ("prk_alt", prk_alt_step),
-                            ("sip1", prk_step)):
+    for scheme in ("prk", "prk_alt", "sip1"):
         p = _params(scheme, 1e-3)
-        out, rec = stepper(m, p)
+        out, rec = prk_step(m, p)
         assert np.abs(out.components - m.components).max() <= 1e-9
         assert rec.energy == 0.0
 
@@ -140,6 +138,24 @@ def test_sip1_is_the_implicit_euler_tableau():
     assert replace(p, tau=2e-3).tableau.s == 1
     with pytest.raises(ValueError, match="implicit-Euler"):
         _params("sip1", 1e-3, tableau=prk2_tableau())
+
+
+@pytest.mark.parametrize("scheme", ["prk", "prk_alt"])
+def test_tableaux_the_steppers_cannot_take_are_rejected(scheme):
+    # every stepper takes the mobility at the lagged stage (D1 = I), and its
+    # stage solves and prk_alt's G = D2^-1 need positive diagonals on A and
+    # D2, with or without the implicit flag
+    t = prk2_tableau()
+    cases = [
+        ("D1", dict(D1=[[1.0, 0.0], [0.5, 0.5]])),
+        ("D2_diagonal_positive", dict(D2=[[1.0, 0.0], [1.0, 0.0]], implicit=False)),
+        ("A_diagonal_positive", dict(A=[[1.0, 0.0], [0.5, -0.5]], implicit=False)),
+    ]
+    for name, change in cases:
+        bad = PRKTableau(**{"A": t.A, "D1": t.D1, "D2": t.D2, "b": t.b, **change})
+        with pytest.raises(ValueError, match=name):
+            _params(scheme, 1e-3, tableau=bad)
+    assert _params(scheme, 1e-3, tableau=replace(t, implicit=False)).tableau.s == 2
 
 
 def test_lm2_requires_beta_zero():
@@ -355,10 +371,8 @@ def test_lm2_vanishing_field_raises_no_warning():
     assert isinstance(exc, NoRealRootError)
 
 
-@pytest.mark.parametrize("scheme, stepper", [("prk", prk_step), ("prk_alt", prk_alt_step),
-                                             ("sip1", prk_step)],
-                         ids=["prk", "prk_alt", "sip1"])
-def test_run_starts_the_stage_solves_from_the_stage_history(scheme, stepper):
+@pytest.mark.parametrize("scheme", ["prk", "prk_alt", "sip1"])
+def test_run_starts_the_stage_solves_from_the_stage_history(scheme):
     # run starts every stage solve from the extrapolated stage increments of
     # the last five steps; a loop of direct step calls keeps no history
     cfg = preset("llg_blowup42", k=12)
@@ -374,7 +388,7 @@ def test_run_starts_the_stage_solves_from_the_stage_history(scheme, stepper):
     m, t, direct = normalize(initial), 0.0, []
     start = m
     for i in range(1, 41):
-        m, rec = stepper(m, p, i, t)
+        m, rec = prk_step(m, p, i, t)
         t = rec.t
         direct.append(rec)
         if i == 1:       # no history yet: bit for bit the direct call
@@ -406,6 +420,18 @@ def test_llg2d_prk_iteration_gate():
     assert trace.failure is None and len(trace) == 201
     total = sum(r.solver_iters_total for r in trace.records)
     assert total <= 650, total
+
+
+def test_llg2d_prk_alt_iteration_gate():
+    # 10 prk_alt steps of llg_blowup42 at k = 24, tau = 1e-2: 184 BiCGStab
+    # iterations with the tangent-space preconditioner of the newest stage
+    # field, 4,391 with Jacobi
+    cfg = preset("llg_blowup42", k=24, tau=1e-2)
+    p = scheme_params(cfg, scheme="prk_alt")
+    _, trace = run(build_initial(cfg, build_grid(cfg)), p, 10 * p.tau)
+    assert trace.failure is None and len(trace) == 10
+    total = sum(r.solver_iters_total for r in trace.records)
+    assert total <= 300, total
 
 
 def _polynomial_increments(rng, degree, n_stages, n_nodes):
@@ -441,10 +467,8 @@ def test_stage_history_extrapolates_polynomials_exactly():
 
 
 @pytest.mark.parametrize("preset_name", ["llg_blowup42", "point_defect43"])
-@pytest.mark.parametrize("scheme, stepper", [("prk", prk_step), ("prk_alt", prk_alt_step)],
-                         ids=["prk", "prk_alt"])
-def test_stage_laplacian_comes_from_the_verified_residual(scheme, stepper, preset_name,
-                                                         monkeypatch):
+@pytest.mark.parametrize("scheme", ["prk", "prk_alt"])
+def test_stage_laplacian_comes_from_the_verified_residual(scheme, preset_name, monkeypatch):
     # D_h U^i of a stage is the product its true residual formed: a step
     # applies the Laplacian once per stage-operator product, with or without
     # history, on a Neumann grid and on a Dirichlet one
@@ -470,7 +494,7 @@ def test_stage_laplacian_comes_from_the_verified_residual(scheme, stepper, prese
     monkeypatch.setattr(StageOperator, "dot", counting_dot)
     history, t = _StageHistory(p.tableau.s, grid.n_nodes), 0.0
     for i in range(1, 4):
-        m, rec = stepper(m, p, i, t, history=history if i > 1 else None)
+        m, rec = prk_step(m, p, i, t, history=history if i > 1 else None)
         t = rec.t
         assert counts["dot"] > 0 and counts["laplacian"] == counts["dot"], counts
 
@@ -496,20 +520,22 @@ def _watch_bicgstab(monkeypatch):
     return failures
 
 
-@pytest.mark.parametrize("tau, n_steps", [(0.1, 10), (1.0, 3)])
-def test_failed_bicgstab_stages_fall_back_to_superlu(tau, n_steps, monkeypatch):
-    # prk_alt on llg_blowup42 at k = 24: Jacobi-BiCGStab misses its target
-    # within the budget on the stages of the early steps, which then only
-    # SuperLU solves; with no fallback both runs stop at step 1
+@pytest.mark.parametrize("tau, n_steps, falls_back", [(0.1, 10, False), (1.0, 3, True)],
+                         ids=["0.1-10", "1.0-3"])
+def test_failed_bicgstab_stages_fall_back_to_superlu(tau, n_steps, falls_back, monkeypatch):
+    # prk_alt on llg_blowup42 at k = 24.  At tau = 0.1 preconditioned BiCGStab
+    # solves every stage (Jacobi-BiCGStab failed 14 of them); at tau = 1.0 it
+    # misses its target within the budget on stage 2 of every step, which
+    # then only SuperLU solves; with no fallback that run stops at step 1
     failures = _watch_bicgstab(monkeypatch)
     cfg = preset("llg_blowup42", tau=tau)
     m0 = build_initial(cfg, build_grid(cfg))
     _, trace = run(m0, scheme_params(cfg, scheme="prk_alt"), n_steps * tau)
     assert trace.failure is None and len(trace) == n_steps
-    assert failures[0] is not None
     for r in trace.records:
         spent = failures[2 * (r.step - 1):2 * r.step]      # two stage solves per step
         failed = [i for i, n in enumerate(spent) if n is not None]
+        assert bool(failed) is falls_back
         assert r.fallback_stages == tuple(i + 1 for i in failed)
         assert all(r.solver_iters[i] == spent[i] > 0 for i in failed)
     e = np.concatenate([[discrete_energy(m0)], trace.energies()])

@@ -3,9 +3,10 @@
 Its scalar S^-1 = (I - coeff alpha D_h)^-1 (``grid.shifted_laplacian_inverse``)
 against a sparse direct solve, the whole M^-1 against the stage operator on
 a uniform field, where it is exact, where BiCGStab selects it (stages of
-prk, sip1 and bdf4_ref from the stiffness coeff |alpha + i beta| 4 dim / h^2
-= 1.5 on), how many iterations it saves, and the structure theorem and the
-SuperLU oracle (``linalg.direct_solve``) on the runs that use it.
+prk, prk_alt, sip1 and bdf4_ref from the stiffness coeff |alpha + i beta|
+4 dim / h^2 = 1.5 on), how many iterations it saves, and the structure
+theorem and the SuperLU oracle (``linalg.direct_solve``) on the runs that
+use it.
 """
 
 import numpy as np
@@ -215,11 +216,13 @@ def test_selection_threshold():
         assert not isinstance(linalg._preconditioner(plain), TangentPreconditioner)
 
 
-@pytest.mark.parametrize("scheme", ["prk", "sip1", "bdf4_ref"])
+@pytest.mark.parametrize("scheme", ["prk", "prk_alt", "sip1", "bdf4_ref"])
 def test_stiff_beta0_stages_build_one_preconditioner_per_solve(scheme, monkeypatch):
     counts = _count_builds(monkeypatch)
     # k = 8: stiffness 3.84 at tau; bdf4_ref's three start-up steps of ten PRK
-    # sub-steps at tau/10 (0.38) keep Jacobi, its two BDF4 steps (1.84) do not
+    # sub-steps at tau/10 (0.38) keep Jacobi, its two BDF4 steps (1.84) do not;
+    # prk_alt's averaged projectors take the preconditioner of the newest
+    # stage field
     _steps("twisted_nematic44", scheme, 5, k=8)
     assert counts["stiff"] > 0
     assert counts["builds"] == counts["stiff"]
@@ -228,11 +231,10 @@ def test_stiff_beta0_stages_build_one_preconditioner_per_solve(scheme, monkeypat
 
 
 @pytest.mark.parametrize("preset_name, scheme, overrides, builds_per_solve", [
-    ("twisted_nematic44", "prk_alt", {}, 0),
     ("llg_blowup42", "prk", {"tau": 2e-2}, 1),
     ("llg_blowup42", "sip1", {"tau": 2e-2}, 1),
     ("point_defect43", "lm2", {"tau": 4e-3}, 0),
-], ids=["prk_alt", "beta1-prk", "beta1-sip1", "lm2"])
+], ids=["beta1-prk", "beta1-sip1", "lm2"])
 def test_other_stages_keep_their_solver(preset_name, scheme, overrides, builds_per_solve,
                                         monkeypatch):
     # every case is stiff enough that a beta = 0 PRK stage would take the

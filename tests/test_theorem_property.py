@@ -35,8 +35,10 @@ def _lower_stochastic(rng, s):
 def _draw(rng, s):
     A = np.tril(rng.uniform(-1.0, 1.0, (s, s)))
     A[np.diag_indices(s)] = rng.uniform(0.05, 1.0, s)
-    return PRKTableau(A, _lower_stochastic(rng, s), _lower_stochastic(rng, s),
-                      rng.dirichlet(np.ones(s)))
+    # D1 is drawn and dropped, so the sequence of draws stays as it was: the
+    # steppers take the mobility at the lagged stage, D1 = I
+    _lower_stochastic(rng, s)
+    return PRKTableau(A, np.eye(s), _lower_stochastic(rng, s), rng.dirichlet(np.ones(s)))
 
 
 def _certified_tableaux():
