@@ -165,18 +165,15 @@ class DiscreteLaplacian:
     product, and the padding adds exact zeros: one product of ``stacked`` is
     bit-identical to three CSR products of ``matrix``.
 
-    Derived once from these: ``diagonal`` (3, N), the main diagonal of
-    ``stacked``, and ``forced``, whether ``bc_contribution`` has a nonzero
-    entry.
+    Derived once from these: ``forced``, whether ``bc_contribution`` has a
+    nonzero entry.
     """
 
     stacked: sparse.dia_matrix
     bc_contribution: np.ndarray
-    diagonal: np.ndarray = dataclass_field(init=False, repr=False)
     forced: bool = dataclass_field(init=False)
 
     def __post_init__(self):
-        self.diagonal = self.stacked.diagonal().reshape(self.bc_contribution.shape)
         self.forced = bool(self.bc_contribution.any())
 
     @property

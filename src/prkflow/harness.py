@@ -155,8 +155,6 @@ class ExperimentConfig:
     reference: str = "bdf4"    # bdf4 | self
     ref_tau: float = 1e-6
     seed: int = 20240817
-    solver_rel_tol: float = 1e-11
-    solver_abs_tol: float = 1e-14
 
     def __post_init__(self):
         if not self.k >= 1:
@@ -247,9 +245,8 @@ def effective_beta(scheme, cfg):
 def scheme_params(cfg, scheme=None, tau=None):
     scheme = scheme or cfg.scheme
     tau = tau if tau is not None else cfg.tau
-    solver = SolverConfig(rel_tol=cfg.solver_rel_tol, abs_tol=cfg.solver_abs_tol)
     proj = ProjectionParams(alpha=cfg.alpha, beta=effective_beta(scheme, cfg))
-    return SchemeParams(scheme=scheme, tau=tau, projection=proj, solver=solver)
+    return SchemeParams(scheme=scheme, tau=tau, projection=proj)
 
 
 def l2_error(a, b, grid=None):
@@ -277,7 +274,7 @@ def reference_snapshots(cfg, initial, times, beta=None):
     proj = ProjectionParams(alpha=cfg.alpha, beta=cfg.beta if beta is None else beta)
     # reference trajectories run at a tightened tolerance so that accumulated
     # solver residuals stay below the Richardson qualification bound
-    solver = SolverConfig(rel_tol=min(cfg.solver_rel_tol, 1e-12), abs_tol=cfg.solver_abs_tol)
+    solver = SolverConfig(rel_tol=1e-12)
     scheme = "bdf4_ref" if cfg.reference == "bdf4" else "prk"
     p = SchemeParams(scheme=scheme, tau=cfg.ref_tau, projection=proj, solver=solver)
     snaps, trace = _snapshot_run(initial, p, steps)
@@ -444,11 +441,13 @@ def config_to_json(cfg):
 def config_from_json(text):
     """ExperimentConfig from JSON; ValueError naming any unknown or missing keys,
     a face, initial field or cell count that ExperimentConfig rejects, or a
-    scheme or tolerance that SchemeParams or SolverConfig rejects.
+    scheme that SchemeParams rejects.
 
     Configurations dumped before the solver became automatic carry
-    ``solver_method``, and those dumped before sip1 became the implicit-Euler
-    tableau carry ``theta``; both are now unknown keys.
+    ``solver_method``, those dumped before sip1 became the implicit-Euler
+    tableau carry ``theta``, and those dumped while the solver tolerances
+    were settings carry ``solver_rel_tol`` and ``solver_abs_tol``; all are
+    now unknown keys.
     """
     doc = json.loads(text)
     fields = dataclasses.fields(ExperimentConfig)

@@ -110,8 +110,7 @@ class SchemeParams:
                 raise ValueError("sip1 is the implicit-Euler tableau; step with scheme 'prk' "
                                  "for another")
             object.__setattr__(self, "tableau", tab)
-            # the stage solves need positive diagonals on A and D2 whatever the flag
-            bad = validate(replace(tab, implicit=True))
+            bad = validate(tab)
             if bad:
                 raise ValueError(f"tableau fails validation: {bad}")
             if not np.array_equal(tab.D1, np.eye(tab.s)):

@@ -5,10 +5,9 @@ stacked field, where P is a per-node 3x3 block operator and D_h the scalar
 Laplacian applied blockwise.  The operator is nonsymmetric (tangential
 projector and cross term) and is never assembled for BiCGStab: a matvec is
 one banded product of the grid's stacked Laplacian diag(D_h, D_h, D_h) on
-the flattened field plus one blockwise product, and the Jacobi diagonal is
-1 - coeff * P_ll * D_ii, with D_ii the main diagonal of the stacked
-Laplacian.  The assembled 3N x 3N matrix (``StageOperator.tocsr``) serves
-the sparse direct factorization and the tests.
+the flattened field plus one blockwise product.  The assembled 3N x 3N
+matrix (``StageOperator.tocsr``) serves the sparse direct factorization and
+the tests.
 The matvec order is deterministic, so repeated runs are bit-identical.
 
 Solvers: preconditioned BiCGStab (default) from the caller's guess x0 (the
@@ -31,12 +30,12 @@ f + i g = 1 / (1 - coeff (alpha + i beta) lambda), and
 
 with S^-1 exact on the free nodes (``grid.shifted_laplacian_inverse``; with
 beta = 0 the shift is real and so is the arithmetic).  Every other operator
-takes Jacobi.  Both solvers verify their result against the true residual,
-||A x - b||_2 <= max(rel_tol ||b||_2, abs_tol), and raise a typed error
-(NonConvergenceError or BreakdownError) when they fail.  That check is the
-last product of the stage operator, and the operator keeps its D_h x
-(``StageOperator.dx``): the stage solves take D_h U^i from it instead of
-applying the Laplacian again.
+is solved unpreconditioned.  Both solvers verify their result against the
+true residual, ||A x - b||_2 <= max(rel_tol ||b||_2, abs_tol), and raise a
+typed error (NonConvergenceError or BreakdownError) when they fail.  That
+check is the last product of the stage operator, and the operator keeps its
+D_h x (``StageOperator.dx``): the stage solves take D_h U^i from it instead
+of applying the Laplacian again.
 """
 
 from __future__ import annotations
@@ -62,11 +61,14 @@ __all__ = [
 ]
 
 # The tangent-space preconditioner is taken from this stiffness coeff |alpha + i beta| rho
-# (see _stiffness) on.  Below it Jacobi needs at most about ten iterations, and
-# one spectral application, which costs a few matvecs, does not pay for the
-# iterations it saves: per-step break-even is near 1 at beta = 0 on 2-D and
-# 3-D grids with 9 to 65 nodes per axis, and between 1.3 and 3.3 at beta = 1,
-# where the application is complex, on 2-D grids with 25 and 65 nodes per axis.
+# (see _stiffness) on; below it BiCGStab runs unpreconditioned.  Per-step
+# break-even of the two (prk, best of 3 over 40 steps, one BLAS thread, 2-core
+# Xeon): at beta = 1 on the 2-D llg_blowup42 grid with 25 nodes per axis,
+# where the application is complex, unpreconditioned is cheaper up to
+# stiffness 2 (1.07 against 1.40 ms) and spectral from 3 on (1.50 against
+# 1.62 ms); at beta = 0 on the 3-D twisted_nematic44 grid with 25 nodes per
+# axis spectral is cheaper from 1 on (17.1 against 19.0 ms).  One threshold
+# serves both, between the two break-evens.
 _TANGENT_MIN_STIFFNESS = 1.5
 
 
@@ -83,8 +85,8 @@ class NonConvergenceError(RuntimeError):
 
 
 class BreakdownError(RuntimeError):
-    """BiCGStab's recurrence broke down, Jacobi met a zero diagonal entry or
-    SuperLU a singular factor; carries the iterations spent."""
+    """BiCGStab's recurrence broke down or SuperLU met a singular factor;
+    carries the iterations spent."""
 
     def __init__(self, message, iterations=0):
         super().__init__(message)
@@ -125,7 +127,7 @@ class StageOperator:
     are within O(tau) of, the mobility of one field; BiCGStab then takes the
     tangent-space spectral preconditioner if the operator is stiff
     (``_stiffness``).  ``solve`` uses what it shares with a sparse matrix:
-    shape, dot, diagonal, tocsr.
+    shape, dot, tocsr.
     ``dx`` holds D_h x (3, N) of the last x given to ``dot``: after
     ``solve`` or ``direct_solve``, which end on the true residual of the
     solution they return, that is D_h of the solution.
@@ -147,10 +149,6 @@ class StageOperator:
         out *= -self.coeff
         out += x
         return out.reshape(-1)
-
-    def diagonal(self):
-        p_diag = np.einsum("lln->ln", self.blocks)
-        return (1.0 - self.coeff * p_diag * self.lap.diagonal).reshape(-1)
 
     def tocsr(self):
         """The assembled matrix, for sparse direct factorization and as a reference."""
@@ -223,14 +221,11 @@ def _stiffness(A):
 
 
 def _preconditioner(A):
-    """v -> M^-1 v: TangentPreconditioner if A has TangentBlocks and is stiff, else Jacobi."""
+    """v -> M^-1 v: TangentPreconditioner if A has TangentBlocks and is stiff, else
+    the identity (``np.copy``: ``_bicgstab`` scales what it returns in place)."""
     if getattr(A, "tangent", None) is not None and _stiffness(A) >= _TANGENT_MIN_STIFFNESS:
         return TangentPreconditioner(A)
-    diag = A.diagonal()
-    if np.abs(diag).min() == 0.0:
-        raise BreakdownError("zero diagonal entry; Jacobi preconditioner unusable")
-    inv_diag = 1.0 / diag
-    return lambda v: inv_diag * v
+    return np.copy
 
 
 def _norm(v):
@@ -321,8 +316,8 @@ def solve(A, rhs, cfg=None, x0=None):
     within ``SolverConfig.iteration_budget``.  The returned residual is the
     true 2-norm residual, checked against max(rel_tol * ||rhs||, abs_tol).
     Raises NonConvergenceError (with the last iterate) when it misses that
-    target, and BreakdownError when the recurrence or Jacobi breaks down;
-    both carry the iterations spent.
+    target, and BreakdownError when the recurrence breaks down; both carry
+    the iterations spent.
     """
     cfg = cfg or SolverConfig()
     rhs, target = _system(A, rhs, cfg)

@@ -57,17 +57,12 @@ def _as_matrix(a, name, s):
 
 @dataclass(frozen=True)
 class PRKTableau:
-    """Coefficient bundle (A, D1, D2, b); c is derived as the row sums of A.
-
-    ``implicit`` marks the tableau for implicit use, which additionally
-    requires positive diagonals on A and D2.
-    """
+    """Coefficient bundle (A, D1, D2, b); c is derived as the row sums of A."""
 
     A: np.ndarray
     D1: np.ndarray
     D2: np.ndarray
     b: np.ndarray
-    implicit: bool = True
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float).reshape(-1)
@@ -95,6 +90,8 @@ def shift_matrix(s):
 def validate(t, tol=1e-12):
     """Check structural invariants; returns a list of (name, index, residual).
 
+    Besides lower-triangular A, D1, D2 and unit row sums of D1 and D2, the
+    diagonals of A and D2 must be positive: each stage is an implicit solve.
     An empty list means the tableau is structurally valid.  Residuals are
     signed: row-sum entries report (1 - actual row sum).
     """
@@ -110,12 +107,11 @@ def validate(t, tol=1e-12):
             r = 1.0 - mat[i, : i + 1].sum()
             if abs(r) > tol:
                 violations.append((f"{name}_row_sum", (i,), r))
-    if t.implicit:
-        for i in range(s):
-            if not t.A[i, i] > 0.0:
-                violations.append(("A_diagonal_positive", (i,), t.A[i, i]))
-            if not t.D2[i, i] > 0.0:
-                violations.append(("D2_diagonal_positive", (i,), t.D2[i, i]))
+    for i in range(s):
+        if not t.A[i, i] > 0.0:
+            violations.append(("A_diagonal_positive", (i,), t.A[i, i]))
+        if not t.D2[i, i] > 0.0:
+            violations.append(("D2_diagonal_positive", (i,), t.D2[i, i]))
     return violations
 
 

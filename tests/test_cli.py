@@ -96,6 +96,8 @@ def test_dump_config_parses(capsys):
     (lambda doc: doc.update(solver_method="bicgstab"), "solver_method"),
     # and those dumped while sip1 had its own implicitness setting this one
     (lambda doc: doc.update(theta=1.0), "theta"),
+    # and those dumped while the solver tolerances were settings this one
+    (lambda doc: doc.update(solver_rel_tol=1e-11), "solver_rel_tol"),
     (lambda doc: doc.update(scheme="rk4"), "rk4"),
     (lambda doc: doc["faces"].__setitem__(1, "bogus"), "bogus"),
     (lambda doc: doc.update(initial="vortex"), "vortex"),
@@ -103,9 +105,9 @@ def test_dump_config_parses(capsys):
     (lambda doc: doc.update(dim=4), "dim"),
     (lambda doc: doc["faces"].pop(), "faces"),
     (lambda doc: doc.update(dim=3), "faces"),
-], ids=["unknown-key", "missing-key", "solver-method", "theta", "unknown-scheme",
-        "unknown-face", "unknown-initial", "zero-cells", "dim-4", "three-faces-at-dim-2",
-        "four-faces-at-dim-3"])
+], ids=["unknown-key", "missing-key", "solver-method", "theta", "solver-rel-tol",
+        "unknown-scheme", "unknown-face", "unknown-initial", "zero-cells", "dim-4",
+        "three-faces-at-dim-2", "four-faces-at-dim-3"])
 def test_dump_config_malformed_json_is_usage_error(edit, key, tmp_path, capsys):
     from prkflow.harness import preset, config_to_json
     doc = json.loads(config_to_json(preset("custom")))

@@ -143,19 +143,18 @@ def test_sip1_is_the_implicit_euler_tableau():
 @pytest.mark.parametrize("scheme", ["prk", "prk_alt"])
 def test_tableaux_the_steppers_cannot_take_are_rejected(scheme):
     # every stepper takes the mobility at the lagged stage (D1 = I), and its
-    # stage solves and prk_alt's G = D2^-1 need positive diagonals on A and
-    # D2, with or without the implicit flag
+    # stage solves and prk_alt's G = D2^-1 need positive diagonals on A and D2
     t = prk2_tableau()
     cases = [
         ("D1", dict(D1=[[1.0, 0.0], [0.5, 0.5]])),
-        ("D2_diagonal_positive", dict(D2=[[1.0, 0.0], [1.0, 0.0]], implicit=False)),
-        ("A_diagonal_positive", dict(A=[[1.0, 0.0], [0.5, -0.5]], implicit=False)),
+        ("D2_diagonal_positive", dict(D2=[[1.0, 0.0], [1.0, 0.0]])),
+        ("A_diagonal_positive", dict(A=[[1.0, 0.0], [0.5, -0.5]])),
     ]
     for name, change in cases:
         bad = PRKTableau(**{"A": t.A, "D1": t.D1, "D2": t.D2, "b": t.b, **change})
         with pytest.raises(ValueError, match=name):
             _params(scheme, 1e-3, tableau=bad)
-    assert _params(scheme, 1e-3, tableau=replace(t, implicit=False)).tableau.s == 2
+    assert _params(scheme, 1e-3, tableau=t).tableau.s == 2
 
 
 def test_lm2_requires_beta_zero():
@@ -410,10 +409,10 @@ def test_run_starts_the_stage_solves_from_the_stage_history(scheme):
 
 
 def test_llg2d_prk_iteration_gate():
-    # 201 prk steps of llg_blowup42 at k = 24 (the llg2d-prk benchmark run):
-    # 2,434 Jacobi-BiCGStab iterations when each stage starts from the previous
-    # stage value, 782 from the quadratic extrapolation of three steps and 556
-    # from the quartic of five; deterministic, unlike a wall clock
+    # 201 prk steps of llg_blowup42 at k = 24 (the llg2d-prk benchmark run),
+    # all below the stiffness of the spectral preconditioner: 546
+    # unpreconditioned BiCGStab iterations with every stage started from the
+    # quartic extrapolation of five steps; deterministic, unlike a wall clock
     cfg = preset("llg_blowup42", k=24)
     p = scheme_params(cfg, scheme="prk")
     _, trace = run(build_initial(cfg, build_grid(cfg)), p, 201 * p.tau)
@@ -425,13 +424,26 @@ def test_llg2d_prk_iteration_gate():
 def test_llg2d_prk_alt_iteration_gate():
     # 10 prk_alt steps of llg_blowup42 at k = 24, tau = 1e-2: 184 BiCGStab
     # iterations with the tangent-space preconditioner of the newest stage
-    # field, 4,391 with Jacobi
+    # field, 4,574 unpreconditioned
     cfg = preset("llg_blowup42", k=24, tau=1e-2)
     p = scheme_params(cfg, scheme="prk_alt")
     _, trace = run(build_initial(cfg, build_grid(cfg)), p, 10 * p.tau)
     assert trace.failure is None and len(trace) == 10
     total = sum(r.solver_iters_total for r in trace.records)
     assert total <= 300, total
+
+
+def test_nematic3d_mild_prk_iteration_gate():
+    # 40 prk steps of twisted_nematic44 at k = 12, tau = 8e-4 (stiffness 1.38,
+    # just below the spectral preconditioner's): 572 unpreconditioned BiCGStab
+    # iterations, 626 with the Jacobi preconditioner, which scales the three
+    # components of a node by different amounts
+    cfg = preset("twisted_nematic44", k=12, tau=8e-4)
+    p = scheme_params(cfg, scheme="prk")
+    _, trace = run(build_initial(cfg, build_grid(cfg)), p, 40 * p.tau)
+    assert trace.failure is None and len(trace) == 40
+    total = sum(r.solver_iters_total for r in trace.records)
+    assert total <= 600, total
 
 
 def _polynomial_increments(rng, degree, n_stages, n_nodes):
@@ -524,7 +536,7 @@ def _watch_bicgstab(monkeypatch):
                          ids=["0.1-10", "1.0-3"])
 def test_failed_bicgstab_stages_fall_back_to_superlu(tau, n_steps, falls_back, monkeypatch):
     # prk_alt on llg_blowup42 at k = 24.  At tau = 0.1 preconditioned BiCGStab
-    # solves every stage (Jacobi-BiCGStab failed 14 of them); at tau = 1.0 it
+    # solves every stage (unpreconditioned it fails 11 of them); at tau = 1.0 it
     # misses its target within the budget on stage 2 of every step, which
     # then only SuperLU solves; with no fallback that run stops at step 1
     failures = _watch_bicgstab(monkeypatch)

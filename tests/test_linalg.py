@@ -96,8 +96,6 @@ def test_matches_matrix_free_composition(case, rng):
     assert np.abs(got - expected).max() <= 1e-13 * scale
     free = op.dot(v.reshape(-1))
     assert np.abs(free - a @ v.reshape(-1)).max() <= 1e-13 * scale
-    diag = a.diagonal()
-    assert np.abs(op.diagonal() - diag).max() <= 1e-13 * np.abs(diag).max()
     # fixed nodes: identity rows in the assembled matrix, x passed through by the matvec
     fixed = np.tile(grid.dirichlet_mask, 3)
     if fixed.any():
@@ -207,7 +205,7 @@ def test_solve_deterministic(rng):
 
 def test_nonconvergence_carries_best_iterate():
     # the 1-D Dirichlet Laplacian on 2,000 nodes (condition number about 1.6e6)
-    # takes Jacobi-BiCGStab beyond its budget of 447 iterations
+    # takes unpreconditioned BiCGStab beyond its budget of 447 iterations
     n = 2000
     a = sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
                      format="csr")
@@ -219,10 +217,11 @@ def test_nonconvergence_carries_best_iterate():
     assert err.value.residual > 1e-11 * np.linalg.norm(rhs)
 
 
-def test_zero_diagonal_breaks_jacobi():
+def test_zero_diagonal_solves_unpreconditioned():
+    # a zero diagonal entry stops no solve: only stiff stages are preconditioned
     a = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(BreakdownError):
-        solve(a, np.ones(2), SolverConfig())
+    x, _iters, resid = solve(a, np.ones(2), SolverConfig())
+    assert np.array_equal(x, [1.0, 1.0]) and resid == 0.0
 
 
 def test_solver_config_validation():
@@ -252,14 +251,15 @@ def _first_stage(preset_name, k, **overrides):
 
 @pytest.mark.parametrize("start", ["zero", "field"])
 @pytest.mark.parametrize("preset_name, overrides, precond", [
-    ("llg_blowup42", {}, "jacobi"),
+    ("llg_blowup42", {}, "none"),
     ("twisted_nematic44", {}, "tangent"),
     ("llg_blowup42", {"tau": 2e-2}, "tangent"),       # beta = 1, stiff
-], ids=["llg_blowup42-jacobi", "twisted_nematic44-tangent", "llg_blowup42-beta1-tangent"])
+], ids=["llg_blowup42-none", "twisted_nematic44-tangent", "llg_blowup42-beta1-tangent"])
 def test_bicgstab_loop_is_scipys_bit_for_bit(preset_name, overrides, precond, start, rng):
     op, m = _first_stage(preset_name, 12, **overrides)
     M = linalg._preconditioner(op)
     assert isinstance(M, linalg.TangentPreconditioner) is (precond == "tangent")
+    assert (M is np.copy) is (precond == "none")
     rhs = m + 1e-2 * rng.standard_normal(m.shape)
     x0 = None if start == "zero" else m.copy()
     cfg = SolverConfig()
@@ -268,8 +268,10 @@ def test_bicgstab_loop_is_scipys_bit_for_bit(preset_name, overrides, precond, st
 
     def count(_xk):
         calls[0] += 1
-    # scipy gets the same kernels through LinearOperators
-    A_ref, M_ref = (spla.LinearOperator(op.shape, matvec=f, dtype=float) for f in (op.dot, M))
+    # scipy gets the same kernels through LinearOperators, and no M for none
+    A_ref = spla.LinearOperator(op.shape, matvec=op.dot, dtype=float)
+    M_ref = (spla.LinearOperator(op.shape, matvec=M, dtype=float)
+             if precond == "tangent" else None)
     ref, ref_info = spla.bicgstab(A_ref, rhs, x0=x0, rtol=cfg.rel_tol, atol=cfg.abs_tol,
                                   maxiter=budget, M=M_ref, callback=count)
     x = np.zeros_like(rhs) if x0 is None else x0.copy()

@@ -87,8 +87,6 @@ def test_nonpositive_diagonal_flagged_for_implicit_use():
     t = PRKTableau(A=[[1.0, 0.0], [0.0, -0.5]], D1=np.eye(2),
                    D2=[[1.0, 0.0], [0.0, 1.0]], b=[0.5, 0.5])
     assert any(name == "A_diagonal_positive" for name, _, _ in validate(t))
-    t_explicit = PRKTableau(A=t.A, D1=t.D1, D2=t.D2, b=t.b, implicit=False)
-    assert validate(t_explicit) == []
 
 
 def test_json_round_trip():
@@ -299,7 +297,7 @@ def _three_stage_candidate(b3, a32=0.3, d33=0.7):
     b = [b1, b2, b3]
     if not np.all(np.isfinite(A)) or not np.all(np.isfinite(D2)) or not np.all(np.isfinite(b)):
         return None
-    return PRKTableau(A=A, D1=np.eye(3), D2=D2, b=b, implicit=False)
+    return PRKTableau(A=A, D1=np.eye(3), D2=D2, b=b)
 
 
 def _feasible(t, order_tol=1e-9):

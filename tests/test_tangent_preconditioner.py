@@ -220,9 +220,9 @@ def test_selection_threshold():
 def test_stiff_beta0_stages_build_one_preconditioner_per_solve(scheme, monkeypatch):
     counts = _count_builds(monkeypatch)
     # k = 8: stiffness 3.84 at tau; bdf4_ref's three start-up steps of ten PRK
-    # sub-steps at tau/10 (0.38) keep Jacobi, its two BDF4 steps (1.84) do not;
-    # prk_alt's averaged projectors take the preconditioner of the newest
-    # stage field
+    # sub-steps at tau/10 (0.38) run unpreconditioned, its two BDF4 steps
+    # (1.84) do not; prk_alt's averaged projectors take the preconditioner of
+    # the newest stage field
     _steps("twisted_nematic44", scheme, 5, k=8)
     assert counts["stiff"] > 0
     assert counts["builds"] == counts["stiff"]
@@ -252,7 +252,7 @@ def test_other_stages_keep_their_solver(preset_name, scheme, overrides, builds_p
     ("twisted_nematic44", 8, 5e-4),
     ("point_defect43", 8, 1e-3),
 ])
-def test_mild_beta0_stages_keep_jacobi_bit_identically(preset_name, k, tau, monkeypatch):
+def test_mild_beta0_stages_run_unpreconditioned_bit_identically(preset_name, k, tau, monkeypatch):
     cfg = preset(preset_name, k=k, tau=tau, beta=0.0)
     assert _prk_stiffness(cfg) < linalg._TANGENT_MIN_STIFFNESS
     counts = _count_builds(monkeypatch)
@@ -266,23 +266,23 @@ def test_mild_beta0_stages_keep_jacobi_bit_identically(preset_name, k, tau, monk
 
 
 @pytest.mark.parametrize("preset_name", ["twisted_nematic44", "point_defect43"])
-def test_preconditioned_iterations_at_most_half_of_jacobi(preset_name, monkeypatch):
-    # every stage operator of the first three PRK steps is also solved with
-    # the Jacobi preconditioner, which an operator without TangentBlocks takes
+def test_preconditioned_iterations_at_most_half_of_unpreconditioned(preset_name, monkeypatch):
+    # every stage operator of the first three PRK steps is also solved
+    # unpreconditioned, as an operator without TangentBlocks is
     counts = _count_builds(monkeypatch)
-    iters = {"tangent": 0, "jacobi": 0}
+    iters = {"tangent": 0, "none": 0}
     counting_solve = integrators.solve
 
     def both(A, rhs, cfg=None, x0=None):
         x, nit, res = counting_solve(A, rhs, cfg, x0)
         iters["tangent"] += nit
-        iters["jacobi"] += solve(StageOperator(A.lap, A.blocks, A.coeff), rhs, cfg, x0)[1]
+        iters["none"] += solve(StageOperator(A.lap, A.blocks, A.coeff), rhs, cfg, x0)[1]
         return x, nit, res
 
     monkeypatch.setattr(integrators, "solve", both)
     _steps(preset_name, "prk", 3, k=12)
     assert counts["builds"] == counts["solves"] == 6
-    assert 0 < iters["tangent"] <= iters["jacobi"] / 2, iters
+    assert 0 < iters["tangent"] <= iters["none"] / 2, iters
 
 
 @pytest.mark.parametrize("scheme", ["prk", "sip1"])
