@@ -21,6 +21,7 @@ __all__ = [
     "diagnostics",
     "projector_blocks",
     "apply_blocks",
+    "cross",
 ]
 
 ZERO_LENGTH_THRESHOLD = 1e-300
@@ -127,3 +128,14 @@ def projector_blocks(Mdir, params):
 def apply_blocks(blocks, components):
     """Apply per-node 3x3 blocks to a (3, N) component array."""
     return np.einsum("lmn,mn->ln", blocks, components)
+
+
+def cross(a, b):
+    """Pointwise cross product of two (3, N) arrays.
+
+    The arithmetic of ``np.cross(a, b, axis=0)`` (a1 b2 - a2 b1, ...), bit for
+    bit, without its axis moves and copies.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))

@@ -43,8 +43,8 @@ import scipy.optimize
 
 from . import linalg
 from .field import (ZERO_LENGTH_THRESHOLD, VectorField, ProjectionParams, normalize,
-                    diagnostics, projector_blocks, apply_blocks)
-from .grid import laplacian, discrete_energy, inner_product, shifted_laplacian_inverse
+                    diagnostics, projector_blocks, apply_blocks, cross)
+from .grid import laplacian, discrete_energy, shifted_laplacian_inverse
 from .linalg import SolverConfig, StageOperator, TangentBlocks, direct_solve, solve
 from .tableau import PRKTableau, implicit_euler_tableau, prk2_tableau, tableau_to_dict, validate
 
@@ -289,13 +289,19 @@ def _stage_weights(p):
     return [w.tolist() for w in weights]
 
 
-def _finish_step(grid, m_tilde, step_index, t_next, solves, t_wall0, extra=None):
+def _finish_step(grid, m_tilde, step_index, t_next, solves, t_wall0, extra=None, e_post=None):
+    """Project m_tilde onto the sphere and record the step.
+
+    ``e_post``, when given, is the discrete energy of the projected field,
+    which a caller has formed already from the same arithmetic.
+    """
     pre = VectorField(m_tilde, grid)
     e_pre = discrete_energy(pre)
     lengths = pre.lengths()
     out = normalize(pre, lengths)
     d_post = diagnostics(out)
-    e_post = discrete_energy(out)
+    if e_post is None:
+        e_post = discrete_energy(out)
     rec = StepRecord(step=step_index, t=t_next, energy=e_post,
                      energy_pre_projection=e_pre, min_len_pre=float(lengths.min()),
                      max_unit_dev=d_post.max_unit_deviation,
@@ -372,6 +378,7 @@ class LM2State:
     lam: np.ndarray          # pointwise multiplier field
     predictor: np.ndarray    # previous unprojected predictor (3, N)
     solve: object            # in-place (I - tau*alpha/2 * D_h)^-1 (shifted_laplacian_inverse)
+    energy: float            # _lm2_energy of the field the next step starts from
 
 
 def lm2_init(state, p):
@@ -380,7 +387,8 @@ def lm2_init(state, p):
     dm = laplacian(grid).apply(state.components)
     lam = -np.einsum("ln,ln->n", state.components, dm)
     return LM2State(lam=lam, predictor=state.components.copy(),
-                    solve=shifted_laplacian_inverse(grid, p.tau * p.projection.alpha / 2.0))
+                    solve=shifted_laplacian_inverse(grid, p.tau * p.projection.alpha / 2.0),
+                    energy=_lm2_energy(state.components, grid))
 
 
 def _lm2_energy(comps, grid):
@@ -415,6 +423,10 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
 
     Returns (field, updated aux, record).  Raises NoRealRootError when the
     scalar multiplier equation has no real solution in the bracket.
+    Each energy is summed once: the start energy comes from ``aux``, the
+    root search keeps the energy of every eta it tries (``brentq`` tries its
+    bracket ends again after the scan), and the root's, which ``brentq``
+    has tried, is the recorded post-projection energy.
     """
     if p.projection.beta != 0.0:
         raise ValueError("lm2 implements the beta = 0 flow")
@@ -437,33 +449,42 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
 
     g = 0.5 * (m_hat + m)
     dg = lap.apply(g)
-    cr = np.cross(g, dg, axis=0)
-    dissipation = sum(inner_product(cr[l], cr[l], grid) for l in range(3))
-    target = _lm2_energy(m, grid) - tau * alpha * dissipation
+    cr = cross(g, dg)
+    # the inner products of the three components, summed as inner_product would
+    dissipation = sum((grid.h ** grid.dim
+                       * (grid.trapezoid_weights * cr * cr).sum(axis=1)).tolist())
+    target = aux.energy - tau * alpha * dissipation
 
     e_dir = _LM2_DIRECTION[:, None]
     # |m_hat + eta e| >= (1 - (m_hat.e)^2)^(1/2) at every node, so v can vanish
     # only where m_hat is parallel to e; elsewhere F needs no length check
     near_parallel = np.abs(_LM2_DIRECTION @ m_hat).max() > _LM2_PARALLEL
 
+    energies = {}          # eta -> _lm2_energy(v / |v|), v = m_hat + eta e
+
     def F(eta):
-        v = m_hat + eta * e_dir
-        vn = np.sqrt(np.einsum("ln,ln->n", v, v))
-        if near_parallel and vn.min() < ZERO_LENGTH_THRESHOLD:
-            return np.nan      # v / |v| is undefined where v vanishes
-        return _lm2_energy(v / vn, grid) - target
+        if eta not in energies:
+            v = m_hat + eta * e_dir
+            vn = np.sqrt(np.einsum("ln,ln->n", v, v))
+            if near_parallel and vn.min() < ZERO_LENGTH_THRESHOLD:
+                energies[eta] = np.nan      # v / |v| is undefined where v vanishes
+            else:
+                energies[eta] = _lm2_energy(v / vn, grid)
+        return energies[eta] - target
 
     eta = _lm2_scalar_root(F, _LM2_BRACKET)
     if eta is None:
         raise NoRealRootError(
             f"no real multiplier in [-{_LM2_BRACKET}, {_LM2_BRACKET}] at t={t0 + tau:.6g}")
-    v = m_hat + eta * e_dir
-    m_tilde_post = v  # the field entering the final projection
-    aux_new = LM2State(lam=lam_new, predictor=m_tilde, solve=aux.solve)
+    # the field entering the final projection; F(eta) normalized it the same way
+    m_tilde_post = m_hat + eta * e_dir
+    e_post = 2.0 * energies[eta] if eta in energies else None
     out, rec = _finish_step(grid, m_tilde_post, step_index, t0 + tau, _Solves([1], [0.0]), t_wall,
                             extra={"lm2_lambda_min": float(lam_new.min()),
                                    "lm2_lambda_max": float(lam_new.max()),
-                                   "lm2_eta": float(eta)})
+                                   "lm2_eta": float(eta)},
+                            e_post=e_post)
+    aux_new = LM2State(lam=lam_new, predictor=m_tilde, solve=aux.solve, energy=0.5 * rec.energy)
     return out, aux_new, rec
 
 

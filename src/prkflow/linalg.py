@@ -47,6 +47,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
+from .field import cross
 from .grid import shifted_laplacian_inverse
 
 __all__ = [
@@ -202,7 +203,7 @@ class TangentPreconditioner:
             self.shifted_solve(self.work)
             np.copyto(out, real)
             # mh x Im(S^-1 P_t v) is tangent; the projection below keeps it
-            out += np.cross(m, imag, axis=0) * self.inv_len
+            out += cross(m, imag) * self.inv_len
         tangential = np.einsum("ln,ln->n", m, out)
         tangential *= self.inv_len2
         normal -= tangential

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from prkflow.field import (FieldDiagnostics, ProjectionParams, VectorField,
-                           ZeroLengthError, apply_blocks, diagnostics,
+                           ZeroLengthError, apply_blocks, cross, diagnostics,
                            normalize, projector_blocks)
 from prkflow.grid import Grid
 
@@ -184,3 +184,8 @@ def test_projector_blocks_match_the_entrywise_loops(beta, rng):
     m = VectorField(rng.standard_normal((3, 50)), Grid(1, 50, 0.1))
     got = projector_blocks(m, ProjectionParams(0.7, beta))
     assert np.array_equal(got, _projector_blocks_loops(m, 0.7, beta))
+
+
+def test_cross_is_numpys_bit_for_bit(rng):
+    a, b = rng.standard_normal((2, 3, 257))
+    assert np.array_equal(cross(a, b), np.cross(a, b, axis=0))

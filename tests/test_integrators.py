@@ -199,6 +199,55 @@ def test_lm2_records_multiplier_extremes():
     assert np.isfinite(rec.lm2_eta)
 
 
+def _lm2_blowup12():
+    cfg = preset("llg_blowup42", k=12)
+    grid = build_grid(cfg)
+    return build_initial(cfg, grid), scheme_params(cfg, scheme="lm2")
+
+
+def test_lm2_sums_each_energy_once(monkeypatch):
+    # a step sums the pre-projection energy and one energy per eta the root
+    # search tries: F(0), F(0.0025) and brentq's 3 or 4 interior points.  The
+    # start energy comes from the state and the post-projection energy from
+    # the root's, so no field is summed twice in the run
+    import prkflow.integrators as integrators
+    summed = []
+
+    def recording(comps, grid=None):
+        summed.append(np.asarray(getattr(comps, "components", comps)).tobytes())
+        return discrete_energy(comps, grid)
+
+    monkeypatch.setattr(integrators, "discrete_energy", recording)
+    m, p = _lm2_blowup12()
+    aux = lm2_init(m, p)
+    counts = []
+    for _ in range(20):
+        before = len(summed)
+        m, aux, _rec = lm2_step(m, aux, p)
+        counts.append(len(summed) - before)
+    assert max(counts) <= 7, counts
+    assert len(set(summed)) == len(summed)
+
+
+def test_lm2_carries_the_energy_it_records():
+    m, p = _lm2_blowup12()
+    aux = lm2_init(m, p)
+    assert aux.energy == 0.5 * discrete_energy(m)
+    for _ in range(5):
+        m, aux, rec = lm2_step(m, aux, p)
+        assert rec.energy == discrete_energy(m)
+        assert aux.energy == 0.5 * discrete_energy(m)
+
+
+def test_lm2_final_energy_is_pinned():
+    # the energies LM2 keeps are the arithmetic of summing them afresh, so the
+    # trajectory is pinned to the last bit
+    m, p = _lm2_blowup12()
+    _final, trace = run(m, p, 20 * p.tau)
+    assert len(trace) == 20
+    assert float.hex(trace.records[-1].energy) == "0x1.12c3535e0ff4cp+5"
+
+
 @pytest.mark.parametrize("preset_name, k, tau", [("llg_blowup42", 12, 1e-3),
                                                  ("point_defect43", 8, 4e-3)],
                          ids=["neumann", "dirichlet"])
