@@ -7,6 +7,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -14,9 +15,8 @@ import sys
 
 from . import harness, stability, tableau as tab
 from .harness import (preset, PRESET_NAMES, build_grid, build_initial,
-                      scheme_params, checkpoint_steps, config_from_json, config_to_json,
+                      scheme_params, snapshot_run, config_from_json, config_to_json,
                       emit_field_vtk, emit_trace_csv, write_csv)
-from .integrators import run as run_scheme
 
 SCHEME_NAMES = ("prk", "prk_alt", "sip1", "lm2")
 
@@ -84,13 +84,12 @@ def cmd_stability_region(args):
 def _config_from_args(args):
     if args.config:
         with open(args.config) as f:
-            return config_from_json(f.read())
-    overrides = {}
-    for name in ("k", "tau", "T", "seed"):
-        v = getattr(args, name, None)
-        if v is not None:
-            overrides[name] = v
-    return preset(args.preset, **overrides)
+            cfg = config_from_json(f.read())
+    else:
+        cfg = preset(args.preset)
+    overrides = {name: getattr(args, name) for name in ("k", "tau", "T", "seed")
+                 if getattr(args, name) is not None}
+    return dataclasses.replace(cfg, **overrides)
 
 
 def cmd_run(args):
@@ -99,23 +98,13 @@ def cmd_run(args):
     initial = build_initial(cfg, grid)
     scheme = args.scheme or cfg.scheme
     p = scheme_params(cfg, scheme=scheme)
-    at_step = {i: t for t, i in checkpoint_steps(cfg.snapshot_times, p.tau).items()}
+    final, snaps, trace = snapshot_run(initial, p, cfg.T, cfg.snapshot_times)
     os.makedirs(cfg.output_dir, exist_ok=True)
-
     snapshots = []
-
-    def observe(i, _t, m):
-        if i in at_step:
-            path = os.path.join(cfg.output_dir, f"{cfg.preset}_{scheme}_t{at_step[i]:g}.vtk")
-            emit_field_vtk(m, grid, path)
-            snapshots.append(path)
-
-    if 0.0 in cfg.snapshot_times:
-        path = os.path.join(cfg.output_dir, f"{cfg.preset}_{scheme}_t0.vtk")
-        emit_field_vtk(initial, grid, path)
+    for t in sorted(snaps):
+        path = os.path.join(cfg.output_dir, f"{cfg.preset}_{scheme}_t{t:g}.vtk")
+        emit_field_vtk(snaps[t][0], grid, path)
         snapshots.append(path)
-
-    final, trace = run_scheme(initial, p, cfg.T, observers=[observe])
     trace_path = os.path.join(cfg.output_dir, f"{cfg.preset}_{scheme}_trace.csv")
     emit_trace_csv(trace, trace_path)
     final_path = os.path.join(cfg.output_dir, f"{cfg.preset}_{scheme}_final.vtk")

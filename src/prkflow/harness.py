@@ -8,7 +8,9 @@ The three drivers share one sweep.  It checks every checkpoint time against
 every step size before any step, builds the grid, the initial field and one
 reference trajectory per effective beta once, and makes one run per
 (scheme, tau), observed at every checkpoint (error and wall time since
-t = 0).  The drivers only format its cells as rows.
+t = 0).  The drivers only format its cells as rows.  Every run read at
+checkpoint times (the sweep's, the reference's and ``prkflow run``'s) is a
+``snapshot_run``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "emit_field_vtk",
     "emit_trace_csv",
     "reference_snapshots",
+    "snapshot_run",
     "checkpoint_steps",
     "config_to_json",
     "config_from_json",
@@ -269,37 +272,38 @@ def reference_snapshots(cfg, initial, times, beta=None):
     when cfg.reference == "bdf4" and PRK2 otherwise, at step ref_tau; a
     failed reference run raises RuntimeError.
     """
-    times = sorted(times)
-    steps = checkpoint_steps(times, cfg.ref_tau)
     proj = ProjectionParams(alpha=cfg.alpha, beta=cfg.beta if beta is None else beta)
     # reference trajectories run at a tightened tolerance so that accumulated
     # solver residuals stay below the Richardson qualification bound
     solver = SolverConfig(rel_tol=1e-12)
     scheme = "bdf4_ref" if cfg.reference == "bdf4" else "prk"
     p = SchemeParams(scheme=scheme, tau=cfg.ref_tau, projection=proj, solver=solver)
-    snaps, trace = _snapshot_run(initial, p, steps)
+    _final, snaps, trace = snapshot_run(initial, p, max(times), times)
     if trace.failure is not None:
         raise RuntimeError(f"reference run failed: {trace.failure}")
-    return {t: snaps[steps[t]][0] for t in times}
+    return {t: snaps[t][0] for t in times}
 
 
-def _snapshot_run(initial, p, steps):
-    """Run to the last of the checkpoints {time: step index}.
+def snapshot_run(initial, p, T, times):
+    """Run to T, keeping the field at each of ``times``.
 
-    Returns ({step index: (field, wall seconds since the run began)} for the
-    checkpoints reached, trace); a checkpoint at step 0 holds the initial
-    field at 0 s.
+    Every time must be a whole number of steps (ValueError before any step).
+    Returns (final field, {time: (field, wall seconds since the run began)}
+    for the times reached, trace); time 0 holds the initial field at 0 s and
+    a time past T is not reached.
     """
-    wanted = set(steps.values())
-    snaps = {0: (initial.copy(), 0.0)} if 0 in wanted else {}
+    wanted = {}
+    for t, i in checkpoint_steps(times, p.tau).items():
+        wanted.setdefault(i, []).append(t)
+    snaps = {t: (initial.copy(), 0.0) for t in wanted.get(0, ())}
     t0 = time.perf_counter()
 
     def observe(i, _t, m):
-        if i in wanted:
-            snaps[i] = (m.copy(), time.perf_counter() - t0)
+        for t in wanted.get(i, ()):
+            snaps[t] = (m.copy(), time.perf_counter() - t0)
 
-    _final, trace = run(initial, p, max(steps), observers=[observe])
-    return snaps, trace
+    final, trace = run(initial, p, T, observers=[observe])
+    return final, snaps, trace
 
 
 def _sweep(cfg, schemes, taus, times):
@@ -312,7 +316,8 @@ def _sweep(cfg, schemes, taus, times):
     error and wall are None for a time the run did not reach.
     """
     times = sorted(times)
-    steps = {tau: checkpoint_steps(times, tau) for tau in taus}
+    for tau in taus:
+        checkpoint_steps(times, tau)
     grid = build_grid(cfg)
     initial = build_initial(cfg, grid)
     refs = {}
@@ -321,11 +326,11 @@ def _sweep(cfg, schemes, taus, times):
         if beta not in refs:
             refs[beta] = reference_snapshots(cfg, initial, times, beta=beta)
         for tau in taus:
-            snaps, _trace = _snapshot_run(initial, scheme_params(cfg, scheme=scheme, tau=tau),
-                                          steps[tau])
+            _final, snaps, _trace = snapshot_run(
+                initial, scheme_params(cfg, scheme=scheme, tau=tau), times[-1], times)
             cells = []
             for T in times:
-                field, wall = snaps.get(steps[tau][T], (None, None))
+                field, wall = snaps.get(T, (None, None))
                 err = None if field is None else l2_error(field, refs[beta][T], grid)
                 cells.append((T, err, wall))
             yield scheme, tau, cells

@@ -80,8 +80,8 @@ def embed(t):
     return AdditiveEmbedding(a_hat, a1, a2, b_hat, b1, b2)
 
 
-def _embedding_of(t_or_emb):
-    e = t_or_emb if isinstance(t_or_emb, AdditiveEmbedding) else embed(t_or_emb)
+def _embedding_of(t):
+    e = embed(t)
     if any(np.triu(m, k=1).any() for m in (e.a_hat, e.a1, e.a2)):
         raise ValueError("embedded stage matrices are not lower triangular; "
                          "the tableau must be diagonally implicit")

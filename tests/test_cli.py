@@ -156,15 +156,38 @@ def test_run_from_config_file(tmp_path, capsys):
     assert (tmp_path / "custom_prk_trace.csv").exists()
 
 
-def test_run_emits_requested_snapshots(tmp_path):
-    # the blowup preset requests a snapshot at t = 0.049 among others
+def test_config_file_takes_overrides(tmp_path, capsys):
+    # --k, --tau, --T and --seed override a --config file as they do a preset
     from prkflow.harness import preset, config_to_json
-    cfg = preset("llg_blowup42", k=8, output_dir=str(tmp_path))
-    assert 0.049 in cfg.snapshot_times
+    path = tmp_path / "cfg.json"
+    path.write_text(config_to_json(preset("custom", output_dir=str(tmp_path))))
+    assert main(["run", "--config", str(path), "--T", "2e-3"]) == 0
+    assert "steps completed: 2;" in capsys.readouterr().out
+    assert main(["dump-config", "--config", str(path), "--k", "4"]) == 0
+    assert '"k": 4,' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("snapshot_times, extra_args, written", [
+    pytest.param(None, [], (0.02, 0.04, 0.048, 0.049, 0.1), id="preset-times"),
+    pytest.param((0.0, 0.02, 0.049, 0.1), ["--T", "0.05"], (0.0, 0.02, 0.049),
+                 id="initial-and-past-T"),
+])
+def test_run_emits_requested_snapshots(tmp_path, capsys, snapshot_times, extra_args, written):
+    # the blowup preset requests a snapshot at t = 0.049 among others; t = 0
+    # writes the initial field and a time past T writes nothing
+    from prkflow.harness import preset, config_to_json
+    overrides = {} if snapshot_times is None else {"snapshot_times": snapshot_times}
+    cfg = preset("llg_blowup42", k=8, output_dir=str(tmp_path), **overrides)
     path = tmp_path / "cfg.json"
     path.write_text(config_to_json(cfg))
-    assert main(["run", "--config", str(path)]) == 0
-    assert (tmp_path / "llg_blowup42_prk_t0.049.vtk").exists()
+    assert main(["run", "--config", str(path), *extra_args]) == 0
+    snapshots = [f"llg_blowup42_prk_t{t:g}.vtk" for t in written]
+    emitted = sorted(p.name for p in tmp_path.glob("llg_blowup42_prk_*"))
+    assert emitted == sorted(snapshots + ["llg_blowup42_prk_final.vtk",
+                                          "llg_blowup42_prk_trace.csv"])
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("snapshot: ")]
+    assert printed == [f"snapshot: {tmp_path / name}" for name in snapshots]
 
 
 def test_convergence_command(tmp_path, capsys):
