@@ -56,14 +56,16 @@ class VectorField:
 
 @dataclass(frozen=True)
 class ProjectionParams:
-    """Dissipative strength alpha > 0 and precession strength beta."""
+    """Dissipative strength alpha > 0 and precession strength beta, both finite."""
 
     alpha: float
     beta: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha!r}")
+        if not np.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta!r}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ the known boundary values folded into a forcing vector, so that
 remaining nodes.  A grid stores D_h once, as the diagonals (DIA format) of
 the block-diagonal diag(D_h, D_h, D_h) over the stacked (3, N) field, so
 that one banded product applies it to all three components
-(``DiscreteLaplacian``).
+(``DiscreteLaplacian``).  ``laplacian`` fills those 2 dim + 1 diagonals
+one by one from the per-axis stencil.
 
 Every Dirichlet face is a whole face, so the free nodes form a tensor
 product and D_h on them is the Kronecker sum of the 1-D stencils restricted
@@ -79,14 +80,10 @@ class Grid:
         self.n_nodes = self.n_per_axis ** dim
 
         n = self.n_per_axis
-        axes = [self.origin[a] + self.h * np.arange(n) for a in range(dim)]
-        # multi-index arrays, x fastest in the flattened order
-        grids = np.meshgrid(*axes[::-1], indexing="ij")  # (z, y, x) order
-        self.coords = np.stack([g.reshape(-1) for g in grids[::-1]], axis=1)
-
-        idx = [np.arange(n)] * dim
-        mesh = np.meshgrid(*idx[::-1], indexing="ij")
-        self._axis_index = [m.reshape(-1) for m in mesh[::-1]]  # per-axis node index
+        # per-axis node index, x fastest in the flattened order
+        self._axis_index = np.indices(self.shape()).reshape(dim, -1)[::-1]
+        self.coords = np.stack([self.origin[a] + self.h * self._axis_index[a]
+                                for a in range(dim)], axis=1)
 
         fixed = np.zeros(self.n_nodes, dtype=bool)
         values = np.zeros((3, self.n_nodes))
@@ -194,72 +191,43 @@ class DiscreteLaplacian:
         return out
 
 
-def _assemble_stencil(grid):
-    """Nodewise integer-stencil assembly, for any mix of face conditions.
-
-    Returns (stencil, coupling): the (rows, cols, vals) couplings among free
-    nodes, unscaled and with one diagonal entry per axis, and the couplings
-    into Dirichlet-fixed nodes as an unscaled CSR matrix; without a
-    Dirichlet face the coupling is empty.
-    """
-    n = grid.n_per_axis
-    fixed = grid.dirichlet_mask
-    rows, cols, vals = [], [], []
-
-    nodes = np.arange(grid.n_nodes)
-    free = nodes[~fixed]
-    for a in range(grid.dim):
-        stride = grid.axis_stride(a)
-        ai = grid._axis_index[a][free]
-        at_low = ai == 0
-        at_high = ai == n - 1
-        interior = ~(at_low | at_high)
-        # one-sided Neumann rows (Dirichlet ends cannot occur on free nodes)
-        for mask, sgn in ((at_low, +1), (at_high, -1)):
-            r = free[mask]
-            rows.extend([r, r])
-            cols.extend([r, r + sgn * stride])
-            vals.extend([np.full(r.size, -2.0), np.full(r.size, 2.0)])
-        r = free[interior]
-        rows.extend([r, r, r])
-        cols.extend([r - stride, r, r + stride])
-        vals.extend([np.ones(r.size), np.full(r.size, -2.0), np.ones(r.size)])
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    into_fixed = fixed[cols]
-    coupling = sparse.csr_matrix(
-        (vals[into_fixed], (rows[into_fixed], cols[into_fixed])),
-        shape=(grid.n_nodes, grid.n_nodes))
-    keep = ~into_fixed
-    return (rows[keep], cols[keep], vals[keep]), coupling
-
-
-def _stacked_diagonals(n, rows, cols, vals):
-    """(offsets, data) of diag(S, S, S) in DIA form, S the n x n sum of the (rows, cols, vals) entries.
-
-    Filled straight from the entries, N wide per block: a COO or CSR
-    ``todia()`` sizes the data to the last non-empty column, which misaligns
-    the tiled blocks when the last nodes are fixed.  The entries are small
-    integers, so the order in which duplicates are summed does not matter.
-    """
-    offsets, diagonal = np.unique(cols - rows, return_inverse=True)
-    data = np.bincount(diagonal * n + cols, weights=vals, minlength=offsets.size * n)
-    return offsets, np.tile(data.reshape(offsets.size, n), 3)
-
-
 def laplacian(grid):
-    """Discrete Laplacian of the grid (memoized on the grid instance)."""
+    """Discrete Laplacian of the grid (memoized on the grid instance).
+
+    The 2 dim + 1 diagonals of D_h are filled straight from the per-axis
+    stencil: -2 dim on the main diagonal at the free nodes and, along each
+    axis, a free node's couplings to its neighbours at -stride and +stride,
+    weight 1 inside and 2 from a Neumann end (the one-sided row (-2, 2)).
+    A coupling into a Dirichlet-fixed node goes to the forcing instead.
+    The offsets are visited in ascending order, so each forcing row adds up
+    its terms in column order, as a CSR product of the couplings would.
+    Only diagonals with an entry are kept.
+    """
     if grid._laplacian is not None:
         return grid._laplacian
+    n, fixed = grid.n_per_axis, grid.dirichlet_mask
     scaling = 1.0 / grid.h ** 2
-    (rows, cols, vals), coupling = _assemble_stencil(grid)
-    scaled_coupling = (coupling * scaling).tocsr()
-    bc = np.vstack([scaled_coupling @ grid.dirichlet_values[l] for l in range(3)])
-    offsets, data = _stacked_diagonals(grid.n_nodes, rows, cols, vals)
+    diagonals = {} if fixed.all() else {0: np.where(fixed, 0.0, -2.0 * grid.dim)}
+    bc = np.zeros((3, grid.n_nodes))
+    for a, sign in [(a, -1) for a in reversed(range(grid.dim))] + [(a, 1) for a in range(grid.dim)]:
+        offset = sign * grid.axis_stride(a)
+        ai = grid._axis_index[a]
+        # every free node but those on the end the offset points out of has a
+        # neighbour there; the one-sided row on the other end weighs it 2
+        one_sided, outer = (0, n - 1) if sign > 0 else (n - 1, 0)
+        rows = np.flatnonzero(~fixed & (ai != outer))
+        cols = rows + offset
+        weight = np.where(ai[rows] == one_sided, 2.0, 1.0)
+        into = fixed[cols]
+        if not into.all():
+            diagonals[offset] = np.zeros(grid.n_nodes)
+            diagonals[offset][cols[~into]] = weight[~into]
+        bc[:, rows[into]] += (weight[into] * scaling) * grid.dirichlet_values[:, cols[into]]
+    offsets = sorted(diagonals)
+    data = np.array([diagonals[o] for o in offsets]).reshape(len(offsets), grid.n_nodes)
     size = 3 * grid.n_nodes
-    lap = DiscreteLaplacian(sparse.dia_matrix((data * scaling, offsets), shape=(size, size)), bc)
+    lap = DiscreteLaplacian(
+        sparse.dia_matrix((np.tile(data, 3) * scaling, offsets), shape=(size, size)), bc)
     grid._laplacian = lap
     return lap
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -139,6 +141,10 @@ INITIAL_PROVIDERS = {
 }
 
 
+def _finite(value):
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     preset: str
@@ -172,6 +178,18 @@ class ExperimentConfig:
                 raise ValueError(f"unknown face {face!r}; know {(NEUMANN, *BOUNDARY_PROVIDERS)}")
         if self.initial not in INITIAL_PROVIDERS:
             raise ValueError(f"unknown initial {self.initial!r}; know {tuple(INITIAL_PROVIDERS)}")
+        for key in ("length", "alpha", "tau", "ref_tau", "T", "beta"):
+            value = getattr(self, key)
+            if not _finite(value):
+                raise ValueError(f"{key!r} must be a finite number, got {value!r}")
+        for key in ("length", "alpha", "tau", "ref_tau"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key!r} must be positive, got {getattr(self, key)!r}")
+        if self.T < 0:
+            raise ValueError(f"'T' must not be negative, got {self.T!r}")
+        if len(self.origin) != self.dim or not all(map(_finite, self.origin)):
+            raise ValueError(f"'origin' must have {self.dim} finite entries at dim {self.dim}, "
+                             f"got {self.origin!r}")
 
     @property
     def h(self):
@@ -445,8 +463,8 @@ def config_to_json(cfg):
 
 def config_from_json(text):
     """ExperimentConfig from JSON; ValueError naming any unknown or missing keys,
-    a face, initial field or cell count that ExperimentConfig rejects, or a
-    scheme that SchemeParams rejects.
+    a face, initial field, cell count, origin or other number that
+    ExperimentConfig rejects, or a scheme that SchemeParams rejects.
 
     Configurations dumped before the solver became automatic carry
     ``solver_method``, those dumped before sip1 became the implicit-Euler

@@ -99,8 +99,8 @@ class SchemeParams:
     solver: SolverConfig = dataclass_field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
         if self.scheme not in ("prk", "prk_alt", "sip1", "lm2", "bdf4_ref"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.scheme in ("prk", "prk_alt", "sip1"):

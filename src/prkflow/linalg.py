@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .field import cross
+from .field import apply_blocks, cross
 from .grid import shifted_laplacian_inverse
 
 __all__ = [
@@ -145,7 +145,7 @@ class StageOperator:
     def dot(self, x):
         x = x.reshape(3, -1)
         self.dx = self.lap.apply_homogeneous(x)
-        out = np.einsum("lmn,mn->ln", self.blocks, self.dx)
+        out = apply_blocks(self.blocks, self.dx)
         # in place, and bit-identical to x - coeff * out
         out *= -self.coeff
         out += x

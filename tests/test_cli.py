@@ -1,6 +1,7 @@
 """Command-line interface: exit codes and artifact emission."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -105,9 +106,21 @@ def test_dump_config_parses(capsys):
     (lambda doc: doc.update(dim=4), "dim"),
     (lambda doc: doc["faces"].pop(), "faces"),
     (lambda doc: doc.update(dim=3), "faces"),
+    # numbers that pass the type but not the run: each is named by its key
+    (lambda doc: doc.update(beta=math.nan), "beta"),
+    (lambda doc: doc.update(tau=math.inf), "tau"),
+    (lambda doc: doc.update(origin=[0.0]), "origin"),
+    (lambda doc: doc.update(length=-1.0), "length"),
+    (lambda doc: doc.update(T=math.nan), "T"),
+    (lambda doc: doc.update(ref_tau=math.nan), "ref_tau"),
+    (lambda doc: doc.update(origin=[math.nan, 0.0]), "origin"),
+    (lambda doc: doc.update(alpha=math.inf), "alpha"),
+    (lambda doc: doc.update(T=-1.0), "T"),
 ], ids=["unknown-key", "missing-key", "solver-method", "theta", "solver-rel-tol",
         "unknown-scheme", "unknown-face", "unknown-initial", "zero-cells", "dim-4",
-        "three-faces-at-dim-2", "four-faces-at-dim-3"])
+        "three-faces-at-dim-2", "four-faces-at-dim-3", "nan-beta", "infinite-tau",
+        "short-origin", "negative-length", "nan-T", "nan-ref-tau", "nan-origin",
+        "infinite-alpha", "negative-T"])
 def test_dump_config_malformed_json_is_usage_error(edit, key, tmp_path, capsys):
     from prkflow.harness import preset, config_to_json
     doc = json.loads(config_to_json(preset("custom")))
@@ -118,6 +131,14 @@ def test_dump_config_malformed_json_is_usage_error(edit, key, tmp_path, capsys):
         assert main([command, "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err
+
+
+def test_run_with_infinite_tau_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--preset", "custom", "--tau", "inf"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'tau'" in err and "got inf" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_run_with_zero_cells_is_usage_error(tmp_path, capsys, monkeypatch):

@@ -149,6 +149,9 @@ def test_diagnostics_empty_rejected():
 def test_projection_params_validation():
     with pytest.raises(ValueError):
         ProjectionParams(alpha=0.0, beta=1.0)
+    for alpha, beta in ((np.inf, 0.0), (np.nan, 0.0), (1.0, np.nan), (1.0, -np.inf)):
+        with pytest.raises(ValueError):
+            ProjectionParams(alpha=alpha, beta=beta)
 
 
 def test_blocks_match_pointwise_reference(rng):

@@ -1,5 +1,7 @@
 """Stencils, boundary handling, inner products, and the energy identity."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -93,7 +95,7 @@ def test_kronecker_nonzero_count():
 
 
 def test_neumann_stencil_is_kronecker_sum():
-    # the nodewise assembly reproduces the Kronecker sum of 1-D stencils exactly
+    # the diagonal-by-diagonal fill reproduces the Kronecker sum of 1-D stencils exactly
     for dim in (1, 2, 3):
         for n in (2, 5):
             g1 = _neumann_1d_stencil(n)
@@ -156,6 +158,28 @@ def test_laplacian_stores_one_stacked_dia_matrix(kind):
     # the derived N x N matrix is canonical CSR without stored zeros
     d = lap.matrix
     assert d.format == "csr" and d.has_sorted_indices and np.all(d.data != 0.0)
+
+
+# sha256 of the preset Laplacians' offsets (int64), diagonals and forcing,
+# recorded from the COO-assembled D_h; point_defect43 has interior corner
+# nodes coupled into three Dirichlet faces, so its digest also pins the order
+# in which each forcing row adds up its terms
+PRESET_LAPLACIAN_DIGESTS = {
+    "convergence41": "81ed7bd5a61b7980a672c31fa164c5f81900446230a917a39c4a08cea5abe249",
+    "llg_blowup42": "9833c7f109d62748bd732506b387144730588d99e290dee3585579377a387ae3",
+    "point_defect43": "a55acf50d3e1e1cfe2b9c16999aa219d8a6e9a0f88acf131993d2cc4d38a5d2c",
+    "twisted_nematic44": "5f5a29a54d56effc07397c2ff168a8c1dc62339cfde2e4229171e640e2398d00",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_LAPLACIAN_DIGESTS))
+def test_preset_laplacian_bits(name):
+    lap = laplacian(build_grid(preset(name)))
+    digest = hashlib.sha256()
+    digest.update(lap.stacked.offsets.astype(np.int64).tobytes())
+    digest.update(lap.stacked.data.tobytes())
+    digest.update(lap.bc_contribution.tobytes())
+    assert digest.hexdigest() == PRESET_LAPLACIAN_DIGESTS[name]
 
 
 def test_dirichlet_quadratic_exactness():

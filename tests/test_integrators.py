@@ -157,6 +157,12 @@ def test_tableaux_the_steppers_cannot_take_are_rejected(scheme):
     assert _params(scheme, 1e-3, tableau=t).tableau.s == 2
 
 
+@pytest.mark.parametrize("tau", [0.0, -1e-3, np.inf, np.nan])
+def test_scheme_params_rejects_a_step_that_is_not_finite_and_positive(tau):
+    with pytest.raises(ValueError, match="tau"):
+        _params("prk", tau)
+
+
 def test_lm2_requires_beta_zero():
     grid = Grid(2, 5, 0.25)
     m = _constant_field(grid)
