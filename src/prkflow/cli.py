@@ -47,7 +47,7 @@ def cmd_check_tableau(args):
     if args.order:
         residuals = tab.order_condition_residuals(t, args.order)
         worst = max(abs(r) for _, r in residuals)
-        passed = worst <= 1e-13
+        passed = tab.satisfies_order(t, args.order)
         ok = ok and passed
         print(f"order conditions through order {args.order}: "
               f"{'OK' if passed else 'FAILED'} (worst residual {worst:.3e})")

@@ -376,12 +376,15 @@ def _transforms(mats, dim, a, b):
 
 
 def inner_product(u, v, grid):
-    """Trapezoidal-rule inner product of two scalar node vectors."""
+    """Trapezoidal-rule inner product of two scalar node vectors, or of two
+    (n, N) stacks of them: the n row products, each summed as a vector alone, in order."""
     u = np.asarray(u)
     v = np.asarray(v)
-    if u.shape != (grid.n_nodes,) or v.shape != (grid.n_nodes,):
-        raise ValueError("node vector length does not match the grid")
-    return grid.h ** grid.dim * float(np.sum(grid.trapezoid_weights * u * v))
+    if u.shape != v.shape or u.ndim not in (1, 2) or u.shape[-1] != grid.n_nodes:
+        raise ValueError(f"node vectors of shapes {u.shape} and {v.shape} do not match "
+                         f"each other and the grid's {grid.n_nodes} nodes")
+    rows = (grid.trapezoid_weights * u * v).reshape(-1, grid.n_nodes).sum(axis=1)
+    return sum((grid.h ** grid.dim * rows).tolist())
 
 
 def discrete_energy(field, grid=None):

@@ -166,6 +166,10 @@ class ExperimentConfig:
     seed: int = 20240817
 
     def __post_init__(self):
+        for key in ("dim", "k", "seed"):
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{key!r} must be an integer, got {value!r}")
         if not self.k >= 1:
             raise ValueError(f"'k' (cells per axis) must be at least 1, got {self.k!r}")
         if self.dim not in (1, 2, 3):
@@ -190,6 +194,13 @@ class ExperimentConfig:
         if len(self.origin) != self.dim or not all(map(_finite, self.origin)):
             raise ValueError(f"'origin' must have {self.dim} finite entries at dim {self.dim}, "
                              f"got {self.origin!r}")
+        if not all(_finite(t) and t >= 0 for t in self.snapshot_times):
+            raise ValueError(f"'snapshot_times' must be finite and not negative, "
+                             f"got {self.snapshot_times!r}")
+        if self.reference not in ("bdf4", "self"):
+            raise ValueError(f"'reference' must be 'bdf4' or 'self', got {self.reference!r}")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"'output_dir' must be a string, got {self.output_dir!r}")
 
     @property
     def h(self):
@@ -274,7 +285,7 @@ def l2_error(a, b, grid=None):
     """Discrete L2 distance over all three components (trapezoidal rule)."""
     grid = grid or a.grid
     d = a.components - b.components
-    return float(np.sqrt(sum(inner_product(d[l], d[l], grid) for l in range(3))))
+    return math.sqrt(inner_product(d, d, grid))
 
 
 def checkpoint_steps(times, tau):
@@ -463,8 +474,9 @@ def config_to_json(cfg):
 
 def config_from_json(text):
     """ExperimentConfig from JSON; ValueError naming any unknown or missing keys,
-    a face, initial field, cell count, origin or other number that
-    ExperimentConfig rejects, or a scheme that SchemeParams rejects.
+    a face, initial field, reference, ``output_dir``, non-integer count or seed,
+    origin, snapshot time or other number that ExperimentConfig rejects, or a
+    scheme that SchemeParams rejects.
 
     Configurations dumped before the solver became automatic carry
     ``solver_method``, those dumped before sip1 became the implicit-Euler

@@ -44,7 +44,7 @@ import scipy.optimize
 from . import linalg
 from .field import (ZERO_LENGTH_THRESHOLD, VectorField, ProjectionParams, normalize,
                     diagnostics, projector_blocks, apply_blocks, cross)
-from .grid import laplacian, discrete_energy, shifted_laplacian_inverse
+from .grid import laplacian, discrete_energy, inner_product, shifted_laplacian_inverse
 from .linalg import SolverConfig, StageOperator, TangentBlocks, direct_solve, solve
 from .tableau import PRKTableau, implicit_euler_tableau, prk2_tableau, tableau_to_dict, validate
 
@@ -289,11 +289,11 @@ def _stage_weights(p):
     return [w.tolist() for w in weights]
 
 
-def _finish_step(grid, m_tilde, step_index, t_next, solves, t_wall0, extra=None, e_post=None):
+def _finish_step(grid, m_tilde, step_index, t_next, solves, t_wall0, e_post=None, **lm2):
     """Project m_tilde onto the sphere and record the step.
 
     ``e_post``, when given, is the discrete energy of the projected field,
-    which a caller has formed already from the same arithmetic.
+    which a caller has formed already; ``lm2`` holds LM2's record fields.
     """
     pre = VectorField(m_tilde, grid)
     e_pre = discrete_energy(pre)
@@ -307,10 +307,7 @@ def _finish_step(grid, m_tilde, step_index, t_next, solves, t_wall0, extra=None,
                      max_unit_dev=d_post.max_unit_deviation,
                      solver_iters=tuple(solves.iters), solver_residuals=tuple(solves.resids),
                      fallback_stages=tuple(solves.fallbacks),
-                     wall_ms=(time.perf_counter() - t_wall0) * 1e3)
-    if extra:
-        for k, v in extra.items():
-            setattr(rec, k, v)
+                     wall_ms=(time.perf_counter() - t_wall0) * 1e3, **lm2)
     return out, rec
 
 
@@ -373,28 +370,19 @@ def prk_step(state, p, step_index=0, t0=0.0, *, history=None, solves=None):
 
 @dataclass
 class LM2State:
-    """Auxiliary history of the Lagrange-multiplier scheme."""
+    """Auxiliary history of the Lagrange-multiplier scheme, whose energy balance
+    E(m^{n+1}) = E(m^n) - 2 tau alpha ||g x D_h g||_h^2 is in ``discrete_energy``."""
 
     lam: np.ndarray          # pointwise multiplier field
     predictor: np.ndarray    # previous unprojected predictor (3, N)
-    solve: object            # in-place (I - tau*alpha/2 * D_h)^-1 (shifted_laplacian_inverse)
-    energy: float            # _lm2_energy of the field the next step starts from
+    energy: float            # E(m^n) of the field the next step starts from
 
 
 def lm2_init(state, p):
     """m~^0 = m^0; lambda^0 = -m.D_h m pointwise."""
-    grid = state.grid
-    dm = laplacian(grid).apply(state.components)
-    lam = -np.einsum("ln,ln->n", state.components, dm)
-    return LM2State(lam=lam, predictor=state.components.copy(),
-                    solve=shifted_laplacian_inverse(grid, p.tau * p.projection.alpha / 2.0),
-                    energy=_lm2_energy(state.components, grid))
-
-
-def _lm2_energy(comps, grid):
-    # the Lagrange-multiplier energy balance is written for int 1/2 |grad m|^2,
-    # which is half the module's discrete energy
-    return 0.5 * discrete_energy(comps, grid)
+    m = state.components
+    lam = -np.einsum("ln,ln->n", m, laplacian(state.grid).apply(m))
+    return LM2State(lam=lam, predictor=m.copy(), energy=discrete_energy(state))
 
 
 def _lm2_scalar_root(F, bracket, xtol=1e-12, scan_step=0.0025):
@@ -421,8 +409,11 @@ def _lm2_scalar_root(F, bracket, xtol=1e-12, scan_step=0.0025):
 def lm2_step(state, aux, p, step_index=0, t0=0.0):
     """Predictor / corrector / energy-enforcement step (beta = 0 flow).
 
-    Returns (field, updated aux, record).  Raises NoRealRootError when the
-    scalar multiplier equation has no real solution in the bracket.
+    Returns (field, updated aux, record).  With g = (m_hat + m^n)/2, the
+    multiplier eta of e = (1, 1, 1)/sqrt(3) is the root nearest zero of
+    F(eta) = E(v/|v|) - E(m^n) + 2 tau alpha ||g x D_h g||_h^2, v = m_hat + eta e,
+    E the ``discrete_energy``, ||.||_h the ``inner_product`` norm; raises
+    NoRealRootError when F has none in the bracket.
     Each energy is summed once: the start energy comes from ``aux``, the
     root search keeps the energy of every eta it tries (``brentq`` tries its
     bracket ends again after the scan), and the root's, which ``brentq``
@@ -438,7 +429,7 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
     m = state.components
     d_pred = lap.apply(aux.predictor)
     rhs = m + (tau * alpha / 2.0) * d_pred + (tau * alpha) * aux.lam * m
-    m_tilde = aux.solve(rhs)
+    m_tilde = shifted_laplacian_inverse(grid, tau * alpha / 2.0)(rhs)
 
     w = m_tilde - (tau * alpha / 2.0) * aux.lam * m
     wn = np.sqrt(np.einsum("ln,ln->n", w, w))
@@ -448,28 +439,23 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
     m_hat = w / wn
 
     g = 0.5 * (m_hat + m)
-    dg = lap.apply(g)
-    cr = cross(g, dg)
-    # the inner products of the three components, summed as inner_product would
-    dissipation = sum((grid.h ** grid.dim
-                       * (grid.trapezoid_weights * cr * cr).sum(axis=1)).tolist())
-    target = aux.energy - tau * alpha * dissipation
+    cr = cross(g, lap.apply(g))
+    target = aux.energy - 2.0 * tau * alpha * inner_product(cr, cr, grid)
 
     e_dir = _LM2_DIRECTION[:, None]
     # |m_hat + eta e| >= (1 - (m_hat.e)^2)^(1/2) at every node, so v can vanish
     # only where m_hat is parallel to e; elsewhere F needs no length check
     near_parallel = np.abs(_LM2_DIRECTION @ m_hat).max() > _LM2_PARALLEL
 
-    energies = {}          # eta -> _lm2_energy(v / |v|), v = m_hat + eta e
+    energies = {}          # eta -> discrete_energy(v / |v|), v = m_hat + eta e
 
     def F(eta):
         if eta not in energies:
             v = m_hat + eta * e_dir
             vn = np.sqrt(np.einsum("ln,ln->n", v, v))
-            if near_parallel and vn.min() < ZERO_LENGTH_THRESHOLD:
-                energies[eta] = np.nan      # v / |v| is undefined where v vanishes
-            else:
-                energies[eta] = _lm2_energy(v / vn, grid)
+            # v / |v| is undefined where v vanishes
+            undefined = near_parallel and vn.min() < ZERO_LENGTH_THRESHOLD
+            energies[eta] = np.nan if undefined else discrete_energy(v / vn, grid)
         return energies[eta] - target
 
     eta = _lm2_scalar_root(F, _LM2_BRACKET)
@@ -478,13 +464,10 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
             f"no real multiplier in [-{_LM2_BRACKET}, {_LM2_BRACKET}] at t={t0 + tau:.6g}")
     # the field entering the final projection; F(eta) normalized it the same way
     m_tilde_post = m_hat + eta * e_dir
-    e_post = 2.0 * energies[eta] if eta in energies else None
     out, rec = _finish_step(grid, m_tilde_post, step_index, t0 + tau, _Solves([1], [0.0]), t_wall,
-                            extra={"lm2_lambda_min": float(lam_new.min()),
-                                   "lm2_lambda_max": float(lam_new.max()),
-                                   "lm2_eta": float(eta)},
-                            e_post=e_post)
-    aux_new = LM2State(lam=lam_new, predictor=m_tilde, solve=aux.solve, energy=0.5 * rec.energy)
+                            e_post=energies.get(eta), lm2_lambda_min=float(lam_new.min()),
+                            lm2_lambda_max=float(lam_new.max()), lm2_eta=float(eta))
+    aux_new = LM2State(lam=lam_new, predictor=m_tilde, energy=rec.energy)
     return out, aux_new, rec
 
 

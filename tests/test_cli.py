@@ -116,11 +116,22 @@ def test_dump_config_parses(capsys):
     (lambda doc: doc.update(origin=[math.nan, 0.0]), "origin"),
     (lambda doc: doc.update(alpha=math.inf), "alpha"),
     (lambda doc: doc.update(T=-1.0), "T"),
+    # counts and seeds must be integers, and JSON's true is not one
+    (lambda doc: doc.update(k=2.5), "k"),
+    (lambda doc: doc.update(dim=2.0), "dim"),
+    (lambda doc: doc.update(seed=1.5), "seed"),
+    (lambda doc: doc.update(k=True), "k"),
+    (lambda doc: doc.update(snapshot_times=[math.nan]), "snapshot_times"),
+    (lambda doc: doc.update(snapshot_times=[-1.0]), "snapshot_times"),
+    (lambda doc: doc.update(reference="bogus"), "reference"),
+    (lambda doc: doc.update(output_dir=5), "output_dir"),
 ], ids=["unknown-key", "missing-key", "solver-method", "theta", "solver-rel-tol",
         "unknown-scheme", "unknown-face", "unknown-initial", "zero-cells", "dim-4",
         "three-faces-at-dim-2", "four-faces-at-dim-3", "nan-beta", "infinite-tau",
         "short-origin", "negative-length", "nan-T", "nan-ref-tau", "nan-origin",
-        "infinite-alpha", "negative-T"])
+        "infinite-alpha", "negative-T", "fractional-k", "float-dim", "fractional-seed",
+        "boolean-k", "nan-snapshot-time", "negative-snapshot-time", "unknown-reference",
+        "numeric-output-dir"])
 def test_dump_config_malformed_json_is_usage_error(edit, key, tmp_path, capsys):
     from prkflow.harness import preset, config_to_json
     doc = json.loads(config_to_json(preset("custom")))

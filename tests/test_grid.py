@@ -294,6 +294,24 @@ def test_inner_product_length_mismatch():
         inner_product(np.ones(3), np.ones(3), grid)
 
 
+def test_inner_product_of_stacks_adds_the_row_products_in_order(rng):
+    grid = _neumann_grid(2, 9)
+    u, v = rng.standard_normal((2, 3, grid.n_nodes))
+    rows = [inner_product(u[l], v[l], grid) for l in range(3)]
+    assert inner_product(u, v, grid) == (rows[0] + rows[1]) + rows[2]
+
+
+@pytest.mark.parametrize("shape_u, shape_v", [((3, 0), (2, 0)), ((3, 0), (0,)),
+                                              ((3, -1), (3, -1)), ((1, 3, 0), (1, 3, 0))],
+                         ids=["rows", "stack-and-vector", "short-rows", "three-dims"])
+def test_inner_product_stack_shape_mismatch(shape_u, shape_v):
+    # a last entry of 0 stands for the grid's node count, -1 for one node fewer
+    grid = _neumann_grid(2, 4)
+    u, v = (np.ones(shape[:-1] + (grid.n_nodes + shape[-1],)) for shape in (shape_u, shape_v))
+    with pytest.raises(ValueError):
+        inner_product(u, v, grid)
+
+
 def test_energy_constant_field_zero():
     grid = _neumann_grid(2, 8)
     comps = np.zeros((3, grid.n_nodes))

@@ -238,11 +238,11 @@ def test_lm2_sums_each_energy_once(monkeypatch):
 def test_lm2_carries_the_energy_it_records():
     m, p = _lm2_blowup12()
     aux = lm2_init(m, p)
-    assert aux.energy == 0.5 * discrete_energy(m)
+    assert aux.energy == discrete_energy(m)
     for _ in range(5):
         m, aux, rec = lm2_step(m, aux, p)
         assert rec.energy == discrete_energy(m)
-        assert aux.energy == 0.5 * discrete_energy(m)
+        assert aux.energy == discrete_energy(m)
 
 
 def test_lm2_final_energy_is_pinned():
