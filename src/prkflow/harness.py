@@ -142,7 +142,8 @@ INITIAL_PROVIDERS = {
 
 
 def _finite(value):
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -439,8 +440,8 @@ def work_precision_driver(cfg, schemes, taus, T_list, out_dir=None):
     return out
 
 
-def emit_field_vtk(field, grid, path, name="m"):
-    """Legacy ASCII VTK structured-points file with one 3-vector attribute."""
+def emit_field_vtk(field, grid, path):
+    """Legacy ASCII VTK structured-points file with one 3-vector attribute, m."""
     n = grid.n_per_axis
     dims = [1, 1, 1]
     for a in range(grid.dim):
@@ -458,7 +459,7 @@ def emit_field_vtk(field, grid, path, name="m"):
         f.write(f"ORIGIN {_fmt(origin[0])} {_fmt(origin[1])} {_fmt(origin[2])}\n")
         f.write(f"SPACING {_fmt(grid.h)} {_fmt(grid.h)} {_fmt(grid.h)}\n")
         f.write(f"POINT_DATA {grid.n_nodes}\n")
-        f.write(f"VECTORS {name} double\n")
+        f.write("VECTORS m double\n")
         for i in range(grid.n_nodes):
             f.write(f"{_fmt(comps[0, i])} {_fmt(comps[1, i])} {_fmt(comps[2, i])}\n")
 
@@ -474,9 +475,10 @@ def config_to_json(cfg):
 
 def config_from_json(text):
     """ExperimentConfig from JSON; ValueError naming any unknown or missing keys,
-    a face, initial field, reference, ``output_dir``, non-integer count or seed,
-    origin, snapshot time or other number that ExperimentConfig rejects, or a
-    scheme that SchemeParams rejects.
+    an ``origin``, ``faces`` or ``snapshot_times`` that is not a list, a face,
+    initial field, reference, ``output_dir``, non-integer count or seed,
+    origin, snapshot time or other number (JSON's ``true`` is none) that
+    ExperimentConfig rejects, or a scheme that SchemeParams rejects.
 
     Configurations dumped before the solver became automatic carry
     ``solver_method``, those dumped before sip1 became the implicit-Euler
@@ -490,9 +492,11 @@ def config_from_json(text):
     missing = [f.name for f in fields if f.name not in doc and f.default is dataclasses.MISSING]
     if unknown or missing:
         raise ValueError(f"configuration: unknown keys {unknown}, missing keys {missing}")
-    doc["origin"] = tuple(doc["origin"])
-    doc["faces"] = tuple(doc["faces"])
-    doc["snapshot_times"] = tuple(doc.get("snapshot_times", ()))
+    for key in ("origin", "faces", "snapshot_times"):
+        if key in doc:
+            if not isinstance(doc[key], list):
+                raise ValueError(f"{key!r} must be a list, got {doc[key]!r}")
+            doc[key] = tuple(doc[key])
     cfg = ExperimentConfig(**doc)
     scheme_params(cfg)
     return cfg

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sparse
@@ -97,11 +98,11 @@ class BreakdownError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     rel_tol: float = 1e-11
-    abs_tol: float = 1e-14
+    abs_tol: ClassVar[float] = 1e-14
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
 
     @staticmethod
     def iteration_budget(n):

@@ -88,23 +88,32 @@ def _embedding_of(t):
     return e
 
 
-def stability_function(t, z0, z1=0.0, z2=0.0, singular_tol=1e-14):
+def stability_function(t, z0, z1=0.0, z2=0.0):
     """Evaluate R(z0, z1, z2); SingularSystemError at a vanishing stage diagonal."""
     R, singular = _sweep_lower_triangular(_embedding_of(t), z0, np.array([z1], dtype=complex),
-                                          np.array([z2], dtype=complex), singular_tol)
+                                          np.array([z2], dtype=complex))
     if singular[0]:
         raise SingularSystemError(z0, z1, z2)
     return complex(R[0])
 
 
-def default_y_samples(n=129, lo=1e-3, hi=1e3):
-    """Logarithmically spaced boundary-ray ordinates, both signs."""
-    mags = np.logspace(math.log10(lo), math.log10(hi), n)
+_Y_MIN, _Y_MAX = 1e-3, 1e3
+_STIFF_LIMIT = 1e6
+
+
+def default_y_samples(n=129):
+    """n logarithmically spaced boundary-ray ordinates in [_Y_MIN, _Y_MAX], both signs."""
+    mags = np.logspace(math.log10(_Y_MIN), math.log10(_Y_MAX), n)
     return np.concatenate([-mags[::-1], mags])
 
 
-def default_z0_samples(alpha, y_samples, rho=1e6):
-    """Stiff samples on the wedge boundary rays plus the z0 -> -inf limit (-rho)."""
+def default_z0_samples(alpha, y_samples):
+    """Stiff samples on the wedge boundary rays plus the z0 -> -inf limit (-_STIFF_LIMIT).
+
+    The wedge A_alpha is defined for 0 < alpha <= pi/2; other values raise ValueError.
+    """
+    if not 0.0 < alpha <= math.pi / 2:
+        raise ValueError(f"alpha must lie in (0, pi/2], got {alpha!r}")
     y = np.asarray(y_samples, dtype=float)
     if y.size == 0:
         raise ValueError("y_samples must be nonempty")
@@ -112,7 +121,7 @@ def default_z0_samples(alpha, y_samples, rho=1e6):
         z0 = 1j * y
     else:
         z0 = -np.abs(y) / math.tan(alpha) + 1j * y
-    return np.concatenate([z0, [complex(-rho)]])
+    return np.concatenate([z0, [complex(-_STIFF_LIMIT)]])
 
 
 @dataclass(frozen=True)
@@ -123,6 +132,14 @@ class RegionWindow:
     im_max: float
     nx: int
     ny: int
+
+    def __post_init__(self):
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"window bounds must be finite, got {bounds!r}")
+        if not (self.nx >= 1 and self.ny >= 1):
+            raise ValueError(f"window resolution must be at least 1 x 1, "
+                             f"got {self.nx!r} x {self.ny!r}")
 
     def grid(self):
         re = np.linspace(self.re_min, self.re_max, self.nx)
@@ -140,12 +157,17 @@ class RegionSample:
     flagged: np.ndarray     # (nx, ny) bool, singular solve encountered
 
 
-def _sweep_lower_triangular(e, z0, Z1, Z2, singular_tol):
+_SINGULAR_TOL = 1e-14
+_INSIDE_TOL = 1e-12
+
+
+def _sweep_lower_triangular(e, z0, Z1, Z2):
     """R for one stiff sample over flattened explicit-plane points.
 
     Forward substitution on the lower-triangular embedded stage matrix,
-    vectorized over the points.  Returns (R, singular_mask); R is not
-    meaningful where the mask is set.
+    vectorized over the points.  A stage diagonal within _SINGULAR_TOL
+    max(1, |z0 a_hat_ii|) of zero is singular.  Returns (R, singular_mask);
+    R is not meaningful where the mask is set.
     """
     n = e.a_hat.shape[0]
     npts = Z1.shape[0]
@@ -158,24 +180,24 @@ def _sweep_lower_triangular(e, z0, Z1, Z2, singular_tol):
             rhs -= mij * w[j]
         mii = 1.0 - (z0 * e.a_hat[i, i] + Z1 * e.a1[i, i] + Z2 * e.a2[i, i])
         scale = max(1.0, abs(z0) * abs(e.a_hat[i, i]))
-        bad = np.abs(mii) <= singular_tol * scale
+        bad = np.abs(mii) <= _SINGULAR_TOL * scale
         singular |= bad
         w[i] = np.where(bad, 0.0, rhs / np.where(bad, 1.0, mii))
     R = 1.0 + z0 * (e.b_hat @ w) + Z1 * (e.b1 @ w) + Z2 * (e.b2 @ w)
     return R, singular
 
 
-def sample_region(t, window, alpha=math.pi / 2, y_samples=None,
-                  rho=1e6, tol=1e-12, singular_tol=1e-14):
+def sample_region(t, window, alpha=math.pi / 2, y_samples=None):
     """Sample the explicit-part stability region over a rectangular window.
 
-    Each grid point z is inside iff |R(z0, z, 0)| <= 1 + tol for every stiff
-    boundary sample z0.  Singular solves mark the point outside and flagged.
+    Each grid point z is inside iff |R(z0, z, 0)| <= 1 + _INSIDE_TOL for every
+    stiff boundary sample z0 of the wedge A_alpha, 0 < alpha <= pi/2.
+    Singular solves mark the point outside and flagged.
     """
     if y_samples is None:
         y_samples = default_y_samples()
     y_samples = np.asarray(y_samples, dtype=float)
-    z0s = default_z0_samples(alpha, y_samples, rho=rho)
+    z0s = default_z0_samples(alpha, y_samples)
     e = _embedding_of(t)
     re, im = window.grid()
     Z = (re[:, None] + 1j * im[None, :]).reshape(-1)
@@ -184,11 +206,11 @@ def sample_region(t, window, alpha=math.pi / 2, y_samples=None,
     max_abs = np.zeros(Z.shape[0])
     flagged = np.zeros(Z.shape[0], dtype=bool)
     for z0 in z0s:
-        R, singular = _sweep_lower_triangular(e, z0, Z, Z2, singular_tol)
+        R, singular = _sweep_lower_triangular(e, z0, Z, Z2)
         flagged |= singular
         np.maximum(max_abs, np.where(singular, np.inf, np.abs(R)), out=max_abs)
 
-    inside = (max_abs <= 1.0 + tol) & ~flagged
+    inside = (max_abs <= 1.0 + _INSIDE_TOL) & ~flagged
     shape = (window.nx, window.ny)
     return RegionSample(window, alpha, y_samples, inside.reshape(shape),
                         max_abs.reshape(shape), flagged.reshape(shape))

@@ -37,7 +37,7 @@ __all__ = [
 
 
 class TableauStructureError(ValueError):
-    """Raised when tableau arrays have inconsistent shapes."""
+    """Raised when tableau arrays have inconsistent shapes or non-finite entries."""
 
 
 class StageSolveError(RuntimeError):
@@ -72,6 +72,9 @@ class PRKTableau:
         object.__setattr__(self, "b", b)
         for name in ("A", "D1", "D2"):
             object.__setattr__(self, name, _as_matrix(getattr(self, name), name, s))
+        for name in ("A", "D1", "D2", "b"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise TableauStructureError(f"{name} has an entry that is not finite")
 
     @property
     def s(self):
@@ -87,11 +90,15 @@ def shift_matrix(s):
     return np.eye(s, k=-1)
 
 
-def validate(t, tol=1e-12):
+_ROW_SUM_TOL = 1e-12
+
+
+def validate(t):
     """Check structural invariants; returns a list of (name, index, residual).
 
-    Besides lower-triangular A, D1, D2 and unit row sums of D1 and D2, the
-    diagonals of A and D2 must be positive: each stage is an implicit solve.
+    Besides lower-triangular A, D1, D2 and unit row sums of D1 and D2 (within
+    ``_ROW_SUM_TOL``), the diagonals of A and D2 must be positive: each stage
+    is an implicit solve.
     An empty list means the tableau is structurally valid.  Residuals are
     signed: row-sum entries report (1 - actual row sum).
     """
@@ -105,7 +112,7 @@ def validate(t, tol=1e-12):
     for name, mat in (("D1", t.D1), ("D2", t.D2)):
         for i in range(s):
             r = 1.0 - mat[i, : i + 1].sum()
-            if abs(r) > tol:
+            if abs(r) > _ROW_SUM_TOL:
                 violations.append((f"{name}_row_sum", (i,), r))
     for i in range(s):
         if not t.A[i, i] > 0.0:
@@ -128,7 +135,7 @@ def order_condition_residuals(t, up_to_order):
     """Signed residuals (lhs - rhs) of the order conditions through the given order.
 
     A tableau attains order p when every residual through order p vanishes
-    (within 1e-13).  Orders 1..3 are supported.
+    (within ``_ORDER_TOL``, see ``satisfies_order``).  Orders 1..3 are supported.
     """
     if up_to_order not in (1, 2, 3):
         raise ValueError("up_to_order must be 1, 2 or 3")
@@ -152,8 +159,11 @@ def order_condition_residuals(t, up_to_order):
     return out
 
 
-def satisfies_order(t, order, tol=1e-13):
-    return all(abs(r) <= tol for _, r in order_condition_residuals(t, order))
+_ORDER_TOL = 1e-13
+
+
+def satisfies_order(t, order):
+    return all(abs(r) <= _ORDER_TOL for _, r in order_condition_residuals(t, order))
 
 
 def q_matrix(t):
@@ -179,11 +189,14 @@ class CertificateReport:
     indeterminate: bool = False
 
 
-def certify(t, psd_tol=1e-12):
+_PSD_TOL = 1e-12
+
+
+def certify(t):
     """Eigenvalue-based positive-semidefiniteness certificate for Q and R.
 
-    The PSD floor is scaled per matrix: min eigenvalue >= -psd_tol * max(1, ||M||_inf).
-    ``satisfies_theorem`` additionally requires b >= 0.
+    The PSD floor is scaled per matrix: min eigenvalue >= -_PSD_TOL * max(1, ||M||_inf).
+    ``satisfies_theorem`` additionally requires b >= -_PSD_TOL.
     """
     Q = q_matrix(t)
     R = r_matrix(t)
@@ -192,10 +205,10 @@ def certify(t, psd_tol=1e-12):
         r_eigs = np.linalg.eigvalsh(R)
     except np.linalg.LinAlgError:
         return CertificateReport(Q, R, np.full(t.s, np.nan), np.full(t.s, np.nan),
-                                 bool(np.all(t.b >= -psd_tol)), False, indeterminate=True)
-    b_ok = bool(np.all(t.b >= -psd_tol))
-    q_ok = q_eigs.min() >= -psd_tol * max(1.0, np.abs(Q).sum(axis=1).max())
-    r_ok = r_eigs.min() >= -psd_tol * max(1.0, np.abs(R).sum(axis=1).max())
+                                 bool(np.all(t.b >= -_PSD_TOL)), False, indeterminate=True)
+    b_ok = bool(np.all(t.b >= -_PSD_TOL))
+    q_ok = q_eigs.min() >= -_PSD_TOL * max(1.0, np.abs(Q).sum(axis=1).max())
+    r_ok = r_eigs.min() >= -_PSD_TOL * max(1.0, np.abs(R).sum(axis=1).max())
     return CertificateReport(Q, R, q_eigs, r_eigs, b_ok, bool(b_ok and q_ok and r_ok))
 
 
@@ -298,19 +311,17 @@ class ScalarOrderResult:
     u_reference: float
 
 
-def measure_scalar_order(t, f1, f2, u0, T, tau_list, ref_step=None):
+def measure_scalar_order(t, f1, f2, u0, T, tau_list):
     """Empirical convergence order of the product scheme on u' = f1(u) f2(u).
 
     Integrates to T for each step size, measures errors against a classical
-    RK4 reference (step ``ref_step``, default min(tau_list)/100) and returns
-    the least-squares slope of log(error) against log(tau).
+    RK4 reference (step min(tau_list)/100) and returns the least-squares
+    slope of log(error) against log(tau).
     """
     taus = np.asarray(tau_list, dtype=float)
     if taus.size < 2:
         raise ValueError("need at least two step sizes to estimate a slope")
-    if ref_step is None:
-        ref_step = taus.min() / 100.0
-    u_ref = _rk4_reference(f1, f2, u0, T, ref_step)
+    u_ref = _rk4_reference(f1, f2, u0, T, taus.min() / 100.0)
     errors = []
     for tau in taus:
         n = int(round(T / tau))

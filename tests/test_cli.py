@@ -125,13 +125,22 @@ def test_dump_config_parses(capsys):
     (lambda doc: doc.update(snapshot_times=[-1.0]), "snapshot_times"),
     (lambda doc: doc.update(reference="bogus"), "reference"),
     (lambda doc: doc.update(output_dir=5), "output_dir"),
+    # sequences must be JSON lists
+    (lambda doc: doc.update(snapshot_times=5), "snapshot_times"),
+    (lambda doc: doc.update(faces=5), "faces"),
+    (lambda doc: doc.update(origin=5), "origin"),
+    # and JSON's true is not a number either
+    (lambda doc: doc.update(tau=True), "tau"),
+    (lambda doc: doc.update(alpha=True), "alpha"),
+    (lambda doc: doc.update(origin=[True, 0.0]), "origin"),
 ], ids=["unknown-key", "missing-key", "solver-method", "theta", "solver-rel-tol",
         "unknown-scheme", "unknown-face", "unknown-initial", "zero-cells", "dim-4",
         "three-faces-at-dim-2", "four-faces-at-dim-3", "nan-beta", "infinite-tau",
         "short-origin", "negative-length", "nan-T", "nan-ref-tau", "nan-origin",
         "infinite-alpha", "negative-T", "fractional-k", "float-dim", "fractional-seed",
         "boolean-k", "nan-snapshot-time", "negative-snapshot-time", "unknown-reference",
-        "numeric-output-dir"])
+        "numeric-output-dir", "numeric-snapshot-times", "numeric-faces", "numeric-origin",
+        "boolean-tau", "boolean-alpha", "boolean-origin"])
 def test_dump_config_malformed_json_is_usage_error(edit, key, tmp_path, capsys):
     from prkflow.harness import preset, config_to_json
     doc = json.loads(config_to_json(preset("custom")))
@@ -168,6 +177,38 @@ def test_check_tableau_without_s_is_usage_error(tmp_path, capsys):
     assert main(["check-tableau", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'s'" in err
+
+
+@pytest.mark.parametrize("edit, args, name", [
+    (lambda doc: doc["D2"][1].__setitem__(0, math.nan), [], "D2"),
+    (lambda doc: doc["D2"][1].__setitem__(0, math.nan), ["--order", "2"], "D2"),
+    (lambda doc: doc["A"][1].__setitem__(0, math.inf), ["--certify"], "A"),
+], ids=["nan-D2", "nan-D2-order-2", "infinite-A-certify"])
+def test_check_tableau_with_non_finite_entry_is_usage_error(edit, args, name, tmp_path, capsys):
+    doc = tableau_to_dict(prk2_tableau())
+    edit(doc)
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-tableau", str(path), *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} has an entry that is not finite")
+
+
+@pytest.mark.parametrize("args, what", [
+    (["--res", "0,5"], "resolution"),
+    (["--window=-4,nan,-3,3"], "bounds"),
+    (["--alpha", "nan"], "alpha"),
+    (["--alpha", "0"], "alpha"),
+    (["--alpha", "5"], "alpha"),
+], ids=["no-columns", "nan-bound", "nan-alpha", "zero-alpha", "alpha-past-pi-over-2"])
+def test_stability_region_unsampleable_input_is_usage_error(args, what, prk2_json, tmp_path,
+                                                            capsys):
+    out = tmp_path / "mask.csv"
+    assert main(["stability-region", prk2_json, "--res", "5,5", *args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and what in err
+    assert not out.exists()
 
 
 def test_run_custom_emits_artifacts(tmp_path, capsys, monkeypatch):

@@ -225,10 +225,12 @@ def test_zero_diagonal_solves_unpreconditioned():
 
 
 def test_solver_config_validation():
-    # the tolerances are the only knobs
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["rel_tol", "abs_tol"]
-    with pytest.raises(ValueError):
-        SolverConfig(rel_tol=-1.0)
+    # the relative tolerance is the only knob; the absolute floor is fixed
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["rel_tol"]
+    assert SolverConfig().abs_tol == 1e-14
+    for rel_tol in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="rel_tol"):
+            SolverConfig(rel_tol=rel_tol)
 
 
 def test_rectangular_rejected():

@@ -1,5 +1,7 @@
 """Additive embedding, stability function against a direct step oracle, regions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,24 @@ def test_empty_y_samples_rejected():
     window = RegionWindow(-1.0, 1.0, -1.0, 1.0, 5, 5)
     with pytest.raises(ValueError):
         sample_region(t, window, y_samples=np.array([]))
+
+
+@pytest.mark.parametrize("bounds, res", [
+    ((-1.0, 1.0, -1.0, 1.0), (0, 5)),
+    ((-1.0, 1.0, -1.0, 1.0), (5, 0)),
+    ((-1.0, math.nan, -1.0, 1.0), (5, 5)),
+    ((-math.inf, 1.0, -1.0, 1.0), (5, 5)),
+    ((-1.0, 1.0, -1.0, math.inf), (5, 5)),
+], ids=["no-columns", "no-rows", "nan-bound", "infinite-re-min", "infinite-im-max"])
+def test_window_that_cannot_be_sampled_rejected(bounds, res):
+    with pytest.raises(ValueError, match="window"):
+        RegionWindow(*bounds, *res)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, 0.0, -0.5, 5.0, math.pi / 2 + 1e-9],
+                         ids=["nan", "zero", "negative", "five", "just-past-pi-over-2"])
+def test_alpha_outside_the_wedge_definition_rejected(alpha):
+    # A_alpha is defined for 0 < alpha <= pi/2
+    window = RegionWindow(-1.0, 1.0, -1.0, 1.0, 3, 3)
+    with pytest.raises(ValueError, match="alpha"):
+        sample_region(prk2_tableau(), window, alpha=alpha)

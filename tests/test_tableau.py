@@ -67,6 +67,18 @@ def test_dimension_mismatch_raises():
         PRKTableau(A=np.eye(2), D1=np.eye(2), D2=np.eye(2), b=[1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("name", ["A", "D1", "D2", "b"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_raises(name, value):
+    # a NaN passes every comparison-based check of validate, so it is refused here
+    arrays = {"A": [[1.0, 0.0], [0.0, 0.5]], "D1": [[1.0, 0.0], [0.0, 1.0]],
+              "D2": [[1.0, 0.0], [-1.0, 2.0]], "b": [0.5, 0.5]}
+    entry = arrays[name][1] if name != "b" else arrays[name]
+    entry[0] = value
+    with pytest.raises(TableauStructureError, match=f"^{name} has an entry that is not finite"):
+        PRKTableau(**arrays)
+
+
 def test_row_sum_violation_reported():
     t = PRKTableau(A=[[1.0, 0.0], [0.0, 0.5]], D1=np.eye(2),
                    D2=[[1.0, 0.0], [-1.0, 1.5]], b=[0.5, 0.5])
@@ -191,7 +203,7 @@ def test_second_order_tableaux_annihilate_ones():
 
 
 def test_certify_prk2():
-    rep = certify(prk2_tableau(), psd_tol=1e-12)
+    rep = certify(prk2_tableau())
     assert rep.b_nonnegative and rep.satisfies_theorem
     assert rep.q_eigenvalues == pytest.approx([0.0, 1.5], abs=1e-14)
     assert rep.r_eigenvalues == pytest.approx([0.0, 0.5], abs=1e-14)
