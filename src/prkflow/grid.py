@@ -3,22 +3,24 @@
 Nodes include the boundary: K+1 per axis, spacing h = length/K, flattened
 with the x index fastest.  Each face carries its own boundary condition:
 homogeneous Neumann uses the ghost-free one-sided stencil rows (-2, 2), and
-Dirichlet faces are eliminated from the operator (zero rows and columns) with
-the known boundary values folded into a forcing vector, so that
-``D_h u_l + bc_contribution[l]`` reproduces the full stencil action at the
-remaining nodes.  A grid stores D_h once, as the diagonals (DIA format) of
-the block-diagonal diag(D_h, D_h, D_h) over the stacked (3, N) field, so
-that one banded product applies it to all three components
-(``DiscreteLaplacian``).  ``laplacian`` fills those 2 dim + 1 diagonals
-one by one from the per-axis stencil.
+the rows of D_h at Dirichlet-fixed nodes are zero while the free rows keep
+their couplings into them, so that D_h u is the full stencil action at the
+free nodes of a field u that holds its boundary values.  Every field the
+library builds does, and every stepper keeps them: its stage operators are
+the identity on the zero rows.  A grid stores D_h once, as the diagonals
+(DIA format) of the block-diagonal diag(D_h, D_h, D_h) over the stacked
+(3, N) field, so that one banded product applies it to all three
+components (``DiscreteLaplacian``).  ``laplacian`` fills those 2 dim + 1
+diagonals one by one from the per-axis stencil.
 
 Every Dirichlet face is a whole face, so the free nodes form a tensor
 product and D_h on them is the Kronecker sum of the 1-D stencils restricted
 to each axis's free indices.  Each such 1-D stencil is diagonalised exactly
 (``_laplacian_eigenbasis``), so that ``shifted_laplacian_inverse`` applies
-(I - c D_h)^-1 as a transform per axis, a division and the inverse
-transforms.  It is the one solver of this shifted system: the tangent-space
-preconditioner and the LM2 predictor both call it.
+(I - c D_h)^-1 to a field that vanishes on the Dirichlet nodes as a
+transform per axis, a division and the inverse transforms.  It is the one
+solver of this shifted system: the tangent-space preconditioner and the LM2
+predictor both call it.
 
 The discrete Dirichlet energy is the transverse-weighted sum of squared
 nodal differences scaled by h^(dim-2); on Neumann grids it equals
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
@@ -152,26 +154,16 @@ class DiscreteLaplacian:
     as a DIA matrix, for a (3, N) field flattened to 3N: offsets ascending,
     each diagonal indexed by column and N wide per block, zero where it
     leaves its block.  D_h is the integer stencil scaled by 1/h^2; its rows
-    and columns at Dirichlet-fixed nodes are zero, and ``bc_contribution``
-    (3, N) carries the couplings into the fixed nodes times their boundary
-    values, so applying the operator to a vector field u is
-    D_h u_l + bc_contribution[l] for each component l.
+    at Dirichlet-fixed nodes are zero, and its columns there hold the free
+    rows' couplings into them.
 
     scipy's DIA product adds each row up over the diagonals in their stored
     order, which with ascending offsets is the sorted-column order of a CSR
     product, and the padding adds exact zeros: one product of ``stacked`` is
     bit-identical to three CSR products of ``matrix``.
-
-    Derived once from these: ``forced``, whether ``bc_contribution`` has a
-    nonzero entry.
     """
 
     stacked: sparse.dia_matrix
-    bc_contribution: np.ndarray
-    forced: bool = dataclass_field(init=False)
-
-    def __post_init__(self):
-        self.forced = bool(self.bc_contribution.any())
 
     @property
     def matrix(self):
@@ -180,15 +172,10 @@ class DiscreteLaplacian:
         block = sparse.dia_matrix((self.stacked.data[:, :n], self.stacked.offsets), shape=(n, n))
         return block.tocsr()
 
-    def apply_homogeneous(self, components):
-        """D_h applied to each of the three components, without the boundary forcing."""
+    def apply(self, components):
+        """D_h applied to each of the three components."""
         components = np.asarray(components)
         return (self.stacked @ components.reshape(-1)).reshape(components.shape)
-
-    def apply(self, components):
-        out = self.apply_homogeneous(components)
-        out += self.bc_contribution
-        return out
 
 
 def laplacian(grid):
@@ -197,18 +184,13 @@ def laplacian(grid):
     The 2 dim + 1 diagonals of D_h are filled straight from the per-axis
     stencil: -2 dim on the main diagonal at the free nodes and, along each
     axis, a free node's couplings to its neighbours at -stride and +stride,
-    weight 1 inside and 2 from a Neumann end (the one-sided row (-2, 2)).
-    A coupling into a Dirichlet-fixed node goes to the forcing instead.
-    The offsets are visited in ascending order, so each forcing row adds up
-    its terms in column order, as a CSR product of the couplings would.
-    Only diagonals with an entry are kept.
+    fixed or free, weight 1 inside and 2 from a Neumann end (the one-sided
+    row (-2, 2)).  Only diagonals with an entry are kept.
     """
     if grid._laplacian is not None:
         return grid._laplacian
     n, fixed = grid.n_per_axis, grid.dirichlet_mask
-    scaling = 1.0 / grid.h ** 2
     diagonals = {} if fixed.all() else {0: np.where(fixed, 0.0, -2.0 * grid.dim)}
-    bc = np.zeros((3, grid.n_nodes))
     for a, sign in [(a, -1) for a in reversed(range(grid.dim))] + [(a, 1) for a in range(grid.dim)]:
         offset = sign * grid.axis_stride(a)
         ai = grid._axis_index[a]
@@ -216,18 +198,14 @@ def laplacian(grid):
         # neighbour there; the one-sided row on the other end weighs it 2
         one_sided, outer = (0, n - 1) if sign > 0 else (n - 1, 0)
         rows = np.flatnonzero(~fixed & (ai != outer))
-        cols = rows + offset
-        weight = np.where(ai[rows] == one_sided, 2.0, 1.0)
-        into = fixed[cols]
-        if not into.all():
+        if rows.size:
             diagonals[offset] = np.zeros(grid.n_nodes)
-            diagonals[offset][cols[~into]] = weight[~into]
-        bc[:, rows[into]] += (weight[into] * scaling) * grid.dirichlet_values[:, cols[into]]
+            diagonals[offset][rows + offset] = np.where(ai[rows] == one_sided, 2.0, 1.0)
     offsets = sorted(diagonals)
     data = np.array([diagonals[o] for o in offsets]).reshape(len(offsets), grid.n_nodes)
     size = 3 * grid.n_nodes
     lap = DiscreteLaplacian(
-        sparse.dia_matrix((np.tile(data, 3) * scaling, offsets), shape=(size, size)), bc)
+        sparse.dia_matrix((np.tile(data, 3) * (1.0 / grid.h ** 2), offsets), shape=(size, size)))
     grid._laplacian = lap
     return lap
 
@@ -287,8 +265,12 @@ def shifted_laplacian_inverse(grid, c):
 
     Exact on the free nodes: one V^-1 product per axis, a division by
     1 - c (sum of the axis eigenvalues), one V product per axis.  Nodes on
-    Dirichlet faces are left as they are, since D_h has zero rows and columns
-    there.  The rows must be C-contiguous; the function returns its argument.
+    Dirichlet faces are left as they are, since D_h has zero rows there, and
+    their values are not read: this is (I - c D_h)^-1 on rows that vanish
+    there.  To solve for rows u that hold boundary values u_b, add the
+    couplings into them first: apply the function to u + c D_h u_b, with
+    u_b zero on the free nodes (``lap.apply(np.where(fixed, u, 0.0))``).
+    The rows must be C-contiguous; the function returns its argument.
     A complex c takes a real (2, n_comp, N) array instead, whose first part
     holds the real rows u; the second part is not read.  On return the two
     parts hold the real and imaginary parts of (I - c D_h)^-1 u, with a zero

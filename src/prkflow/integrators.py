@@ -29,7 +29,8 @@ D_h once per stage-operator product.
 LM2's predictor system (I - tau alpha/2 D_h) m~ = rhs is solved exactly by
 ``grid.shifted_laplacian_inverse``, the inverse the tangent-space
 preconditioner of the stage solves applies with the shift
-coeff (alpha + i beta).
+coeff (alpha + i beta); on a Dirichlet grid rhs first takes the couplings
+into the boundary values, which that inverse does not read.
 """
 
 from __future__ import annotations
@@ -175,12 +176,12 @@ class _Solves:
 
 
 def _stage_solve(solves, lap, blocks, coeff, rhs, solver, x0, tangent):
-    """Solve (I - coeff P D_h) U = rhs + coeff P bc for U (3, N), recorded in ``solves``.
+    """Solve (I - coeff P D_h) U = rhs for U (3, N), recorded in ``solves``.
 
-    Returns U and its Laplacian D_h U + bc, taken from the product that
-    verified U's true residual (``StageOperator.dx``), so no further
-    Laplacian product is needed.
-    The boundary forcing of the Laplacian enters the right-hand side here.
+    Returns U and its Laplacian D_h U, taken from the product that verified
+    U's true residual (``StageOperator.dx``), so no further Laplacian
+    product is needed.  The operator is the identity on Dirichlet-fixed
+    nodes, so U holds there the boundary values rhs holds.
     BiCGStab starts from ``x0`` (3, N), an O(tau) guess of U:
     the previous stage value, or an extrapolation of the history.
     ``tangent``, a TangentBlocks, names the field whose mobility the blocks
@@ -193,8 +194,6 @@ def _stage_solve(solves, lap, blocks, coeff, rhs, solver, x0, tangent):
     """
     stage = len(solves.iters) + 1
     A = StageOperator(lap, blocks, coeff, tangent)
-    if lap.forced:
-        rhs = rhs + coeff * apply_blocks(blocks, lap.bc_contribution)
     rhs = rhs.reshape(-1)
     try:
         x, nit, res = solve(A, rhs, solver, x0=x0.reshape(-1))
@@ -207,10 +206,7 @@ def _stage_solve(solves, lap, blocks, coeff, rhs, solver, x0, tangent):
         solves.fallbacks.append(stage)
     solves.iters.append(nit)
     solves.resids.append(res)
-    lap_x = A.dx
-    if lap.forced:
-        lap_x += lap.bc_contribution
-    return x.reshape(3, -1), lap_x
+    return x.reshape(3, -1), A.dx
 
 
 class _StageHistory:
@@ -410,7 +406,8 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
     """Predictor / corrector / energy-enforcement step (beta = 0 flow).
 
     Returns (field, updated aux, record).  With g = (m_hat + m^n)/2, the
-    multiplier eta of e = (1, 1, 1)/sqrt(3) is the root nearest zero of
+    multiplier eta of e, (1, 1, 1)/sqrt(3) at the free nodes and zero at the
+    Dirichlet nodes, is the root nearest zero of
     F(eta) = E(v/|v|) - E(m^n) + 2 tau alpha ||g x D_h g||_h^2, v = m_hat + eta e,
     E the ``discrete_energy``, ||.||_h the ``inner_product`` norm; raises
     NoRealRootError when F has none in the bracket.
@@ -426,14 +423,17 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
     tau, alpha = p.tau, p.projection.alpha
     t_wall = time.perf_counter()
 
-    m = state.components
-    d_pred = lap.apply(aux.predictor)
-    rhs = m + (tau * alpha / 2.0) * d_pred + (tau * alpha) * aux.lam * m
-    m_tilde = shifted_laplacian_inverse(grid, tau * alpha / 2.0)(rhs)
+    m, fixed, c = state.components, grid.dirichlet_mask, tau * alpha / 2.0
+    rhs = m + c * lap.apply(aux.predictor) + (tau * alpha) * aux.lam * m
+    if fixed.any():
+        # the implicit half's couplings into the boundary values, which the
+        # shifted inverse does not read
+        rhs += c * lap.apply(np.where(fixed, rhs, 0.0))
+    m_tilde = shifted_laplacian_inverse(grid, c)(rhs)
 
-    w = m_tilde - (tau * alpha / 2.0) * aux.lam * m
+    w = m_tilde - c * aux.lam * m
     wn = np.sqrt(np.einsum("ln,ln->n", w, w))
-    if (wn < 1e-300).any():
+    if (wn < ZERO_LENGTH_THRESHOLD).any():
         raise StepFailureError(2, "zero-length corrector direction")
     lam_new = 2.0 * (1.0 - wn) / (tau * alpha)
     m_hat = w / wn
@@ -443,7 +443,10 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
     target = aux.energy - 2.0 * tau * alpha * inner_product(cr, cr, grid)
 
     e_dir = _LM2_DIRECTION[:, None]
-    # |m_hat + eta e| >= (1 - (m_hat.e)^2)^(1/2) at every node, so v can vanish
+    if fixed.any():
+        # e moves the free nodes only: the Dirichlet nodes keep their values
+        e_dir = np.where(fixed, 0.0, e_dir)
+    # |m_hat + eta e| >= (1 - (m_hat.e)^2)^(1/2) at every free node, so v can vanish
     # only where m_hat is parallel to e; elsewhere F needs no length check
     near_parallel = np.abs(_LM2_DIRECTION @ m_hat).max() > _LM2_PARALLEL
 

@@ -28,7 +28,8 @@ f + i g = 1 / (1 - coeff (alpha + i beta) lambda), and
     M^-1 v = mh (mh.v) + P_t Re(S^-1 P_t v) + mh x Im(S^-1 P_t v),
     S = I - coeff (alpha + i beta) D_h,
 
-with S^-1 exact on the free nodes (``grid.shifted_laplacian_inverse``; with
+with S^-1 exact on the vectors that vanish on the Dirichlet nodes, where
+the stage solves' residuals lie (``grid.shifted_laplacian_inverse``; with
 beta = 0 the shift is real and so is the arithmetic).  Every other operator
 is solved unpreconditioned.  Both solvers verify their result against the
 true residual, ||A x - b||_2 <= max(rel_tol ||b||_2, abs_tol), and raise a
@@ -123,13 +124,13 @@ class TangentBlocks:
 class StageOperator:
     """I - coeff * blocks * D over the stacked field (3N x 3N), applied matrix-free.
 
-    ``lap`` is a DiscreteLaplacian (only D_h is used: boundary forcing
-    belongs in the right-hand side), ``blocks`` the per-node 3x3
-    blocks (3, 3, N).  ``tangent`` is a TangentBlocks when the blocks are, or
-    are within O(tau) of, the mobility of one field; BiCGStab then takes the
-    tangent-space spectral preconditioner if the operator is stiff
-    (``_stiffness``).  ``solve`` uses what it shares with a sparse matrix:
-    shape, dot, tocsr.
+    ``lap`` is a DiscreteLaplacian, ``blocks`` the per-node 3x3 blocks
+    (3, 3, N); the rows at Dirichlet nodes are the identity, so x holds the
+    boundary values of the right-hand side there.  ``tangent`` is a
+    TangentBlocks when the blocks are, or are within O(tau) of, the mobility
+    of one field; BiCGStab then takes the tangent-space spectral
+    preconditioner if the operator is stiff (``_stiffness``).  ``solve``
+    uses what it shares with a sparse matrix: shape, dot, tocsr.
     ``dx`` holds D_h x (3, N) of the last x given to ``dot``: after
     ``solve`` or ``direct_solve``, which end on the true residual of the
     solution they return, that is D_h of the solution.
@@ -145,7 +146,7 @@ class StageOperator:
 
     def dot(self, x):
         x = x.reshape(3, -1)
-        self.dx = self.lap.apply_homogeneous(x)
+        self.dx = self.lap.apply(x)
         out = apply_blocks(self.blocks, self.dx)
         # in place, and bit-identical to x - coeff * out
         out *= -self.coeff
@@ -164,9 +165,9 @@ class TangentPreconditioner:
     """v -> M^-1 v (module docstring) for a StageOperator with TangentBlocks.
 
     S = I - coeff (alpha + i beta) D_h acts per component; ``shifted_solve``
-    is its exact inverse on the free nodes.  When beta != 0 it reads the real
-    field from ``work[0]`` and writes the real and imaginary parts of its
-    image to ``work`` (2, 3, N).  Nodes on
+    is its exact inverse on vectors that vanish on the Dirichlet nodes.
+    When beta != 0 it reads the real field from ``work[0]`` and writes the
+    real and imaginary parts of its image to ``work`` (2, 3, N).  Nodes on
     Dirichlet faces pass through (A is the identity there).  mh is not
     stored: mh (mh.v) = m (m.v) / |m|^2 and mh x w = (m x w) / |m| with m
     the field of the blocks.

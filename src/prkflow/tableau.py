@@ -10,6 +10,7 @@ increase of the pre-projection update.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,11 +357,28 @@ def tableau_to_dict(t):
     }
 
 
+def _numbers_only(value):
+    """Whether value is a number that is not a bool, or a nested list of them."""
+    if isinstance(value, (list, tuple)):
+        return all(_numbers_only(item) for item in value)
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
 def tableau_from_dict(doc):
+    """The tableau of a document with an integer ``s`` and nested lists A, D1, D2, b.
+
+    Nothing is cast: a value that only a cast makes a number raises
+    TableauStructureError naming its key.
+    """
     missing = [key for key in ("s", "A", "D1", "D2", "b") if key not in doc]
     if missing:
         raise TableauStructureError(f"tableau lacks keys {missing}")
-    s = int(doc["s"])
+    s = doc["s"]
+    if not (_numbers_only(s) and isinstance(s, numbers.Integral)):
+        raise TableauStructureError(f"s must be an integer, got {s!r}")
+    for key in ("A", "D1", "D2", "b"):
+        if not _numbers_only(doc[key]):
+            raise TableauStructureError(f"{key} has an entry that is not a number")
     t = PRKTableau(A=doc["A"], D1=doc["D1"], D2=doc["D2"], b=doc["b"])
     if t.s != s:
         raise TableauStructureError(f"declared s={s} but b has length {t.s}")

@@ -179,6 +179,25 @@ def test_check_tableau_without_s_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and "'s'" in err
 
 
+@pytest.mark.parametrize("edit, key", [
+    (lambda doc: doc.__setitem__("s", 2.7), "s"),
+    (lambda doc: doc.__setitem__("s", "2"), "s"),
+    (lambda doc: doc.__setitem__("s", True), "s"),
+    (lambda doc: doc["b"].__setitem__(0, True), "b"),
+    (lambda doc: doc["A"][1].__setitem__(0, "0.5"), "A"),
+], ids=["fractional-s", "string-s", "bool-s", "bool-in-b", "string-in-A"])
+def test_check_tableau_casts_nothing(edit, key, tmp_path, capsys):
+    # a value that only a cast makes a number is a usage error naming its key
+    doc = tableau_to_dict(prk2_tableau())
+    edit(doc)
+    path = tmp_path / "cast.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-tableau", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key} ")
+
+
 @pytest.mark.parametrize("edit, args, name", [
     (lambda doc: doc["D2"][1].__setitem__(0, math.nan), [], "D2"),
     (lambda doc: doc["D2"][1].__setitem__(0, math.nan), ["--order", "2"], "D2"),
@@ -218,6 +237,31 @@ def test_run_custom_emits_artifacts(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert (tmp_path / "custom_prk_trace.csv").exists()
     assert (tmp_path / "custom_prk_final.vtk").exists()
+
+
+def test_aborted_run_exits_2_and_keeps_its_trace(tmp_path, capsys, monkeypatch):
+    # LM2 finds no multiplier on the twisted nematic's random start: the run
+    # stops, says when, and the trace CSV holds one row per completed step
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "--preset", "twisted_nematic44", "--k", "8", "--scheme", "lm2",
+                 "--tau", "1e-3", "--T", "0.01"])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "run aborted at t =" in out
+    completed = int(out.split("steps completed: ")[1].split(";")[0])
+    rows = (tmp_path / "twisted_nematic44_lm2_trace.csv").read_text().splitlines()
+    assert rows[0].startswith("step,t,energy,")
+    assert len(rows) == 1 + completed
+    assert (tmp_path / "twisted_nematic44_lm2_final.vtk").exists()
+
+
+@pytest.mark.parametrize("command", ["convergence", "robustness", "work-precision"])
+def test_unknown_scheme_is_usage_error(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--preset", "custom", "--schemes", "prk,rk4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown scheme 'rk4'")
+    assert not list(tmp_path.iterdir())
 
 
 def test_run_from_config_file(tmp_path, capsys):

@@ -104,12 +104,11 @@ def test_neumann_stencil_is_kronecker_sum():
                 expected = sparse.kronsum(expected, g1)
             lap = laplacian(Grid(dim, n, 1.0))   # unit spacing: matrix == stencil
             assert np.array_equal(lap.matrix.toarray(), expected.toarray())
-            assert not lap.bc_contribution.any()
 
 
 def _anchor(x):
     # different values at each node and in each component, so that a
-    # misplaced coupling into a fixed node shows in the forcing
+    # misplaced coupling into a fixed node shows in the product
     t = x.sum(axis=1)
     return np.stack([np.sin(t), np.cos(t), x[:, 0]], axis=1)
 
@@ -129,15 +128,17 @@ def _faces(kind, dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_stacked_apply_matches_per_component_csr(dim, kind, rng):
     # one banded product over the stacked field gives the bits of three CSR
-    # products; a high Dirichlet face leaves the last columns of D_h empty,
-    # and diagonals sized to the last non-empty column misalign the blocks
+    # products; in 2-D and 3-D the Dirichlet corner node leaves the last
+    # column of D_h empty, and diagonals sized to the last non-empty column
+    # misalign the blocks
     grid = Grid(dim, 5, 0.3, faces=_faces(kind, dim))
     lap = laplacian(grid)
     u = rng.standard_normal((3, grid.n_nodes))
+    fixed = grid.dirichlet_mask
+    u[:, fixed] = grid.dirichlet_values[:, fixed]
     d = lap.matrix
     expected = np.vstack([d @ u[l] for l in range(3)])
-    assert np.array_equal(lap.apply_homogeneous(u), expected)
-    assert np.array_equal(lap.apply(u), expected + lap.bc_contribution)
+    assert np.array_equal(lap.apply(u), expected)
 
 
 @pytest.mark.parametrize("kind", ["neumann", "high-face", "twisted-nematic"])
@@ -160,15 +161,14 @@ def test_laplacian_stores_one_stacked_dia_matrix(kind):
     assert d.format == "csr" and d.has_sorted_indices and np.all(d.data != 0.0)
 
 
-# sha256 of the preset Laplacians' offsets (int64), diagonals and forcing,
-# recorded from the COO-assembled D_h; point_defect43 has interior corner
-# nodes coupled into three Dirichlet faces, so its digest also pins the order
-# in which each forcing row adds up its terms
+# sha256 of the preset Laplacians' offsets (int64) and diagonals; the
+# Neumann presets' diagonals are those of the COO-assembled D_h, and the
+# Dirichlet presets' also pin the free rows' couplings into the fixed nodes
 PRESET_LAPLACIAN_DIGESTS = {
-    "convergence41": "81ed7bd5a61b7980a672c31fa164c5f81900446230a917a39c4a08cea5abe249",
-    "llg_blowup42": "9833c7f109d62748bd732506b387144730588d99e290dee3585579377a387ae3",
-    "point_defect43": "a55acf50d3e1e1cfe2b9c16999aa219d8a6e9a0f88acf131993d2cc4d38a5d2c",
-    "twisted_nematic44": "5f5a29a54d56effc07397c2ff168a8c1dc62339cfde2e4229171e640e2398d00",
+    "convergence41": "365bddd06e56efd424e1c4e9fa07d011d242fb67f8987588ce2878b9a1bc3138",
+    "llg_blowup42": "54f36e883240eaab36efc8891782ff24beea7d2bc95e065267f85f7cb2a67612",
+    "point_defect43": "54c8b8450a8a27366e4fbb7ed4203ad80e99131855211210fdee9b8c92c33816",
+    "twisted_nematic44": "6745edaa09beaadf9b9743f7a07fecf9dbac6b339f483c73b2c56466d550315f",
 }
 
 
@@ -178,7 +178,6 @@ def test_preset_laplacian_bits(name):
     digest = hashlib.sha256()
     digest.update(lap.stacked.offsets.astype(np.int64).tobytes())
     digest.update(lap.stacked.data.tobytes())
-    digest.update(lap.bc_contribution.tobytes())
     assert digest.hexdigest() == PRESET_LAPLACIAN_DIGESTS[name]
 
 
@@ -190,15 +189,16 @@ def test_dirichlet_quadratic_exactness():
                             for _ in range(6)))
     lap = laplacian(grid)
     q = (grid.coords ** 2).sum(axis=1)
-    out = lap.matrix @ q + lap.bc_contribution[0]
+    out = lap.matrix @ q
     interior = ~grid.dirichlet_mask
     assert np.array_equal(out[interior], np.full(interior.sum(), 6.0))
     assert np.abs(out[~interior]).max() == 0.0
 
 
 def test_dirichlet_consistency_exact():
-    # folded boundary action equals the full stencil action, bit for bit,
-    # on dyadic-rational data (all arithmetic exact in double precision)
+    # D_h on a field holding its boundary values equals the full stencil
+    # action, bit for bit, on dyadic-rational data (all arithmetic exact in
+    # double precision)
     rng = np.random.default_rng(7)
     k = 4
     vals = rng.integers(-8, 8, size=(3, (k + 1) ** 3)) * 0.125
@@ -229,9 +229,9 @@ def test_dirichlet_consistency_exact():
                                      + v[tuple(sl_hi)])
             full += contrib
         full *= inv_h2
-        folded = lap.matrix @ u[l] + lap.bc_contribution[l]
+        applied = lap.matrix @ u[l]
         interior = ~grid.dirichlet_mask
-        assert np.array_equal(folded[interior], full.reshape(-1)[interior])
+        assert np.array_equal(applied[interior], full.reshape(-1)[interior])
 
 
 def test_mixed_faces_neumann_and_dirichlet():

@@ -258,8 +258,9 @@ def test_lm2_final_energy_is_pinned():
                                                  ("point_defect43", 8, 4e-3)],
                          ids=["neumann", "dirichlet"])
 def test_lm2_predictor_matches_sparse_direct_solve(preset_name, k, tau):
-    # (I - tau alpha/2 D_h) m~ = rhs on the whole grid: D_h has zero rows and
-    # columns at Dirichlet nodes, so the matrix is the identity there
+    # (I - tau alpha/2 D_h) m~ = rhs on the whole grid: D_h has zero rows at
+    # Dirichlet nodes, so the matrix is the identity there, and its columns
+    # there hold the free rows' couplings into the boundary values
     cfg = preset(preset_name, k=k, tau=tau)
     grid = build_grid(cfg)
     p = scheme_params(cfg, scheme="lm2")
@@ -408,21 +409,75 @@ def test_warm_started_stage_solves_take_fewer_iterations(monkeypatch):
     assert np.abs(warm.components - cold.components).max() <= 1e-9
 
 
-def test_lm2_vanishing_field_raises_no_warning():
-    # point_defect43 at k = 8: the energy-enforcement scan meets an eta where
-    # m_hat + eta e vanishes at a node before the step at t = 0.028 finds no root
+def test_lm2_vanishing_field_raises_no_warning(monkeypatch):
+    # a domain wall parallel to e on the 2 x 2 grid, whose eigenbasis has the
+    # entries +-1 and 1/2, so no sum depends on the BLAS: m_hat is +-e at
+    # every node, and the energy-enforcement scan meets eta = 1 and -1, where
+    # m_hat + eta e vanishes at the nodes of one sign; F is NaN there, with
+    # no warning, and the step finds no root
+    import math
     import warnings
+    import prkflow.integrators as integrators
     from prkflow.integrators import NoRealRootError
+    undefined = []
+    scalar_root = integrators._lm2_scalar_root
+
+    def watching(F, bracket):
+        def watched(eta):
+            f = F(eta)
+            if math.isnan(f):
+                undefined.append(eta)
+            return f
+        return scalar_root(watched, bracket)
+
+    monkeypatch.setattr(integrators, "_lm2_scalar_root", watching)
+    grid = Grid(2, 2, 1.0)
+    wall = np.where(grid.coords[:, 0] < 0.5, 1.0, -1.0) * np.ones((3, 1)) / np.sqrt(3.0)
+    p = _params("lm2", 0.256, beta=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, trace = run(VectorField(wall, grid), p, 5 * p.tau)
+    assert len(trace) == 0 and isinstance(trace.failure[1], NoRealRootError)
+    assert sorted(undefined) == [-1.0, 1.0]
+
+    # point_defect43's corner boundary values are +-e; e moves the free
+    # nodes only, so v never vanishes there and the run completes
     cfg = preset("point_defect43", k=8, tau=4e-3)
     grid = build_grid(cfg)
     p = scheme_params(cfg, scheme="lm2")
+    undefined.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, trace = run(build_initial(cfg, grid), p, 10 * p.tau)
-    assert len(trace) == 6
-    t_fail, exc = trace.failure
-    assert t_fail == pytest.approx(0.028)
-    assert isinstance(exc, NoRealRootError)
+    assert trace.failure is None and len(trace) == 10
+    assert not undefined
+
+
+def test_lm2_keeps_the_dirichlet_values_and_follows_prk():
+    # point_defect43 at k = 8 to T = 0.3: LM2 adds e on the free nodes only
+    # and its predictor takes D_h's couplings into the boundary values in
+    # both halves, so the Dirichlet nodes keep their values (1.1e-16), the
+    # energy falls every step, and LM2 ends 8.5e-4 from PRK (PRK's own
+    # tau against tau/2 difference is 4.3e-4).  An LM2 that moves the
+    # boundary nodes drifts off them by 0.077; one that leaves out the
+    # implicit half's couplings finds no multiplier at t = 0.007
+    cfg = preset("point_defect43", k=8, tau=1e-3)
+    grid = build_grid(cfg)
+    m0 = build_initial(cfg, grid)
+    fixed = grid.dirichlet_mask
+    drift = []
+
+    def boundary_drift(_i, _t, m):
+        drift.append(np.abs(m.components[:, fixed] - grid.dirichlet_values[:, fixed]).max())
+
+    lm2, trace = run(m0, scheme_params(cfg, scheme="lm2"), 0.3, observers=[boundary_drift])
+    assert trace.failure is None and len(trace) == 300
+    assert max(drift) <= 1e-15
+    energies = np.concatenate([[discrete_energy(m0)], trace.energies()])
+    assert np.all(np.diff(energies) <= 0.0)
+    prk, prk_trace = run(m0, scheme_params(cfg, scheme="prk"), 0.3)
+    assert l2_error(lm2, prk, grid) <= 1.5e-3
+    assert abs(energies[-1] - prk_trace.energies()[-1]) <= 1e-4 * energies[-1]
 
 
 @pytest.mark.parametrize("scheme", ["prk", "prk_alt", "sip1"])
@@ -488,6 +543,18 @@ def test_llg2d_prk_alt_iteration_gate():
     assert total <= 300, total
 
 
+def test_nematic3d_prk_iteration_gate():
+    # 101 prk steps of twisted_nematic44 at k = 24 and the preset seed (the
+    # nematic3d-prk benchmark run), all above the stiffness of the spectral
+    # preconditioner: 557 BiCGStab iterations; deterministic, unlike a wall clock
+    cfg = preset("twisted_nematic44")
+    p = scheme_params(cfg, scheme="prk")
+    _, trace = run(build_initial(cfg, build_grid(cfg)), p, 101 * p.tau)
+    assert trace.failure is None and len(trace) == 101
+    total = sum(r.solver_iters_total for r in trace.records)
+    assert total <= 600, total
+
+
 def test_nematic3d_mild_prk_iteration_gate():
     # 40 prk steps of twisted_nematic44 at k = 12, tau = 8e-4 (stiffness 1.38,
     # just below the spectral preconditioner's): 572 unpreconditioned BiCGStab
@@ -547,17 +614,17 @@ def test_stage_laplacian_comes_from_the_verified_residual(scheme, preset_name, m
     p = scheme_params(cfg, scheme=scheme)
     m = normalize(build_initial(cfg, grid))
     counts = {"laplacian": 0, "dot": 0}
-    apply_homogeneous, dot = DiscreteLaplacian.apply_homogeneous, StageOperator.dot
+    apply, dot = DiscreteLaplacian.apply, StageOperator.dot
 
     def counting_apply(self, components):
         counts["laplacian"] += 1
-        return apply_homogeneous(self, components)
+        return apply(self, components)
 
     def counting_dot(self, x):
         counts["dot"] += 1
         return dot(self, x)
 
-    monkeypatch.setattr(DiscreteLaplacian, "apply_homogeneous", counting_apply)
+    monkeypatch.setattr(DiscreteLaplacian, "apply", counting_apply)
     monkeypatch.setattr(StageOperator, "dot", counting_dot)
     history, t = _StageHistory(p.tableau.s, grid.n_nodes), 0.0
     for i in range(1, 4):

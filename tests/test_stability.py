@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from prkflow.stability import (RegionWindow, SingularSystemError, default_y_samples,
-                               embed, sample_region, stability_function)
+                               default_z0_samples, embed, sample_region, stability_function)
 from prkflow.tableau import PRKTableau, prk2_tableau, validate
 
 
@@ -143,6 +143,19 @@ def test_region_conjugation_symmetry():
     window = RegionWindow(-4.0, 1.0, -3.0, 3.0, 31, 31)
     sample = sample_region(t, window, y_samples=default_y_samples(33))
     assert np.array_equal(sample.mask, sample.mask[:, ::-1])
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 3, 0.2])
+def test_z0_samples_lie_on_the_wedge_rays(alpha):
+    # below pi/2 the samples lie on the boundary rays Re z0 = -|Im z0| / tan(alpha),
+    # followed by the stiff limit on the negative real axis
+    y = default_y_samples(9)
+    z0 = default_z0_samples(alpha, y)
+    assert z0.shape == (y.size + 1,)
+    assert np.array_equal(z0[:-1].imag, y)
+    assert np.array_equal(z0[:-1].real, -np.abs(y) / math.tan(alpha))
+    assert np.all(z0[:-1].real < 0.0)
+    assert z0[-1] == complex(-1e6)
 
 
 def test_empty_y_samples_rejected():
