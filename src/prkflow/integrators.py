@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
-import scipy.optimize
 
 from . import linalg
 from .field import (ZERO_LENGTH_THRESHOLD, VectorField, ProjectionParams, normalize,
@@ -219,8 +218,8 @@ class _StageHistory:
     + dU^i_{n-5}; with q < 5 stored, the row of degree q - 1 of
     ``_WEIGHTS``, down to dU^i_{n-1} alone.  The quartic is exact for
     increments that are polynomials of degree <= 4 in the step index.  On
-    the 201 steps of ``llg_blowup42`` at k = 24 the stage solves take 556
-    BiCGStab iterations from it, 782 from the quadratic of three steps.
+    the 201 steps of ``llg_blowup42`` at k = 24 the stage solves take 546
+    BiCGStab iterations from it, 677 from the quadratic of three steps.
     """
 
     # row q - 1: (-1)^k binomial(q, k + 1), k = 0 .. q - 1, the newest step first
@@ -385,7 +384,12 @@ def _lm2_scalar_root(F, bracket, xtol=1e-12, scan_step=0.0025):
     """Root of F nearest zero inside [-bracket, bracket]; None when no sign change.
 
     A non-finite F (LM2's: the field vanishes at a node) is no sign change.
+    The first call in a process imports ``scipy.optimize`` (about 0.1 s,
+    counted in the ``wall_ms`` of that LM2 step).
     """
+    # imported on first use: only LM2 searches for a root (26 MB with its imports)
+    from scipy.optimize import brentq
+
     f0 = F(0.0)
     if f0 == 0.0:
         return 0.0
@@ -396,9 +400,9 @@ def _lm2_scalar_root(F, bracket, xtol=1e-12, scan_step=0.0025):
 
     for d in np.arange(scan_step, bracket + 0.5 * scan_step, scan_step):
         if changes_sign(d):
-            return scipy.optimize.brentq(F, 0.0, d, xtol=xtol)
+            return brentq(F, 0.0, d, xtol=xtol)
         if changes_sign(-d):
-            return scipy.optimize.brentq(F, -d, 0.0, xtol=xtol)
+            return brentq(F, -d, 0.0, xtol=xtol)
     return None
 
 
@@ -442,13 +446,15 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
     cr = cross(g, lap.apply(g))
     target = aux.energy - 2.0 * tau * alpha * inner_product(cr, cr, grid)
 
+    # |m_hat + eta e| >= (1 - (m_hat.e)^2)^(1/2) at every free node, so v can vanish
+    # only where m_hat is parallel to e; elsewhere F needs no length check
+    alignment = np.abs(_LM2_DIRECTION @ m_hat)
     e_dir = _LM2_DIRECTION[:, None]
     if fixed.any():
         # e moves the free nodes only: the Dirichlet nodes keep their values
         e_dir = np.where(fixed, 0.0, e_dir)
-    # |m_hat + eta e| >= (1 - (m_hat.e)^2)^(1/2) at every free node, so v can vanish
-    # only where m_hat is parallel to e; elsewhere F needs no length check
-    near_parallel = np.abs(_LM2_DIRECTION @ m_hat).max() > _LM2_PARALLEL
+        alignment[fixed] = 0.0
+    near_parallel = alignment.max() > _LM2_PARALLEL
 
     energies = {}          # eta -> discrete_energy(v / |v|), v = m_hat + eta e
 

@@ -11,12 +11,14 @@ the tests.
 The matvec order is deterministic, so repeated runs are bit-identical.
 
 Solvers: preconditioned BiCGStab (default) from the caller's guess x0 (the
-stage solves pass an O(tau) guess, see ``integrators._StageHistory``), and
-a sparse direct factorization.  BiCGStab is an in-place loop with scipy's
-``bicgstab`` arithmetic, bit for bit (van der Vorst, SIAM J. Sci. Stat.
-Comput. 13, 1992): the same convergence test, breakdown codes and iteration
-count, preallocated work vectors, and the stage operator's and the
-preconditioner's own kernels called directly (neither is a ``LinearOperator``).
+stage solves pass an O(tau) guess, see ``integrators._StageHistory``; a
+preconditioned solve moves it onto the normal component of the right-hand
+side, see ``solve``), and a sparse direct factorization.  BiCGStab is an
+in-place loop with scipy's ``bicgstab`` arithmetic, bit for bit (van der
+Vorst, SIAM J. Sci. Stat. Comput. 13, 1992): the same convergence test,
+breakdown codes and iteration count, preallocated work vectors, and the
+stage operator's and the preconditioner's own kernels called directly
+(neither is a ``LinearOperator``).
 It takes the tangent-space spectral preconditioner when the stage operator
 names a field mh whose mobility P = alpha P_t + beta J, P_t = I - mh mh^T and
 J = mh x, its blocks are or are within O(tau) of (``TangentBlocks``), and the
@@ -47,7 +49,6 @@ from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from .field import apply_blocks, cross
 from .grid import shifted_laplacian_inverse
@@ -316,16 +317,26 @@ def solve(A, rhs, cfg=None, x0=None):
 
     ``A`` is a StageOperator or a sparse matrix.  BiCGStab starts from x0
     (zero when None; the caller's array is never written to) and runs once,
-    within ``SolverConfig.iteration_budget``.  The returned residual is the
-    true 2-norm residual, checked against max(rel_tol * ||rhs||, abs_tol).
-    Raises NonConvergenceError (with the last iterate) when it misses that
-    target, and BreakdownError when the recurrence breaks down; both carry
-    the iterations spent.
+    within ``SolverConfig.iteration_budget``.  When it takes the tangent
+    preconditioner, the start first takes the normal component of rhs,
+    x += m (m.(rhs - x)) / |m|^2: the solution's own when the blocks are
+    P(m), since m.(P(m) v) = 0 (alpha P_t + beta J maps into the tangent
+    plane), and within O(tau) of it for prk_alt's averaged blocks.  The
+    returned residual is the true 2-norm residual, checked against
+    max(rel_tol * ||rhs||, abs_tol).  Raises NonConvergenceError (with the
+    last iterate) when it misses that target, and BreakdownError when the
+    recurrence breaks down; both carry the iterations spent.
     """
     cfg = cfg or SolverConfig()
     rhs, target = _system(A, rhs, cfg)
     psolve = _preconditioner(A)
     x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float).reshape(rhs.shape)
+    if isinstance(psolve, TangentPreconditioner):
+        # blocks P(m) leave m.x = m.rhs (prk_alt's within O(tau)): start on it
+        m, xv = psolve.m, x.reshape(3, -1)
+        normal = np.einsum("ln,ln->n", m, rhs.reshape(3, -1) - xv)
+        normal *= psolve.inv_len2
+        xv += m * normal
     info, iters = _bicgstab(A.dot, psolve, rhs, x, target, cfg.iteration_budget(rhs.size))
     if info < 0:
         raise BreakdownError(f"solver breakdown (scipy info={info})", iters)
@@ -340,11 +351,16 @@ def direct_solve(A, rhs, cfg=None):
 
     Verified as ``solve`` is: raises BreakdownError on a singular factor and
     NonConvergenceError (with x) when the true residual misses the target.
+    The first call in a process imports ``scipy.sparse.linalg`` (about 0.1 s,
+    counted in the ``wall_ms`` of the step that falls back).
     """
+    # imported on first use: a run that never falls back never loads it (9 MB)
+    from scipy.sparse.linalg import splu
+
     cfg = cfg or SolverConfig()
     rhs, target = _system(A, rhs, cfg)
     try:
-        x = spla.splu(A.tocsr().tocsc()).solve(rhs)
+        x = splu(A.tocsr().tocsc()).solve(rhs)
     except RuntimeError as exc:       # "Factor is exactly singular"
         raise BreakdownError(f"SuperLU: {exc}") from exc
     resid = _true_residual(A, x, rhs)

@@ -296,3 +296,32 @@ def test_start_guess_meeting_the_target_takes_no_iteration(rng):
     assert np.array_equal(x0, x)
     again[:] = 0.0
     assert np.array_equal(x0, x)
+
+
+@pytest.mark.parametrize("preset_name, k, stiff", [
+    ("twisted_nematic44", 8, True),
+    ("llg_blowup42", 12, False),
+], ids=["twisted_nematic44-tangent", "llg_blowup42-none"])
+def test_tangent_start_takes_the_normal_component(preset_name, k, stiff, monkeypatch, rng):
+    # blocks P(m) leave m.x = m.rhs, so a tangent-preconditioned solve starts
+    # on rhs's normal component; an unpreconditioned one starts from x0 itself
+    op, m = _first_stage(preset_name, k)
+    assert isinstance(linalg._preconditioner(op), linalg.TangentPreconditioner) is stiff
+    starts = []
+    bicgstab = linalg._bicgstab
+
+    def capture(matvec, psolve, b, x, atol, maxiter):
+        starts.append(x.copy())
+        return bicgstab(matvec, psolve, b, x, atol, maxiter)
+
+    monkeypatch.setattr(linalg, "_bicgstab", capture)
+    rhs = m
+    x0 = rhs + 1e-2 * rng.standard_normal(rhs.shape)
+    solve(op, rhs, x0=x0)
+    (start,) = starts
+    if stiff:
+        field = op.tangent.field.components
+        normal = np.einsum("ln,ln->n", field, (start - rhs).reshape(3, -1))
+        assert np.abs(normal).max() <= 1e-13 * np.abs(rhs).max()
+    else:
+        assert np.array_equal(start, x0)
