@@ -72,6 +72,9 @@ _LM2_DIRECTION = np.ones(3) / np.linalg.norm(np.ones(3))
 _LM2_BRACKET = 10.0
 # below this max |m_hat . e| every |m_hat + eta e| is at least 1e-3
 _LM2_PARALLEL = 1.0 - 1e-6
+# the relative tolerance and iteration limit of scipy's brentq, which ``_brentq`` ports
+_BRENT_RTOL = 4 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
 
 
 class StepFailureError(RuntimeError):
@@ -380,29 +383,71 @@ def lm2_init(state, p):
     return LM2State(lam=lam, predictor=m.copy(), energy=discrete_energy(state))
 
 
-def _lm2_scalar_root(F, bracket, xtol=1e-12, scan_step=0.0025):
-    """Root of F nearest zero inside [-bracket, bracket]; None when no sign change.
+def _brentq(F, xa, xb, fa, fb, xtol):
+    """Root of F in [xa, xb], given F's values fa and fb there, nonzero and of
+    opposite sign; None when F is not finite at an iterate or 100 iterations
+    do not converge.
 
-    A non-finite F (LM2's: the field vanishes at a node) is no sign change.
-    The first call in a process imports ``scipy.optimize`` (about 0.1 s,
-    counted in the ``wall_ms`` of that LM2 step).
+    A port of scipy's C ``brentq`` (Brent's method) to Python floats, which
+    returns its root bit for bit, with its defaults rtol = 4 eps and 100
+    iterations; F is not evaluated at xa and xb again.
     """
-    # imported on first use: only LM2 searches for a root (26 MB with its imports)
-    from scipy.optimize import brentq
+    xpre, xcur, fpre, fcur = float(xa), float(xb), float(fa), float(fb)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf          # bisect unless the interpolation step is short
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass             # C's inf or nan step, which bisects too
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(F(xcur))
+        if not math.isfinite(fcur):
+            return None
+    return None
 
+
+def _lm2_scalar_root(F, bracket, xtol=1e-12, scan_step=0.0025):
+    """Root of F nearest zero inside [-bracket, bracket]; None when there is none.
+
+    The scan steps out from zero both ways until F changes sign, and
+    ``_brentq`` finds the root in that step.  A non-finite F (LM2's: the
+    field vanishes at a node) is no sign change in the scan; at a Brent
+    iterate it ends the search, with None.
+    """
     f0 = F(0.0)
     if f0 == 0.0:
         return 0.0
-
-    def changes_sign(eta):
-        f = F(eta)
-        return math.isfinite(f) and f0 * f < 0
-
-    for d in np.arange(scan_step, bracket + 0.5 * scan_step, scan_step):
-        if changes_sign(d):
-            return brentq(F, 0.0, d, xtol=xtol)
-        if changes_sign(-d):
-            return brentq(F, -d, 0.0, xtol=xtol)
+    for i in range(round(bracket / scan_step)):
+        # the floats of np.arange(scan_step, bracket + scan_step / 2, scan_step)
+        d = scan_step + i * scan_step
+        f = F(d)
+        if math.isfinite(f) and f0 * f < 0:
+            return _brentq(F, 0.0, d, f0, f, xtol)
+        f = F(-d)
+        if math.isfinite(f) and f0 * f < 0:
+            return _brentq(F, -d, 0.0, f, f0, xtol)
     return None
 
 
@@ -416,9 +461,8 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
     E the ``discrete_energy``, ||.||_h the ``inner_product`` norm; raises
     NoRealRootError when F has none in the bracket.
     Each energy is summed once: the start energy comes from ``aux``, the
-    root search keeps the energy of every eta it tries (``brentq`` tries its
-    bracket ends again after the scan), and the root's, which ``brentq``
-    has tried, is the recorded post-projection energy.
+    root search keeps the energy of every eta it tries, and the root's,
+    which the search has tried, is the recorded post-projection energy.
     """
     if p.projection.beta != 0.0:
         raise ValueError("lm2 implements the beta = 0 flow")

@@ -1,5 +1,5 @@
-"""Every public name a module exports exists, and importing the package loads
-no module a PRK run does not use."""
+"""Every public name a module exports exists, and a run of any scheme loads
+numpy and scipy.sparse only."""
 
 import importlib
 import json
@@ -34,7 +34,7 @@ lazy = ("scipy.optimize", "scipy.sparse.linalg", "scipy.linalg")
 cfg = preset("llg_blowup42", k=8)
 initial = build_initial(cfg, build_grid(cfg))
 out = {}
-for scheme in ("prk", "lm2"):
+for scheme in ("prk", "sip1", "prk_alt", "bdf4_ref", "lm2"):
     p = scheme_params(cfg, scheme=scheme)
     _, trace = run(initial, p, 3 * p.tau)
     out[scheme] = [len(trace), trace.failure is None, [m for m in lazy if m in sys.modules]]
@@ -45,8 +45,9 @@ print(json.dumps(out))
 
 
 def test_prk_run_loads_neither_root_finder_nor_factorization():
-    # a fresh process: a PRK run needs numpy and scipy.sparse only; LM2's root
-    # search and the SuperLU fallback import theirs on first use, and work
+    # a fresh process: a run of any scheme needs numpy and scipy.sparse only;
+    # LM2's root search is the library's own, and the SuperLU fallback
+    # imports scipy.sparse.linalg (and with it scipy.linalg) on first use
     root = str(Path(prkflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [root, os.environ.get("PYTHONPATH")])))
@@ -54,8 +55,6 @@ def test_prk_run_loads_neither_root_finder_nor_factorization():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["prk"] == [3, True, []]
-    assert out["lm2"][:2] == [3, True]
-    assert "scipy.optimize" in out["lm2"][2]
-    assert out["direct"] == [[0.5, 0.25], ["scipy.optimize", "scipy.sparse.linalg",
-                                           "scipy.linalg"]]
+    for scheme in ("prk", "sip1", "prk_alt", "bdf4_ref", "lm2"):
+        assert out[scheme] == [3, True, []], scheme
+    assert out["direct"] == [[0.5, 0.25], ["scipy.sparse.linalg", "scipy.linalg"]]

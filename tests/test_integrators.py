@@ -1,5 +1,6 @@
 """Stepper contracts: fixed points, dense oracle, structure records, LM2, BDF4."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -213,7 +214,7 @@ def _lm2_blowup12():
 
 def test_lm2_sums_each_energy_once(monkeypatch):
     # a step sums the pre-projection energy and one energy per eta the root
-    # search tries: F(0), F(0.0025) and brentq's 3 or 4 interior points.  The
+    # search tries: F(0), F(0.0025) and Brent's 3 or 4 interior points.  The
     # start energy comes from the state and the post-projection energy from
     # the root's, so no field is summed twice in the run
     import prkflow.integrators as integrators
@@ -233,6 +234,69 @@ def test_lm2_sums_each_energy_once(monkeypatch):
         counts.append(len(summed) - before)
     assert max(counts) <= 7, counts
     assert len(set(summed)) == len(summed)
+
+
+def test_brent_search_is_scipys_bit_for_bit():
+    # scipy's brentq on the same brackets, tolerances and functions: the same
+    # root to the last bit, and the same brackets given up (scipy raises
+    # RuntimeError after 100 iterations)
+    from scipy.optimize import brentq
+    from prkflow.integrators import _brentq
+    rng = np.random.default_rng(27)
+    brackets = gave_up = 0
+    while brackets < 1200:
+        b = float(rng.uniform(-2.0, 2.0))
+        if brackets % 2:
+            k = 2 * int(rng.integers(0, 6)) + 1
+            F = lambda x, b=b, k=k: (x - b) ** k
+        else:
+            a, c = 10.0 ** rng.uniform(-2.0, 3.0), float(rng.uniform(0.0, 5.0))
+            F = lambda x, a=a, b=b, c=c: math.tanh(a * (x - b)) + c * (x - b) ** 3
+        lo, hi = b - 10.0 ** rng.uniform(-6.0, 1.0), b + 10.0 ** rng.uniform(-6.0, 1.0)
+        if rng.random() < 0.5:
+            lo, hi = hi, lo
+        f_lo, f_hi = F(lo), F(hi)
+        if not f_lo * f_hi < 0:
+            continue
+        brackets += 1
+        for xtol in (1e-12, 2e-12, 1e-6):
+            try:
+                expected = brentq(F, lo, hi, xtol=xtol)
+            except RuntimeError:
+                expected = None
+                gave_up += 1
+            assert _brentq(F, lo, hi, f_lo, f_hi, xtol) == expected, (brackets, xtol)
+    assert gave_up > 0
+
+
+@pytest.mark.parametrize("inside", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_root_search_keeps_the_trace(inside, monkeypatch):
+    # F is x - 0.001 but non-finite on (0.0005, 0.002): the scan brackets
+    # [0, 0.0025] and the first Brent iterate, 0.001, falls inside, so the
+    # search finds no root (scipy's brentq raised ValueError for NaN and
+    # returned 0.0005 for inf)
+    import prkflow.integrators as integrators
+    from prkflow.integrators import NoRealRootError
+
+    def F(x):
+        return inside if 0.0005 < x < 0.002 else x - 0.001
+
+    assert integrators._lm2_scalar_root(F, 10.0) is None
+    # the third step's search meets it: that step raises NoRealRootError and
+    # the run keeps the first two records
+    searches = []
+    scalar_root = integrators._lm2_scalar_root
+
+    def third_search_non_finite(F_step, bracket):
+        searches.append(bracket)
+        return scalar_root(F if len(searches) == 3 else F_step, bracket)
+
+    monkeypatch.setattr(integrators, "_lm2_scalar_root", third_search_non_finite)
+    m, p = _lm2_blowup12()
+    _, trace = run(m, p, 5 * p.tau)
+    assert len(trace) == 2 and len(searches) == 3
+    t, err = trace.failure
+    assert t == pytest.approx(3 * p.tau) and isinstance(err, NoRealRootError)
 
 
 def test_lm2_carries_the_energy_it_records():

@@ -217,6 +217,34 @@ def test_nonconvergence_carries_best_iterate():
     assert err.value.residual > 1e-11 * np.linalg.norm(rhs)
 
 
+@pytest.mark.parametrize("second_round_meets", [True, False], ids=["meets", "misses"])
+def test_solve_restarts_once_when_the_true_residual_misses(second_round_meets, monkeypatch):
+    # a round that stops on its recursive residual (info 0) while the true
+    # residual misses the target runs once more from its iterate, on the rest
+    # of the budget; the iterations add up, and a second miss raises
+    a = sparse.diags([2.0, 4.0]).tocsr()
+    rhs = np.ones(2)
+    budgets = []
+
+    def early_stop(matvec, psolve, b, x, atol, maxiter):
+        budgets.append(maxiter)
+        if len(budgets) == 1 or not second_round_meets:
+            return 0, 3          # x untouched: its true residual misses
+        x[:] = [0.5, 0.25]
+        return 0, 2
+
+    monkeypatch.setattr(linalg, "_bicgstab", early_stop)
+    budget = SolverConfig.iteration_budget(2)
+    if second_round_meets:
+        x, iters, resid = solve(a, rhs)
+        assert np.array_equal(x, [0.5, 0.25]) and iters == 5 and resid == 0.0
+    else:
+        with pytest.raises(NonConvergenceError) as err:
+            solve(a, rhs)
+        assert err.value.iterations == 6
+    assert budgets == [budget, budget - 3]
+
+
 def test_zero_diagonal_solves_unpreconditioned():
     # a zero diagonal entry stops no solve: only stiff stages are preconditioned
     a = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -7,7 +7,8 @@ implicit-Euler tableau of sip1, tableaux with s = 2 and s = 3 are drawn by a
 seeded sampler and kept when they pass ``validate`` and ``certify``; each takes one PRK step (warm-started stage solves through
 every stage) from a random on-sphere field, with and without precession and
 at a mild, a stiff and a very large step size.  Up to tau = 0.1 BiCGStab
-solves every stage within its iteration budget, with no SuperLU fallback.
+solves every stage within its iteration budget, with no SuperLU fallback;
+at tau = 10 at most 5 of the 52 stage solves over both betas fall back.
 
 ``prk_alt``, which averages the projector, is outside the length theorem; it
 is held to energy decrease only.
@@ -75,6 +76,7 @@ def start():
 @pytest.mark.parametrize("beta", [1.0, 0.0])
 def test_certified_tableaux_keep_length_and_energy(beta, tau, start):
     cfg, m0, e0 = start
+    fallbacks = 0
     for name, tab in TABLEAUX:
         p = replace(scheme_params(cfg, scheme="prk"), tau=tau, tableau=tab,
                     projection=ProjectionParams(cfg.alpha, beta))
@@ -83,9 +85,15 @@ def test_certified_tableaux_keep_length_and_energy(beta, tau, start):
         assert len(rec.solver_iters) == tab.s, where
         if tau <= 0.1:
             assert rec.fallback_stages == (), where
+        fallbacks += rec.fallback_solves
         assert rec.min_len_pre >= 1.0 - 1e-9, where
         assert rec.energy_pre_projection <= e0 * (1.0 + 1e-9), where
         assert rec.max_unit_dev <= 1e-12, where
+    # at tau = 10 BiCGStab's recursive residual can meet the target while the
+    # true residual is 1.02-1.4x over it; one restart from that iterate ends
+    # most of those solves: 5 of the 52 fall back to SuperLU, all at beta = 1
+    # (15 without the restart)
+    assert fallbacks <= (5 if beta else 0), fallbacks
 
 
 @pytest.mark.parametrize("preset_name, k, tau", [("llg_blowup42", 12, 1e-4),
