@@ -109,7 +109,10 @@ def cmd_run(args):
     emit_trace_csv(trace, trace_path)
     final_path = os.path.join(cfg.output_dir, f"{cfg.preset}_{scheme}_final.vtk")
     emit_field_vtk(final, grid, final_path)
-    print(f"steps completed: {len(trace)}; trace: {trace_path}; final: {final_path}")
+    iters = sum(r.solver_iters_total for r in trace.records)
+    fallbacks = sum(r.fallback_solves for r in trace.records)
+    print(f"steps completed: {len(trace)}; solver iterations: {iters}; "
+          f"fallback solves: {fallbacks}; trace: {trace_path}; final: {final_path}")
     for s in snapshots:
         print(f"snapshot: {s}")
     if trace.failure is not None:

@@ -17,7 +17,7 @@ Every Dirichlet face is a whole face, so the free nodes form a tensor
 product and D_h on them is the Kronecker sum of the 1-D stencils restricted
 to each axis's free indices.  Each such 1-D stencil is diagonalised exactly
 (``_laplacian_eigenbasis``), so that ``shifted_laplacian_inverse`` applies
-(I - c D_h)^-1 to a field that vanishes on the Dirichlet nodes as a
+(d I - c D_h)^-1 to a field that vanishes on the Dirichlet nodes as a
 transform per axis, a division and the inverse transforms.  It is the one
 solver of this shifted system: the tangent-space preconditioner and the LM2
 predictor both call it.
@@ -117,6 +117,9 @@ class Grid:
             hi = tuple(slice(1, None) if b == a else slice(None) for b in range(dim))
             lo = tuple(slice(None, -1) if b == a else slice(None) for b in range(dim))
             self._energy_axes.append(((slice(None),) + hi, (slice(None),) + lo, wt))
+        # sum_e w_e over discrete_energy's edges (n - 1 along each axis): for unit
+        # vectors E = h^(dim-2) sum_e w_e (2 - 2 cos), so it sets the mean cosine
+        self.edge_weight_sum = sum(float(wt.sum()) * (n - 1) for *_, wt in self._energy_axes)
         w = np.ones(self.n_nodes)
         for a in range(dim):
             w *= w1[self._axis_index[a]]
@@ -260,33 +263,36 @@ def _laplacian_eigenbasis(grid):
     return grid._eigenbasis
 
 
-def shifted_laplacian_inverse(grid, c):
-    """(I - c D_h)^-1 as a function that overwrites each row of a (n_comp, N) array.
+def shifted_laplacian_inverse(grid, c, d=1.0):
+    """(d I - c D_h)^-1 as a function that overwrites each row of a (n_comp, N) array.
 
     Exact on the free nodes: one V^-1 product per axis, a division by
-    1 - c (sum of the axis eigenvalues), one V product per axis.  Nodes on
+    d - c (sum of the axis eigenvalues), one V product per axis.  With the
+    default d = 1 the arithmetic is that of (I - c D_h)^-1 alone.  Nodes on
     Dirichlet faces are left as they are, since D_h has zero rows there, and
-    their values are not read: this is (I - c D_h)^-1 on rows that vanish
-    there.  To solve for rows u that hold boundary values u_b, add the
-    couplings into them first: apply the function to u + c D_h u_b, with
-    u_b zero on the free nodes (``lap.apply(np.where(fixed, u, 0.0))``).
+    their values are not read: this is (d I - c D_h)^-1 on rows that vanish
+    there.  To solve (I - c D_h) x = u for rows u that hold boundary values
+    u_b, add the couplings into them first: apply the function to
+    u + c D_h u_b, with u_b zero on the free nodes
+    (``lap.apply(np.where(fixed, u, 0.0))``).
     The rows must be C-contiguous; the function returns its argument.
-    A complex c takes a real (2, n_comp, N) array instead, whose first part
-    holds the real rows u; the second part is not read.  On return the two
-    parts hold the real and imaginary parts of (I - c D_h)^-1 u, with a zero
-    imaginary part on Dirichlet nodes.  The V^-1 products run on the real
-    rows alone, the division writes both parts, and each V product runs
+    A complex c or d takes a real (2, n_comp, N) array instead, whose first
+    part holds the real rows u; the second part is not read.  On return the
+    two parts hold the real and imaginary parts of (d I - c D_h)^-1 u, with a
+    zero imaginary part on Dirichlet nodes.  The V^-1 products run on the
+    real rows alone, the division writes both parts, and each V product runs
     over both at once in real arithmetic.
-    The grid keeps the function of the last c and returns it again for the
-    same c: the two stages of a PRK2 step share their shift.  Its callers
+    The grid keeps the function of the last (c, d) and returns it again for
+    the same pair: the two stages of a PRK2 step share theirs.  Its callers
     then share its work buffers, so one grid's solves run one at a time.
     """
-    key = (np.iscomplexobj(c), c)
+    key = (np.iscomplexobj(c) or np.iscomplexobj(d), c, d)
     if grid._shifted is not None and grid._shifted[0] == key:
         return grid._shifted[1]
+    grid._shifted = None          # frees the last function's buffers before these are made
     free_nodes, mats, eigenvalues = _laplacian_eigenbasis(grid)
     dim, shape = grid.dim, grid.shape()
-    inv_denom = 1.0 / (1.0 - c * eigenvalues)
+    inv_denom = 1.0 / (d - c * eigenvalues)
     complex_shift = np.iscomplexobj(inv_denom)
     # one component at a time, the dim V^-1 products alternate between two
     # free-node buffers from a into b first, and leave their result in scaled;

@@ -20,7 +20,9 @@ auxiliary state of the multistep schemes (LM2, BDF4), to one per-step form.
 For prk, sip1 and prk_alt it keeps the stage increments U^i - U^n of the
 last five steps (``_StageHistory``), and stage i starts its solve from U^n
 plus their quartic extrapolation in time; a direct step call keeps none
-and starts stage i from U^{i-1} (stage 1 from U^n).
+and starts stage i from U^{i-1} (stage 1 from U^n).  The history also keeps
+the energy of the field the next step starts from, which sets the
+alignment of the stage solves' preconditioner (``linalg.tangent_alignment``).
 A stage solve that BiCGStab fails is taken over by SuperLU and named in
 the step record's ``fallback_stages`` (``_stage_solve``).  Either solver
 verifies the stage value U^i last, and the Laplacian D_h U^i of that
@@ -66,10 +68,13 @@ __all__ = [
 TRACE_COLUMNS = ("step", "t", "energy", "energy_pre_projection", "min_len_pre",
                  "max_unit_dev", "solver_iters_total", "fallback_solves", "wall_ms")
 
-# LM2: the energy-enforcement direction e = (1, 1, 1)/sqrt(3) and the
-# half-width of the bracket searched for its scalar multiplier
+# LM2: the energy-enforcement direction e = (1, 1, 1)/sqrt(3), the
+# half-width of the bracket searched for its scalar multiplier, the step of
+# the scan out from zero and Brent's absolute tolerance
 _LM2_DIRECTION = np.ones(3) / np.linalg.norm(np.ones(3))
 _LM2_BRACKET = 10.0
+_LM2_SCAN_STEP = 0.0025
+_LM2_XTOL = 1e-12
 # below this max |m_hat . e| every |m_hat + eta e| is at least 1e-3
 _LM2_PARALLEL = 1.0 - 1e-6
 # the relative tolerance and iteration limit of scipy's brentq, which ``_brentq`` ports
@@ -212,7 +217,8 @@ def _stage_solve(solves, lap, blocks, coeff, rhs, solver, x0, tangent):
 
 
 class _StageHistory:
-    """Stage increments dU^i = U^i - U^n of the last five steps, for start guesses.
+    """Stage increments dU^i = U^i - U^n of the last five steps, for start guesses,
+    and the discrete energy of the field the next step starts from.
 
     Preallocated as (5 steps, s stages, 3, N) and written in place.  Stage i
     of step n starts from U^n plus the extrapolation of its increments in
@@ -223,6 +229,9 @@ class _StageHistory:
     increments that are polynomials of degree <= 4 in the step index.  On
     the 201 steps of ``llg_blowup42`` at k = 24 the stage solves take 546
     BiCGStab iterations from it, 677 from the quadratic of three steps.
+    ``energy``, which ``prk_step`` sets, is the newest step's post-projection
+    energy (None before the first): E(m^n) of the next step, as
+    ``LM2State.energy`` is for LM2.
     """
 
     # row q - 1: (-1)^k binomial(q, k + 1), k = 0 .. q - 1, the newest step first
@@ -235,6 +244,7 @@ class _StageHistory:
         self._term = np.empty((3, n_nodes))
         self._count = 0                   # steps stored, at most the depth
         self._newest = self._depth - 1    # slot of the newest step
+        self.energy = None
 
     def guess(self, i, U0, fallback):
         """Start guess of stage i (0-based) of the step from U0; fallback with no history."""
@@ -317,7 +327,10 @@ def prk_step(state, p, step_index=0, t0=0.0, *, history=None, solves=None):
     is the mobility P(U^{i-1}) itself.  Y_i over the solved stages and its
     image B_i Y_i are formed once, right after stage i is solved, and reused
     by the later stages and the final update.  Every stage solve takes the
-    preconditioner of the mobility of U^{i-1}.  prk_alt keeps the energy
+    preconditioner of the mobility of U^{i-1}, with the alignment
+    ``linalg.tangent_alignment`` of E(m^n) when a stage is stiff enough for
+    it; E(m^n) is the ``history``'s energy, summed afresh only when there is
+    none (the first step of a run, a direct call).  prk_alt keeps the energy
     decrease but not the pre-projection length bound of the structure
     theorem: its length can fall below 1.  Stage i starts from the previous
     stage value or, given the ``history`` that ``make_stepper`` keeps, from
@@ -334,6 +347,13 @@ def prk_step(state, p, step_index=0, t0=0.0, *, history=None, solves=None):
 
     U0 = state.components
     U = U0
+    coeffs = [tau * A[i][i] * W[i][i] for i in range(len(b))]
+    alignment = 1.0
+    if any(linalg.takes_tangent_preconditioner(grid, p.projection, c) for c in coeffs):
+        energy = None if history is None else history.energy
+        if energy is None:
+            energy = discrete_energy(state)
+        alignment = linalg.tangent_alignment(energy, grid)
     stages, P, DU, PY = [], [], [], []
     solves = _Solves() if solves is None else solves
     for i in range(len(b)):
@@ -351,8 +371,8 @@ def prk_step(state, p, step_index=0, t0=0.0, *, history=None, solves=None):
 
         # without history stage i starts from U^{i-1}, stage 1 from U^0
         x0 = U if history is None else history.guess(i, U0, U)
-        U, DUi = _stage_solve(solves, lap, blocks, tau * A[i][i] * W[i][i], rhs, p.solver, x0,
-                              TangentBlocks(mobility, p.projection))
+        U, DUi = _stage_solve(solves, lap, blocks, coeffs[i], rhs, p.solver, x0,
+                              TangentBlocks(mobility, p.projection, alignment))
         stages.append(U)
         DU.append(DUi)
         y = DUi if W[i][i] == 1.0 else W[i][i] * DUi
@@ -363,7 +383,10 @@ def prk_step(state, p, step_index=0, t0=0.0, *, history=None, solves=None):
     m_tilde = U0.copy()
     for j, PYj in enumerate(PY):
         m_tilde += tau * b[j] * PYj
-    return _finish_step(grid, m_tilde, step_index, t0 + tau, solves, t_wall)
+    out, rec = _finish_step(grid, m_tilde, step_index, t0 + tau, solves, t_wall)
+    if history is not None:
+        history.energy = rec.energy
+    return out, rec
 
 
 @dataclass
@@ -428,26 +451,28 @@ def _brentq(F, xa, xb, fa, fb, xtol):
     return None
 
 
-def _lm2_scalar_root(F, bracket, xtol=1e-12, scan_step=0.0025):
-    """Root of F nearest zero inside [-bracket, bracket]; None when there is none.
+def _lm2_scalar_root(F):
+    """Root of F nearest zero inside [-_LM2_BRACKET, _LM2_BRACKET]; None when there is none.
 
-    The scan steps out from zero both ways until F changes sign, and
-    ``_brentq`` finds the root in that step.  A non-finite F (LM2's: the
-    field vanishes at a node) is no sign change in the scan; at a Brent
-    iterate it ends the search, with None.
+    The scan steps out from zero both ways by ``_LM2_SCAN_STEP`` until F
+    changes sign, and ``_brentq`` finds the root in that step to
+    ``_LM2_XTOL``.  A non-finite F (LM2's: the field vanishes at a node) is
+    no sign change in the scan; at a Brent iterate it ends the search, with
+    None.
     """
     f0 = F(0.0)
     if f0 == 0.0:
         return 0.0
-    for i in range(round(bracket / scan_step)):
-        # the floats of np.arange(scan_step, bracket + scan_step / 2, scan_step)
-        d = scan_step + i * scan_step
+    step = _LM2_SCAN_STEP
+    for i in range(round(_LM2_BRACKET / step)):
+        # the floats of np.arange(step, _LM2_BRACKET + step / 2, step)
+        d = step + i * step
         f = F(d)
         if math.isfinite(f) and f0 * f < 0:
-            return _brentq(F, 0.0, d, f0, f, xtol)
+            return _brentq(F, 0.0, d, f0, f, _LM2_XTOL)
         f = F(-d)
         if math.isfinite(f) and f0 * f < 0:
-            return _brentq(F, -d, 0.0, f, f0, xtol)
+            return _brentq(F, -d, 0.0, f, f0, _LM2_XTOL)
     return None
 
 
@@ -511,7 +536,7 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
             energies[eta] = np.nan if undefined else discrete_energy(v / vn, grid)
         return energies[eta] - target
 
-    eta = _lm2_scalar_root(F, _LM2_BRACKET)
+    eta = _lm2_scalar_root(F)
     if eta is None:
         raise NoRealRootError(
             f"no real multiplier in [-{_LM2_BRACKET}, {_LM2_BRACKET}] at t={t0 + tau:.6g}")

@@ -32,7 +32,21 @@ f + i g = 1 / (1 - coeff (alpha + i beta) lambda), and
 
 with S^-1 exact on the vectors that vanish on the Dirichlet nodes, where
 the stage solves' residuals lie (``grid.shifted_laplacian_inverse``; with
-beta = 0 the shift is real and so is the arithmetic).  Every other operator
+beta = 0 the shift is real and so is the arithmetic).
+That S holds where neighbouring tangent planes are parallel.  For a rough
+field the preconditioner keeps D_h's exact diagonal and scales its
+neighbour couplings by the alignment kappa (``TangentBlocks.alignment``):
+
+    S = d I - kappa coeff (alpha + i beta) D_h,
+    d = 1 + (1 - kappa) coeff (alpha + i beta) 2 dim / h^2,
+    kappa = sqrt((1 + c) / 2) for c < 1/2, kappa = 1 for c >= 1/2,
+
+c = 1 - E / (2 h^(dim-2) sum_e w_e) the weighted mean neighbour cosine of
+the step's on-sphere start field, read from its discrete energy E
+(``tangent_alignment``).  kappa is the RMS gain with which P_t(m_i) passes
+a tangent vector of a neighbour's plane, ||P_t(m_i) P_t(m_j)||_F^2 =
+1 + c_ij^2, with c standing in for the mean of c_ij^2; for c >= 1/2 the
+preconditioner is that of kappa = 1, bit for bit.  Every other operator
 is solved unpreconditioned.  Both solvers verify their result against the
 true residual, ||A x - b||_2 <= max(rel_tol ||b||_2, abs_tol), and raise a
 typed error (NonConvergenceError or BreakdownError) when they fail.  That
@@ -60,6 +74,8 @@ __all__ = [
     "StageOperator",
     "TangentBlocks",
     "TangentPreconditioner",
+    "takes_tangent_preconditioner",
+    "tangent_alignment",
     "solve",
     "direct_solve",
 ]
@@ -116,10 +132,20 @@ class SolverConfig:
 class TangentBlocks:
     """The field whose mobility P(mh) = alpha P_t + beta J the preconditioner
     inverts: the stage blocks are ``projector_blocks(field, projection)`` or,
-    for prk_alt, an average of stage mobilities within O(tau) of it."""
+    for prk_alt, an average of stage mobilities within O(tau) of it.
+
+    ``alignment`` is kappa in [0, 1], the gain the preconditioner gives
+    D_h's neighbour couplings: it inverts S = d I - kappa coeff (alpha + i beta) D_h
+    with d = 1 + (1 - kappa) coeff (alpha + i beta) 2 dim / h^2, which keeps
+    the diagonal of I - coeff (alpha + i beta) D_h.  ``tangent_alignment``
+    sets kappa = sqrt((1 + c) / 2) from the mean neighbour cosine c of the
+    step's start field, and kappa = 1 for c >= 1/2.  kappa = 1 models
+    parallel neighbouring tangent planes, the smooth field's S.
+    """
 
     field: object
     projection: object
+    alignment: float = 1.0
 
 
 class StageOperator:
@@ -165,8 +191,9 @@ class StageOperator:
 class TangentPreconditioner:
     """v -> M^-1 v (module docstring) for a StageOperator with TangentBlocks.
 
-    S = I - coeff (alpha + i beta) D_h acts per component; ``shifted_solve``
-    is its exact inverse on vectors that vanish on the Dirichlet nodes.
+    S = d I - kappa coeff (alpha + i beta) D_h (``TangentBlocks``) acts per
+    component; ``shifted_solve`` is its exact inverse on vectors that vanish
+    on the Dirichlet nodes.
     When beta != 0 it reads the real field from ``work[0]`` and writes the
     real and imaginary parts of its image to ``work`` (2, 3, N).  Nodes on
     Dirichlet faces pass through (A is the identity there).  mh is not
@@ -176,6 +203,7 @@ class TangentPreconditioner:
 
     def __init__(self, A):
         tangent = A.tangent
+        grid, kappa = tangent.field.grid, tangent.alignment
         alpha, beta = tangent.projection.alpha, tangent.projection.beta
         self.m = tangent.field.components
         self.inv_len2 = 1.0 / np.einsum("ln,ln->n", self.m, self.m)
@@ -186,7 +214,13 @@ class TangentPreconditioner:
             self.work = np.empty((2,) + self.m.shape)
             self.inv_len = np.sqrt(self.inv_len2)
             shift = A.coeff * complex(alpha, beta)
-        self.shifted_solve = shifted_laplacian_inverse(tangent.field.grid, shift)
+        if kappa == 1.0:
+            # the smooth field's S = I - coeff (alpha + i beta) D_h, bit for bit
+            self.shifted_solve = shifted_laplacian_inverse(grid, shift)
+        else:
+            # D_h's diagonal is -2 dim / h^2 at every free node
+            diagonal = 1.0 + (1.0 - kappa) * shift * (2.0 * grid.dim / grid.h ** 2)
+            self.shifted_solve = shifted_laplacian_inverse(grid, kappa * shift, diagonal)
 
     def __call__(self, v):
         v = v.reshape(3, -1)
@@ -215,19 +249,30 @@ class TangentPreconditioner:
         return out.reshape(-1)
 
 
-def _stiffness(A):
-    """coeff |alpha + i beta| rho of a StageOperator with TangentBlocks,
-    rho = 4 dim / h^2 >= |lambda(D_h)|."""
-    grid = A.tangent.field.grid
-    projection = A.tangent.projection
-    return (A.coeff * abs(complex(projection.alpha, projection.beta))
-            * 4.0 * grid.dim / grid.h ** 2)
+def takes_tangent_preconditioner(grid, projection, coeff):
+    """Whether a stage (I - coeff P D_h) whose blocks are a mobility P of
+    ``projection`` on ``grid`` is stiff enough for the tangent preconditioner:
+    coeff |alpha + i beta| rho >= 1.5, rho = 4 dim / h^2 >= |lambda(D_h)|."""
+    stiffness = (coeff * abs(complex(projection.alpha, projection.beta))
+                 * 4.0 * grid.dim / grid.h ** 2)
+    return stiffness >= _TANGENT_MIN_STIFFNESS
+
+
+def tangent_alignment(energy, grid):
+    """kappa of ``TangentBlocks.alignment`` for a unit field of discrete energy E
+    (module docstring): sqrt((1 + c) / 2) from the weighted mean neighbour
+    cosine c = 1 - E / (2 h^(dim-2) sum_e w_e) (``Grid.edge_weight_sum``),
+    and 1 for c >= 1/2."""
+    cosine = 1.0 - energy / (2.0 * grid.h ** (grid.dim - 2) * grid.edge_weight_sum)
+    return 1.0 if cosine >= 0.5 else math.sqrt((1.0 + cosine) / 2.0)
 
 
 def _preconditioner(A):
     """v -> M^-1 v: TangentPreconditioner if A has TangentBlocks and is stiff, else
     the identity (``np.copy``: ``_bicgstab`` scales what it returns in place)."""
-    if getattr(A, "tangent", None) is not None and _stiffness(A) >= _TANGENT_MIN_STIFFNESS:
+    tangent = getattr(A, "tangent", None)
+    if tangent is not None and takes_tangent_preconditioner(tangent.field.grid,
+                                                            tangent.projection, A.coeff):
         return TangentPreconditioner(A)
     return np.copy
 

@@ -239,6 +239,21 @@ def test_run_custom_emits_artifacts(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "custom_prk_final.vtk").exists()
 
 
+def test_run_summary_totals_solver_iterations_and_fallbacks(tmp_path, capsys, monkeypatch):
+    # the summary line adds up the trace's solver_iters_total and fallback_solves
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--preset", "llg_blowup42", "--k", "8", "--tau", "1e-3",
+                 "--T", "5e-3", "--scheme", "prk"]) == 0
+    out = capsys.readouterr().out
+    header, *rows = (tmp_path / "llg_blowup42_prk_trace.csv").read_text().splitlines()
+    columns = header.split(",")
+    iters, fallbacks = (sum(int(row.split(",")[columns.index(name)]) for row in rows)
+                        for name in ("solver_iters_total", "fallback_solves"))
+    assert len(rows) == 5 and iters > 0
+    assert (f"steps completed: 5; solver iterations: {iters}; "
+            f"fallback solves: {fallbacks}; trace: ") in out
+
+
 def test_aborted_run_exits_2_and_keeps_its_trace(tmp_path, capsys, monkeypatch):
     # LM2 finds no multiplier on the twisted nematic's random start: the run
     # stops, says when, and the trace CSV holds one row per completed step

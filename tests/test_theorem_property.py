@@ -6,9 +6,9 @@ increase the discrete energy, up to solver tolerance.  Beside the one-stage
 implicit-Euler tableau of sip1, tableaux with s = 2 and s = 3 are drawn by a
 seeded sampler and kept when they pass ``validate`` and ``certify``; each takes one PRK step (warm-started stage solves through
 every stage) from a random on-sphere field, with and without precession and
-at a mild, a stiff and a very large step size.  Up to tau = 0.1 BiCGStab
-solves every stage within its iteration budget, with no SuperLU fallback;
-at tau = 10 at most 5 of the 52 stage solves over both betas fall back.
+at a mild, a stiff and a very large step size.  At every step size
+BiCGStab solves every stage within its iteration budget, with no SuperLU
+fallback.
 
 ``prk_alt``, which averages the projector, is outside the length theorem; it
 is held to energy decrease only.
@@ -76,24 +76,21 @@ def start():
 @pytest.mark.parametrize("beta", [1.0, 0.0])
 def test_certified_tableaux_keep_length_and_energy(beta, tau, start):
     cfg, m0, e0 = start
-    fallbacks = 0
     for name, tab in TABLEAUX:
         p = replace(scheme_params(cfg, scheme="prk"), tau=tau, tableau=tab,
                     projection=ProjectionParams(cfg.alpha, beta))
         _, rec = prk_step(m0, p)
         where = f"tableau {name} (s={tab.s}): {rec}"
         assert len(rec.solver_iters) == tab.s, where
-        if tau <= 0.1:
-            assert rec.fallback_stages == (), where
-        fallbacks += rec.fallback_solves
+        # the random start's mean neighbour cosine is 0.018, so the
+        # preconditioner weakens D_h's couplings (alignment 0.714): at tau = 10
+        # the 13 tableaux take 662 (beta = 1) and 428 (beta = 0) iterations,
+        # where with the couplings at full strength they took 3,072 and
+        # 1,265 and 5 of the 26 beta = 1 solves fell back to SuperLU
+        assert rec.fallback_stages == (), where
         assert rec.min_len_pre >= 1.0 - 1e-9, where
         assert rec.energy_pre_projection <= e0 * (1.0 + 1e-9), where
         assert rec.max_unit_dev <= 1e-12, where
-    # at tau = 10 BiCGStab's recursive residual can meet the target while the
-    # true residual is 1.02-1.4x over it; one restart from that iterate ends
-    # most of those solves: 5 of the 52 fall back to SuperLU, all at beta = 1
-    # (15 without the restart)
-    assert fallbacks <= (5 if beta else 0), fallbacks
 
 
 @pytest.mark.parametrize("preset_name, k, tau", [("llg_blowup42", 12, 1e-4),
