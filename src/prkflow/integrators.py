@@ -22,7 +22,7 @@ last five steps (``_StageHistory``), and stage i starts its solve from U^n
 plus their quartic extrapolation in time; a direct step call keeps none
 and starts stage i from U^{i-1} (stage 1 from U^n).  The history also keeps
 the energy of the field the next step starts from, which sets the
-alignment of the stage solves' preconditioner (``linalg.tangent_alignment``).
+alignment of the stage solves' preconditioner (``linalg._tangent_alignment``).
 A stage solve that BiCGStab fails is taken over by SuperLU and named in
 the step record's ``fallback_stages`` (``_stage_solve``).  Either solver
 verifies the stage value U^i last, and the Laplacian D_h U^i of that
@@ -319,7 +319,7 @@ def _finish_step(grid, m_tilde, step_index, t_next, solves, t_wall0, e_post=None
     return out, rec
 
 
-def prk_step(state, p, step_index=0, t0=0.0, *, history=None, solves=None):
+def prk_step(state, p, step_index=0, t0=0.0, *, history=None, solves=None, alignment=None):
     """One step of the product scheme, or of its variant prk_alt (``_stage_weights``).
 
     Stage i takes the projector average B_i = sum_k G[i,k] P(U^{k-1}) and the
@@ -327,17 +327,17 @@ def prk_step(state, p, step_index=0, t0=0.0, *, history=None, solves=None):
     is the mobility P(U^{i-1}) itself.  Y_i over the solved stages and its
     image B_i Y_i are formed once, right after stage i is solved, and reused
     by the later stages and the final update.  Every stage solve takes the
-    preconditioner of the mobility of U^{i-1}, with the alignment
-    ``linalg.tangent_alignment`` of E(m^n) when a stage is stiff enough for
-    it; E(m^n) is the ``history``'s energy, summed afresh only when there is
-    none (the first step of a run, a direct call).  prk_alt keeps the energy
-    decrease but not the pre-projection length bound of the structure
-    theorem: its length can fall below 1.  Stage i starts from the previous
-    stage value or, given the ``history`` that ``make_stepper`` keeps, from
-    the extrapolation of the past steps' stage increments; the step then
-    stores its own increments there.  The record's solves are those of
-    ``solves`` (a ``_Solves`` shared by several steps, which BDF4's start-up
-    passes) followed by the step's own.
+    preconditioner of the mobility of U^{i-1}, with ``alignment`` or else
+    the ``linalg._tangent_alignment`` of E(m^n).  E(m^n) is the
+    ``history``'s; with none (the first step of a run, a direct call) it is
+    summed afresh when a stage is stiff enough for the preconditioner.
+    prk_alt keeps the energy decrease but not the pre-projection length
+    bound of the structure theorem: its length can fall below 1.  Stage i
+    starts from the previous stage value or, given the ``history`` that
+    ``make_stepper`` keeps, from the extrapolation of the past steps' stage
+    increments; the step then stores its own increments there.  The
+    record's solves are those of ``solves`` (a ``_Solves`` shared by several
+    steps, which BDF4's start-up passes) followed by the step's own.
     """
     grid = state.grid
     lap = laplacian(grid)
@@ -348,12 +348,12 @@ def prk_step(state, p, step_index=0, t0=0.0, *, history=None, solves=None):
     U0 = state.components
     U = U0
     coeffs = [tau * A[i][i] * W[i][i] for i in range(len(b))]
-    alignment = 1.0
-    if any(linalg.takes_tangent_preconditioner(grid, p.projection, c) for c in coeffs):
+    if alignment is None:
         energy = None if history is None else history.energy
-        if energy is None:
+        if energy is None and any(linalg._takes_tangent_preconditioner(grid, p.projection, c)
+                                  for c in coeffs):
             energy = discrete_energy(state)
-        alignment = linalg.tangent_alignment(energy, grid)
+        alignment = 1.0 if energy is None else linalg._tangent_alignment(energy, grid)
     stages, P, DU, PY = [], [], [], []
     solves = _Solves() if solves is None else solves
     for i in range(len(b)):
@@ -556,7 +556,9 @@ def bdf4_step(state, hist, p, step_index=0, t0=0.0):
     extrapolation of the history.  hist holds the last (up to) four on-sphere
     levels, oldest first, starting from the normalized initial field; while it
     has fewer than four, the step is ten product sub-steps at tau/10 whose
-    record carries every sub-step's solves.  Returns (field, hist, record).
+    record carries every sub-step's solves.  Its stage solves, start-up
+    included, take the preconditioner with alignment 1.  Returns (field,
+    hist, record).
     """
     grid = state.grid
     tau = p.tau
@@ -565,7 +567,7 @@ def bdf4_step(state, hist, p, step_index=0, t0=0.0):
         startup = replace(p, scheme="prk", tau=tau / 10.0, tableau=prk2_tableau())
         m, solves = hist[-1], _Solves()
         for _ in range(10):
-            m, rec = prk_step(m, startup, solves=solves)
+            m, rec = prk_step(m, startup, solves=solves, alignment=1.0)
         rec = replace(rec, step=step_index, t=t0 + tau,
                       wall_ms=(time.perf_counter() - t_wall) * 1e3)
         return m, hist + (m,), rec

@@ -43,7 +43,7 @@ neighbour couplings by the alignment kappa (``TangentBlocks.alignment``):
 
 c = 1 - E / (2 h^(dim-2) sum_e w_e) the weighted mean neighbour cosine of
 the step's on-sphere start field, read from its discrete energy E
-(``tangent_alignment``).  kappa is the RMS gain with which P_t(m_i) passes
+(``_tangent_alignment``).  kappa is the RMS gain with which P_t(m_i) passes
 a tangent vector of a neighbour's plane, ||P_t(m_i) P_t(m_j)||_F^2 =
 1 + c_ij^2, with c standing in for the mean of c_ij^2; for c >= 1/2 the
 preconditioner is that of kappa = 1, bit for bit.  Every other operator
@@ -74,8 +74,6 @@ __all__ = [
     "StageOperator",
     "TangentBlocks",
     "TangentPreconditioner",
-    "takes_tangent_preconditioner",
-    "tangent_alignment",
     "solve",
     "direct_solve",
 ]
@@ -137,7 +135,7 @@ class TangentBlocks:
     ``alignment`` is kappa in [0, 1], the gain the preconditioner gives
     D_h's neighbour couplings: it inverts S = d I - kappa coeff (alpha + i beta) D_h
     with d = 1 + (1 - kappa) coeff (alpha + i beta) 2 dim / h^2, which keeps
-    the diagonal of I - coeff (alpha + i beta) D_h.  ``tangent_alignment``
+    the diagonal of I - coeff (alpha + i beta) D_h.  ``_tangent_alignment``
     sets kappa = sqrt((1 + c) / 2) from the mean neighbour cosine c of the
     step's start field, and kappa = 1 for c >= 1/2.  kappa = 1 models
     parallel neighbouring tangent planes, the smooth field's S.
@@ -214,13 +212,10 @@ class TangentPreconditioner:
             self.work = np.empty((2,) + self.m.shape)
             self.inv_len = np.sqrt(self.inv_len2)
             shift = A.coeff * complex(alpha, beta)
-        if kappa == 1.0:
-            # the smooth field's S = I - coeff (alpha + i beta) D_h, bit for bit
-            self.shifted_solve = shifted_laplacian_inverse(grid, shift)
-        else:
-            # D_h's diagonal is -2 dim / h^2 at every free node
-            diagonal = 1.0 + (1.0 - kappa) * shift * (2.0 * grid.dim / grid.h ** 2)
-            self.shifted_solve = shifted_laplacian_inverse(grid, kappa * shift, diagonal)
+        # D_h's diagonal is -2 dim / h^2 at every free node; kappa = 1 gives
+        # d = 1 and the smooth field's S = I - coeff (alpha + i beta) D_h
+        diagonal = 1.0 + (1.0 - kappa) * shift * (2.0 * grid.dim / grid.h ** 2)
+        self.shifted_solve = shifted_laplacian_inverse(grid, kappa * shift, diagonal)
 
     def __call__(self, v):
         v = v.reshape(3, -1)
@@ -249,7 +244,7 @@ class TangentPreconditioner:
         return out.reshape(-1)
 
 
-def takes_tangent_preconditioner(grid, projection, coeff):
+def _takes_tangent_preconditioner(grid, projection, coeff):
     """Whether a stage (I - coeff P D_h) whose blocks are a mobility P of
     ``projection`` on ``grid`` is stiff enough for the tangent preconditioner:
     coeff |alpha + i beta| rho >= 1.5, rho = 4 dim / h^2 >= |lambda(D_h)|."""
@@ -258,12 +253,13 @@ def takes_tangent_preconditioner(grid, projection, coeff):
     return stiffness >= _TANGENT_MIN_STIFFNESS
 
 
-def tangent_alignment(energy, grid):
+def _tangent_alignment(energy, grid):
     """kappa of ``TangentBlocks.alignment`` for a unit field of discrete energy E
     (module docstring): sqrt((1 + c) / 2) from the weighted mean neighbour
     cosine c = 1 - E / (2 h^(dim-2) sum_e w_e) (``Grid.edge_weight_sum``),
-    and 1 for c >= 1/2."""
-    cosine = 1.0 - energy / (2.0 * grid.h ** (grid.dim - 2) * grid.edge_weight_sum)
+    and 1 for c >= 1/2.  c is cut at -1 (kappa = 0, S its diagonal alone): a
+    field off the sphere can have more energy than any unit field."""
+    cosine = max(1.0 - energy / (2.0 * grid.h ** (grid.dim - 2) * grid.edge_weight_sum), -1.0)
     return 1.0 if cosine >= 0.5 else math.sqrt((1.0 + cosine) / 2.0)
 
 
@@ -271,8 +267,8 @@ def _preconditioner(A):
     """v -> M^-1 v: TangentPreconditioner if A has TangentBlocks and is stiff, else
     the identity (``np.copy``: ``_bicgstab`` scales what it returns in place)."""
     tangent = getattr(A, "tangent", None)
-    if tangent is not None and takes_tangent_preconditioner(tangent.field.grid,
-                                                            tangent.projection, A.coeff):
+    if tangent is not None and _takes_tangent_preconditioner(tangent.field.grid,
+                                                             tangent.projection, A.coeff):
         return TangentPreconditioner(A)
     return np.copy
 

@@ -178,7 +178,7 @@ def _count_builds(monkeypatch):
     def counting_solve(A, rhs, cfg=None, x0=None):
         counts["solves"] += 1
         tangent = A.tangent
-        if tangent is not None and linalg.takes_tangent_preconditioner(
+        if tangent is not None and linalg._takes_tangent_preconditioner(
                 tangent.field.grid, tangent.projection, A.coeff):
             counts["stiff"] += 1
         return solve(A, rhs, cfg, x0)
@@ -373,7 +373,7 @@ def test_alignment_reads_the_mean_neighbour_cosine(preset_name, overrides, cosin
     energy = discrete_energy(m)
     assert 1.0 - energy / (2 * grid.h ** (grid.dim - 2) * grid.edge_weight_sum) == \
         pytest.approx(mean, abs=1e-12)
-    kappa = linalg.tangent_alignment(energy, grid)
+    kappa = linalg._tangent_alignment(energy, grid)
     assert kappa == (1.0 if mean >= 0.5 else pytest.approx(np.sqrt((1.0 + mean) / 2.0)))
 
 
@@ -387,11 +387,73 @@ def test_aligned_start_keeps_the_smooth_preconditioner_bit_for_bit(preset_name, 
     counts = _count_builds(monkeypatch)
     final, trace = _steps(preset_name, "prk", 5, k=8, tau=tau)
     assert counts["builds"] == counts["solves"] > 0
-    monkeypatch.setattr(linalg, "tangent_alignment", lambda energy, grid: 1.0)
+    monkeypatch.setattr(linalg, "_tangent_alignment", lambda energy, grid: 1.0)
     forced, forced_trace = _steps(preset_name, "prk", 5, k=8, tau=tau)
     assert np.array_equal(final.components, forced.components)
     assert [r.solver_iters for r in trace.records] == \
         [r.solver_iters for r in forced_trace.records]
+
+
+@pytest.mark.parametrize("preset_name, overrides", [
+    ("point_defect43", {"k": 8, "beta": 0.0}),
+    ("point_defect43", {"k": 8, "beta": 0.8}),
+    ("llg_blowup42", {"k": 12}),
+], ids=["real-shift", "complex-shift", "llg_blowup42"])
+def test_unit_alignment_is_the_plain_shifted_inverse_bit_for_bit(preset_name, overrides, rng):
+    # kappa = 1 gives the diagonal d = 1 and the shift coeff (alpha + i beta):
+    # the same M^-1 v as S^-1 = (I - coeff (alpha + i beta) D_h)^-1 built
+    # without a diagonal
+    cfg = preset(preset_name, **overrides)
+    grid = build_grid(cfg)
+    mdir = normalize(build_initial(cfg, grid))
+    projection = ProjectionParams(cfg.alpha, cfg.beta)
+    op = StageOperator(laplacian(grid), projector_blocks(mdir, projection), cfg.tau,
+                       TangentBlocks(mdir, projection, 1.0))
+    precond = TangentPreconditioner(op)
+    v = rng.standard_normal(op.shape[0])
+    got = precond(v)
+    grid._shifted = None          # a new function, not the one kept for (c, d)
+    precond.shifted_solve = shifted_laplacian_inverse(grid, op.coeff * (
+        cfg.alpha if cfg.beta == 0.0 else complex(cfg.alpha, cfg.beta)))
+    assert np.array_equal(got, precond(v))
+
+
+def test_field_off_the_sphere_takes_alignment_zero():
+    # a random field of length about 2 has more energy than any unit field:
+    # its mean neighbour cosine reads below -1, which is cut to -1 (kappa = 0,
+    # S its diagonal alone), and a direct step from it still runs
+    cfg = preset("llg_blowup42", k=8, tau=2e-2)
+    grid = build_grid(cfg)
+    rng = np.random.default_rng(28)
+    m = VectorField(2.0 * rng.standard_normal((3, grid.n_nodes)), grid)
+    energy = discrete_energy(m)
+    assert 1.0 - energy / (2 * grid.h ** (grid.dim - 2) * grid.edge_weight_sum) < -1.0
+    assert linalg._tangent_alignment(energy, grid) == 0.0
+    p = scheme_params(cfg, scheme="prk")
+    assert _prk_stiffness(cfg) >= linalg._TANGENT_MIN_STIFFNESS
+    _out, rec = integrators.prk_step(m, p)
+    assert len(rec.solver_iters) == 2 and rec.max_unit_dev <= 1e-12
+
+
+@pytest.mark.parametrize("scheme, n_steps, n_sums", [
+    ("prk", 5, 2 * 5 + 1),          # pre and post per step, E(m^0) once
+    ("bdf4_ref", 1, 2 * 10),        # ten start-up sub-steps at alignment 1
+])
+def test_stage_alignment_sums_no_energy_twice(scheme, n_steps, n_sums, monkeypatch):
+    # the stiff stages of a rough start read E(m^n) from the previous step's
+    # record: only the run's first start field is summed for the alignment,
+    # BDF4's start-up sums none, and no field is summed twice
+    summed = []
+
+    def recording(comps, grid=None):
+        summed.append(np.asarray(getattr(comps, "components", comps)).tobytes())
+        return discrete_energy(comps, grid)
+
+    cfg = preset("twisted_nematic44", k=8, tau=5e-2)
+    assert _prk_stiffness(cfg) / 10.0 >= linalg._TANGENT_MIN_STIFFNESS
+    monkeypatch.setattr(integrators, "discrete_energy", recording)
+    _steps("twisted_nematic44", scheme, n_steps, k=8, tau=5e-2)
+    assert len(summed) == n_sums and len(set(summed)) == n_sums
 
 
 def test_random_start_first_step_models_the_rough_field():
