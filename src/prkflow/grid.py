@@ -63,16 +63,19 @@ class Grid:
     """
 
     def __init__(self, dim, n_per_axis, h, origin=None, faces=None):
-        if dim not in (1, 2, 3):
-            raise ValueError("dim must be 1, 2 or 3")
-        if n_per_axis < 2:
-            raise ValueError("need at least two nodes per axis")
-        if h <= 0:
-            raise ValueError("spacing must be positive")
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in (1, 2, 3):
+            raise ValueError(f"dim must be the integer 1, 2 or 3, got {dim!r}")
+        if (isinstance(n_per_axis, bool) or not isinstance(n_per_axis, (int, np.integer))
+                or n_per_axis < 2):
+            raise ValueError(f"n_per_axis must be an integer of at least 2, got {n_per_axis!r}")
+        if not (math.isfinite(h) and h > 0):
+            raise ValueError(f"spacing must be finite and positive, got {h!r}")
+        self.origin = tuple(origin) if origin is not None else (0.0,) * dim
+        if len(self.origin) != dim or not all(map(math.isfinite, self.origin)):
+            raise ValueError(f"origin must have {dim} finite entries, got {self.origin!r}")
         self.dim = dim
         self.n_per_axis = int(n_per_axis)
         self.h = float(h)
-        self.origin = tuple(origin) if origin is not None else (0.0,) * dim
         if faces is None:
             faces = (NEUMANN,) * (2 * dim)
         faces = tuple(faces)

@@ -17,10 +17,11 @@ Schemes:
 
 ``run`` is the only time loop: ``make_stepper`` binds each scheme, with the
 auxiliary state of the multistep schemes (LM2, BDF4), to one per-step form.
-For prk, sip1 and prk_alt it keeps the stage increments U^i - U^n of the
-last five steps (``_StageHistory``), and stage i starts its solve from U^n
-plus their quartic extrapolation in time; a direct step call keeps none
-and starts stage i from U^{i-1} (stage 1 from U^n).  The history also keeps
+For prk, sip1 and prk_alt, and BDF4's PRK2 start-up, it keeps the stage
+increments U^i - U^n of the last five steps (``_StageHistory``), and stage
+i starts its solve from U^n plus their quartic extrapolation in time; with
+none stored (a first step, a direct step call) stage i starts from U^{i-1}
+(stage 1 from U^n).  The history also keeps
 the energy of the field the next step starts from, which sets the
 alignment of the stage solves' preconditioner (``linalg._tangent_alignment``).
 A stage solve that BiCGStab fails is taken over by SuperLU and named in
@@ -319,7 +320,7 @@ def _finish_step(grid, m_tilde, step_index, t_next, solves, t_wall0, e_post=None
     return out, rec
 
 
-def prk_step(state, p, step_index=0, t0=0.0, *, history=None, solves=None, alignment=None):
+def prk_step(state, p, step_index=0, t0=0.0, *, history=None):
     """One step of the product scheme, or of its variant prk_alt (``_stage_weights``).
 
     Stage i takes the projector average B_i = sum_k G[i,k] P(U^{k-1}) and the
@@ -327,35 +328,33 @@ def prk_step(state, p, step_index=0, t0=0.0, *, history=None, solves=None, align
     is the mobility P(U^{i-1}) itself.  Y_i over the solved stages and its
     image B_i Y_i are formed once, right after stage i is solved, and reused
     by the later stages and the final update.  Every stage solve takes the
-    preconditioner of the mobility of U^{i-1}, with ``alignment`` or else
-    the ``linalg._tangent_alignment`` of E(m^n).  E(m^n) is the
-    ``history``'s; with none (the first step of a run, a direct call) it is
-    summed afresh when a stage is stiff enough for the preconditioner.
+    preconditioner of the mobility of U^{i-1}, with the
+    ``linalg._tangent_alignment`` of E(m^n).  E(m^n) is the ``history``'s;
+    with none stored (the first step of a run, a direct call) it is summed
+    afresh when a stage is stiff enough for the preconditioner.
     prk_alt keeps the energy decrease but not the pre-projection length
     bound of the structure theorem: its length can fall below 1.  Stage i
-    starts from the previous stage value or, given the ``history`` that
-    ``make_stepper`` keeps, from the extrapolation of the past steps' stage
-    increments; the step then stores its own increments there.  The
-    record's solves are those of ``solves`` (a ``_Solves`` shared by several
-    steps, which BDF4's start-up passes) followed by the step's own.
+    starts from the extrapolation of the past steps' stage increments in
+    the ``history`` that ``make_stepper`` keeps, or, with none stored, from
+    the previous stage value; the step then stores its own increments
+    there.  A direct call steps from a fresh, empty history.
     """
     grid = state.grid
     lap = laplacian(grid)
     A, W, b, G = _stage_weights(p)
     tau = p.tau
     t_wall = time.perf_counter()
+    history = _StageHistory(len(b), grid.n_nodes) if history is None else history
 
-    U0 = state.components
-    U = U0
+    U = U0 = state.components
     coeffs = [tau * A[i][i] * W[i][i] for i in range(len(b))]
-    if alignment is None:
-        energy = None if history is None else history.energy
-        if energy is None and any(linalg._takes_tangent_preconditioner(grid, p.projection, c)
-                                  for c in coeffs):
-            energy = discrete_energy(state)
-        alignment = 1.0 if energy is None else linalg._tangent_alignment(energy, grid)
+    energy = history.energy
+    if energy is None and any(linalg._takes_tangent_preconditioner(grid, p.projection, c)
+                              for c in coeffs):
+        energy = discrete_energy(state)
+    alignment = 1.0 if energy is None else linalg._tangent_alignment(energy, grid)
     stages, P, DU, PY = [], [], [], []
-    solves = _Solves() if solves is None else solves
+    solves = _Solves()
     for i in range(len(b)):
         mobility = VectorField(U, grid)
         P.append(projector_blocks(mobility, p.projection))
@@ -369,23 +368,20 @@ def prk_step(state, p, step_index=0, t0=0.0, *, history=None, solves=None, align
             mu = lagged if mu is None else mu + lagged
         rhs = U0 if mu is None else U0 + tau * mu
 
-        # without history stage i starts from U^{i-1}, stage 1 from U^0
-        x0 = U if history is None else history.guess(i, U0, U)
-        U, DUi = _stage_solve(solves, lap, blocks, coeffs[i], rhs, p.solver, x0,
+        U, DUi = _stage_solve(solves, lap, blocks, coeffs[i], rhs, p.solver,
+                              history.guess(i, U0, U),
                               TangentBlocks(mobility, p.projection, alignment))
         stages.append(U)
         DU.append(DUi)
         y = DUi if W[i][i] == 1.0 else W[i][i] * DUi
         PY.append(apply_blocks(blocks, y if y_partial is None else y_partial + y))
 
-    if history is not None:
-        history.push(stages, U0)
+    history.push(stages, U0)
     m_tilde = U0.copy()
     for j, PYj in enumerate(PY):
         m_tilde += tau * b[j] * PYj
     out, rec = _finish_step(grid, m_tilde, step_index, t0 + tau, solves, t_wall)
-    if history is not None:
-        history.energy = rec.energy
+    history.energy = rec.energy
     return out, rec
 
 
@@ -555,21 +551,22 @@ def bdf4_step(state, hist, p, step_index=0, t0=0.0):
     The Laplacian is implicit; the mobility is evaluated at the fourth-order
     extrapolation of the history.  hist holds the last (up to) four on-sphere
     levels, oldest first, starting from the normalized initial field; while it
-    has fewer than four, the step is ten product sub-steps at tau/10 whose
-    record carries every sub-step's solves.  Its stage solves, start-up
-    included, take the preconditioner with alignment 1.  Returns (field,
-    hist, record).
+    has fewer than four, the step is ten PRK2 sub-steps at tau/10 of a
+    ``make_stepper`` stepper, whose record carries every sub-step's solves.
+    The step's own stage solve takes the preconditioner with alignment 1.
+    Returns (field, hist, record).
     """
-    grid = state.grid
-    tau = p.tau
+    grid, tau = state.grid, p.tau
     t_wall = time.perf_counter()
     if len(hist) < 4:
-        startup = replace(p, scheme="prk", tau=tau / 10.0, tableau=prk2_tableau())
-        m, solves = hist[-1], _Solves()
-        for _ in range(10):
-            m, rec = prk_step(m, startup, solves=solves, alignment=1.0)
-        rec = replace(rec, step=step_index, t=t0 + tau,
-                      wall_ms=(time.perf_counter() - t_wall) * 1e3)
+        m, iters, resids, fallbacks = hist[-1], (), (), ()
+        step = make_stepper(m, replace(p, scheme="prk", tau=tau / 10.0, tableau=prk2_tableau()))
+        for k in range(10):
+            m, rec = step(m, k + 1, t0 + k * tau / 10.0)
+            fallbacks += tuple(len(iters) + j for j in rec.fallback_stages)
+            iters, resids = iters + rec.solver_iters, resids + rec.solver_residuals
+        rec = replace(rec, step=step_index, t=t0 + tau, solver_iters=iters, solver_residuals=resids,
+                      fallback_stages=fallbacks, wall_ms=(time.perf_counter() - t_wall) * 1e3)
         return m, hist + (m,), rec
 
     h0, h1, h2, h3 = (h.components for h in hist)

@@ -59,6 +59,13 @@ def test_usage_error_exit_code():
     assert err.value.code == 1
 
 
+def test_run_without_preset_or_config_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["run"])
+    assert err.value.code == 1
+    assert "either --preset or --config is required" in capsys.readouterr().err
+
+
 def test_missing_file_is_usage_error(tmp_path):
     assert main(["check-tableau", str(tmp_path / "nope.json")]) == 1
 

@@ -1,7 +1,9 @@
-"""Every public name a module exports exists, and a run of any scheme loads
-numpy and scipy.sparse only."""
+"""Every public name a module exports exists, ``prk_step`` takes no keyword
+but its stage history, and a run of any scheme loads numpy and scipy.sparse
+only."""
 
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -20,6 +22,13 @@ def test_all_names_resolve():
         missing = [n for n in exported if not hasattr(module, n)]
         assert not missing, f"{name}.__all__ names missing attributes: {missing}"
         exec(f"from {name} import *", {})
+
+
+def test_prk_step_takes_no_scheme_specific_keyword():
+    # every PRK step, BDF4's start-up included, steps through make_stepper's
+    # stage history: a keyword for one caller's fork would show here
+    params = inspect.signature(prkflow.integrators.prk_step).parameters.values()
+    assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == ["history"]
 
 
 _FOOTPRINT = """

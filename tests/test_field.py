@@ -146,6 +146,13 @@ def test_diagnostics_empty_rejected():
         diagnostics(Stub())
 
 
+def test_components_of_the_wrong_shape_rejected():
+    grid = _grid(9)
+    for shape in ((3, 8), (2, 9), (9, 3), (27,)):
+        with pytest.raises(ValueError, match=r"must have shape \(3, 9\)"):
+            VectorField(np.zeros(shape), grid)
+
+
 def test_projection_params_validation():
     with pytest.raises(ValueError):
         ProjectionParams(alpha=0.0, beta=1.0)

@@ -368,6 +368,17 @@ def test_grid_validation():
         Grid(2, 5, -0.1)
     with pytest.raises(ValueError):
         Grid(2, 5, 0.1, faces=(NEUMANN,) * 3)
+    # a non-finite spacing or origin, an origin of another dimension, a dim or
+    # node count that is no integer
+    for args, kwargs in (((2, 5, np.nan), {}), ((2, 5, np.inf), {}),
+                         ((2, 5, 0.25), {"origin": (0.0, np.nan)}),
+                         ((2, 5, 0.25), {"origin": (-np.inf, 0.0)}),
+                         ((2, 5, 0.25), {"origin": (0.0,)}),
+                         ((2, 5.5, 0.25), {}), ((2, 5.0, 0.25), {}), ((2, True, 0.25), {}),
+                         ((2.0, 5, 0.25), {}), ((True, 5, 0.25), {})):
+        with pytest.raises(ValueError):
+            Grid(*args, **kwargs)
+    assert Grid(np.int64(2), np.int64(5), 0.25).n_nodes == 25
 
 
 def test_coordinates_and_center():

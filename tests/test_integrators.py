@@ -369,6 +369,19 @@ def test_bdf4_richardson_self_consistency_full_grid():
     assert l2_error(r1, r2, grid) <= 1e-9
 
 
+def test_bdf4_startup_steps_through_the_prk_stepper():
+    # each start-up step is ten PRK2 sub-steps of one make_stepper stepper:
+    # from the second on they start from the stage history's extrapolation
+    # and take the alignment of E(m^n), 19 BiCGStab iterations over the
+    # three steps where ten sub-steps each from U^{i-1} at alignment 1 took 90
+    cfg = preset("convergence41", k=32, tau=1e-4)
+    p = scheme_params(cfg, scheme="bdf4_ref")
+    _final, trace = run(build_initial(cfg, build_grid(cfg)), p, 3 * p.tau)
+    assert trace.failure is None
+    assert [len(r.solver_iters) for r in trace.records] == [20, 20, 20]
+    assert sum(r.solver_iters_total for r in trace.records) <= 30
+
+
 def test_bdf4_constant_fixed_point():
     grid = Grid(2, 9, 0.125)
     m = _constant_field(grid)
@@ -391,6 +404,12 @@ def test_run_rejects_partial_final_step():
     m = _constant_field(grid)
     with pytest.raises(ValueError):
         run(m, _params("prk", 3e-4), 1e-3)
+
+
+def test_run_rejects_negative_time():
+    grid = Grid(2, 5, 0.25)
+    with pytest.raises(ValueError, match="nonnegative"):
+        run(_constant_field(grid), _params("prk", 1e-3), -1.0)
 
 
 def test_run_monotone_energy_and_unit_length():

@@ -131,6 +131,15 @@ def test_identity_solve_immediate():
     assert resid == 0.0
 
 
+def test_zero_rhs_solves_to_zero_without_iterating(rng):
+    # whatever the start guess, as scipy's bicgstab returns for b = 0
+    grid, mdir, _ = _setup(8)
+    op = StageOperator(laplacian(grid), projector_blocks(mdir, ProjectionParams(1.0)), 0.1)
+    rhs = np.zeros(op.shape[0])
+    x, iters, resid = solve(op, rhs, x0=rng.standard_normal(op.shape[0]))
+    assert np.array_equal(x, rhs) and iters == 0 and resid == 0.0
+
+
 def test_stage_solve_meets_residual_contract(rng):
     grid, mdir, _ = _setup(16)
     a = _stage_matrix(grid, mdir, 3.2e-4, ProjectionParams(alpha=1.0, beta=1.0))

@@ -67,6 +67,18 @@ def test_dimension_mismatch_raises():
         PRKTableau(A=np.eye(2), D1=np.eye(2), D2=np.eye(2), b=[1.0, 0.0, 0.0])
 
 
+def test_empty_b_raises():
+    with pytest.raises(TableauStructureError, match="b must be non-empty"):
+        PRKTableau(A=np.eye(2), D1=np.eye(2), D2=np.eye(2), b=[])
+
+
+def test_declared_s_must_be_the_length_of_b():
+    doc = tableau_to_dict(prk2_tableau())
+    doc["s"] = 3
+    with pytest.raises(TableauStructureError, match="declared s=3 but b has length 2"):
+        tableau_from_dict(doc)
+
+
 @pytest.mark.parametrize("name", ["A", "D1", "D2", "b"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_entry_raises(name, value):

@@ -437,12 +437,12 @@ def test_field_off_the_sphere_takes_alignment_zero():
 
 @pytest.mark.parametrize("scheme, n_steps, n_sums", [
     ("prk", 5, 2 * 5 + 1),          # pre and post per step, E(m^0) once
-    ("bdf4_ref", 1, 2 * 10),        # ten start-up sub-steps at alignment 1
+    ("bdf4_ref", 1, 2 * 10 + 1),    # ten start-up sub-steps, their start field once
 ])
 def test_stage_alignment_sums_no_energy_twice(scheme, n_steps, n_sums, monkeypatch):
     # the stiff stages of a rough start read E(m^n) from the previous step's
-    # record: only the run's first start field is summed for the alignment,
-    # BDF4's start-up sums none, and no field is summed twice
+    # record: only the first start field of a PRK stepper (a prk run's, a
+    # BDF4 start-up step's) is summed for the alignment, and no field twice
     summed = []
 
     def recording(comps, grid=None):
