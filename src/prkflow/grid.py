@@ -103,6 +103,8 @@ class Grid:
                     raise ValueError(f"the provider of face {f} must return (n, 3) values "
                                      f"for (n, dim) coordinates, got {face_values.shape}")
                 values[:, sel] = face_values.T
+            elif not (isinstance(provider, str) and provider == NEUMANN):
+                raise ValueError(f"face {f} must be NEUMANN or a callable, got {provider!r}")
         self.dirichlet_mask = fixed
         self.dirichlet_values = values
 

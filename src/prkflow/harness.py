@@ -339,12 +339,19 @@ def snapshot_run(initial, p, T, times):
 def _sweep(cfg, schemes, taus, times):
     """One run per (scheme, tau), compared with the reference at every time.
 
-    Every time must be a whole number of steps of every tau (ValueError
-    before any step).  The grid, the initial field and one reference per
-    effective beta are shared by all runs.  Yields (scheme, tau, cells) with
-    cells = [(T, error, wall seconds from t = 0 to T), ...] in time order;
-    error and wall are None for a time the run did not reach.
+    There must be a scheme and a tau, every (scheme, tau) must make valid
+    ``scheme_params`` and every time must be a whole number of steps of
+    every tau (ValueError before any step).  The grid, the initial field and
+    one reference per effective beta are shared by all runs.  Yields
+    (scheme, tau, cells) with cells = [(T, error, wall seconds from t = 0 to
+    T), ...] in time order; error and wall are None for a time the run did
+    not reach.
     """
+    if not schemes or not taus:
+        raise ValueError(f"a sweep needs a scheme and a tau, got schemes {list(schemes)} "
+                         f"and taus {list(taus)}")
+    params = {(scheme, tau): scheme_params(cfg, scheme=scheme, tau=tau)
+              for scheme in schemes for tau in taus}
     times = sorted(times)
     for tau in taus:
         checkpoint_steps(times, tau)
@@ -356,8 +363,7 @@ def _sweep(cfg, schemes, taus, times):
         if beta not in refs:
             refs[beta] = reference_snapshots(cfg, initial, times, beta=beta)
         for tau in taus:
-            _final, snaps, _trace = snapshot_run(
-                initial, scheme_params(cfg, scheme=scheme, tau=tau), times[-1], times)
+            _final, snaps, _trace = snapshot_run(initial, params[scheme, tau], times[-1], times)
             cells = []
             for T in times:
                 field, wall = snaps.get(T, (None, None))
@@ -371,7 +377,10 @@ def convergence_driver(cfg, schemes, tau0=None, n_halvings=5, out_csv=None):
 
     Returns rows (scheme, tau, error, order); failed cells carry error = nan
     and the driver continues (matching the robustness-table convention).
+    A negative ``n_halvings`` is a ValueError, before any step.
     """
+    if n_halvings < 0:
+        raise ValueError(f"n_halvings must be nonnegative, got {n_halvings}")
     tau0 = tau0 if tau0 is not None else cfg.tau
     taus = [tau0 / 2 ** j for j in range(n_halvings + 1)]
     nan = float("nan")

@@ -21,11 +21,14 @@ For prk, sip1 and prk_alt, and BDF4's PRK2 start-up, it keeps the stage
 increments U^i - U^n of the last five steps (``_StageHistory``), and stage
 i starts its solve from U^n plus their quartic extrapolation in time; with
 none stored (a first step, a direct step call) stage i starts from U^{i-1}
-(stage 1 from U^n).  The history also keeps
-the energy of the field the next step starts from, which sets the
-alignment of the stage solves' preconditioner (``linalg._tangent_alignment``).
-A stage solve that BiCGStab fails is taken over by SuperLU and named in
-the step record's ``fallback_stages`` (``_stage_solve``).  Either solver
+(stage 1 from U^n).  The history also keeps the energy of the field the
+next step starts from, which sets the alignment of the stage solves'
+preconditioner (``linalg._tangent_alignment``): it sums E(m^0) once, when
+it is built, and takes every later E(m^n) from the previous step's record.
+``_stage_solve``, the one stage-solve path, picks the preconditioner: the
+tangent-space one of the stage's mobility when the stage is stiff, none
+otherwise.  A stage solve that BiCGStab fails is taken over by SuperLU and
+named in the step record's ``fallback_stages``.  Either solver
 verifies the stage value U^i last, and the Laplacian D_h U^i of that
 product is the one the later stages and the update use: a step applies
 D_h once per stage-operator product.
@@ -48,7 +51,7 @@ from . import linalg
 from .field import (ZERO_LENGTH_THRESHOLD, VectorField, ProjectionParams, normalize,
                     diagnostics, projector_blocks, apply_blocks, cross)
 from .grid import laplacian, discrete_energy, inner_product, shifted_laplacian_inverse
-from .linalg import SolverConfig, StageOperator, TangentBlocks, direct_solve, solve
+from .linalg import SolverConfig, StageOperator, direct_solve, solve
 from .tableau import PRKTableau, implicit_euler_tableau, prk2_tableau, tableau_to_dict, validate
 
 __all__ = [
@@ -65,6 +68,9 @@ __all__ = [
     "run",
     "make_stepper",
 ]
+
+# the schemes that ``prk_step`` runs, each with its tableau
+_PRK_SCHEMES = ("prk", "prk_alt", "sip1")
 
 TRACE_COLUMNS = ("step", "t", "energy", "energy_pre_projection", "min_len_pre",
                  "max_unit_dev", "solver_iters_total", "fallback_solves", "wall_ms")
@@ -110,9 +116,9 @@ class SchemeParams:
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
-        if self.scheme not in ("prk", "prk_alt", "sip1", "lm2", "bdf4_ref"):
+        if self.scheme not in _PRK_SCHEMES + ("lm2", "bdf4_ref"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheme in ("prk", "prk_alt", "sip1"):
+        if self.scheme in _PRK_SCHEMES:
             default = implicit_euler_tableau() if self.scheme == "sip1" else prk2_tableau()
             tab = self.tableau if self.tableau is not None else default
             if self.scheme == "sip1" and tableau_to_dict(tab) != tableau_to_dict(default):
@@ -183,7 +189,7 @@ class _Solves:
         self.iters, self.resids, self.fallbacks = list(iters), list(resids), []
 
 
-def _stage_solve(solves, lap, blocks, coeff, rhs, solver, x0, tangent):
+def _stage_solve(solves, lap, blocks, coeff, rhs, x0, p, mobility, kappa):
     """Solve (I - coeff P D_h) U = rhs for U (3, N), recorded in ``solves``.
 
     Returns U and its Laplacian D_h U, taken from the product that verified
@@ -192,22 +198,27 @@ def _stage_solve(solves, lap, blocks, coeff, rhs, solver, x0, tangent):
     nodes, so U holds there the boundary values rhs holds.
     BiCGStab starts from ``x0`` (3, N), an O(tau) guess of U:
     the previous stage value, or an extrapolation of the history.
-    ``tangent``, a TangentBlocks, names the field whose mobility the blocks
-    are, or are within O(tau) of; BiCGStab takes the tangent-space spectral
-    preconditioner of that mobility if the stage is stiff (see ``linalg``).
+    The blocks are, or are within O(tau) of, the mobility of the field
+    ``mobility`` under ``p.projection``.  This is where the preconditioner
+    is picked: a stiff stage (``linalg._takes_tangent_preconditioner``)
+    takes the tangent-space spectral preconditioner of that mobility with
+    alignment ``kappa`` (see ``linalg``), any other runs unpreconditioned.
     When BiCGStab fails, SuperLU solves the same operator; the solve records
     BiCGStab's iterations, SuperLU's residual and its index in
     ``solves.fallbacks``.  When SuperLU fails too, the step raises
     StepFailureError(index, SuperLU's error), whose context is BiCGStab's.
     """
     stage = len(solves.iters) + 1
-    A = StageOperator(lap, blocks, coeff, tangent)
+    A = StageOperator(lap, blocks, coeff)
+    M = None
+    if linalg._takes_tangent_preconditioner(mobility.grid, p.projection, coeff):
+        M = linalg.TangentPreconditioner(mobility, p.projection, coeff, kappa)
     rhs = rhs.reshape(-1)
     try:
-        x, nit, res = solve(A, rhs, solver, x0=x0.reshape(-1))
+        x, nit, res = solve(A, rhs, p.solver, x0=x0.reshape(-1), M=M)
     except (linalg.NonConvergenceError, linalg.BreakdownError) as exc:
         try:
-            x, res = direct_solve(A, rhs, solver)
+            x, res = direct_solve(A, rhs, p.solver)
         except (linalg.NonConvergenceError, linalg.BreakdownError) as direct_exc:
             raise StepFailureError(stage, direct_exc) from direct_exc
         nit = exc.iterations
@@ -230,22 +241,24 @@ class _StageHistory:
     increments that are polynomials of degree <= 4 in the step index.  On
     the 201 steps of ``llg_blowup42`` at k = 24 the stage solves take 546
     BiCGStab iterations from it, 677 from the quadratic of three steps.
-    ``energy``, which ``prk_step`` sets, is the newest step's post-projection
-    energy (None before the first): E(m^n) of the next step, as
-    ``LM2State.energy`` is for LM2.
+    ``energy`` is E(m^n) of the field the next step starts from, as
+    ``LM2State.energy`` is for LM2: the start field's, summed when the
+    history is built (as ``lm2_init`` sums LM2's), then the newest step's
+    post-projection energy, which ``prk_step`` sets.
     """
 
     # row q - 1: (-1)^k binomial(q, k + 1), k = 0 .. q - 1, the newest step first
     _WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0),
                 (5.0, -10.0, 10.0, -5.0, 1.0))
 
-    def __init__(self, n_stages, n_nodes):
+    def __init__(self, start, n_stages):
+        n_nodes = start.grid.n_nodes
         self._depth = len(self._WEIGHTS)
         self._dU = np.empty((self._depth, n_stages, 3, n_nodes))
         self._term = np.empty((3, n_nodes))
         self._count = 0                   # steps stored, at most the depth
         self._newest = self._depth - 1    # slot of the newest step
-        self.energy = None
+        self.energy = discrete_energy(start)
 
     def guess(self, i, U0, fallback):
         """Start guess of stage i (0-based) of the step from U0; fallback with no history."""
@@ -327,32 +340,27 @@ def prk_step(state, p, step_index=0, t0=0.0, *, history=None):
     Laplacian average Y_i = sum_{k<=i} W[i,k] D_h U^k; with prk's G = I, B_i
     is the mobility P(U^{i-1}) itself.  Y_i over the solved stages and its
     image B_i Y_i are formed once, right after stage i is solved, and reused
-    by the later stages and the final update.  Every stage solve takes the
-    preconditioner of the mobility of U^{i-1}, with the
-    ``linalg._tangent_alignment`` of E(m^n).  E(m^n) is the ``history``'s;
-    with none stored (the first step of a run, a direct call) it is summed
-    afresh when a stage is stiff enough for the preconditioner.
+    by the later stages and the final update.  Stage i's solve
+    (``_stage_solve``) takes, when it is stiff, the preconditioner of the
+    mobility of U^{i-1} with the ``linalg._tangent_alignment`` of E(m^n),
+    the ``history``'s energy.
     prk_alt keeps the energy decrease but not the pre-projection length
     bound of the structure theorem: its length can fall below 1.  Stage i
     starts from the extrapolation of the past steps' stage increments in
     the ``history`` that ``make_stepper`` keeps, or, with none stored, from
     the previous stage value; the step then stores its own increments
-    there.  A direct call steps from a fresh, empty history.
+    there.  A direct call steps from a fresh history of ``state``, which
+    sums E(m^n) afresh.
     """
     grid = state.grid
     lap = laplacian(grid)
     A, W, b, G = _stage_weights(p)
     tau = p.tau
     t_wall = time.perf_counter()
-    history = _StageHistory(len(b), grid.n_nodes) if history is None else history
+    history = _StageHistory(state, len(b)) if history is None else history
 
     U = U0 = state.components
-    coeffs = [tau * A[i][i] * W[i][i] for i in range(len(b))]
-    energy = history.energy
-    if energy is None and any(linalg._takes_tangent_preconditioner(grid, p.projection, c)
-                              for c in coeffs):
-        energy = discrete_energy(state)
-    alignment = 1.0 if energy is None else linalg._tangent_alignment(energy, grid)
+    kappa = linalg._tangent_alignment(history.energy, grid)
     stages, P, DU, PY = [], [], [], []
     solves = _Solves()
     for i in range(len(b)):
@@ -368,9 +376,8 @@ def prk_step(state, p, step_index=0, t0=0.0, *, history=None):
             mu = lagged if mu is None else mu + lagged
         rhs = U0 if mu is None else U0 + tau * mu
 
-        U, DUi = _stage_solve(solves, lap, blocks, coeffs[i], rhs, p.solver,
-                              history.guess(i, U0, U),
-                              TangentBlocks(mobility, p.projection, alignment))
+        U, DUi = _stage_solve(solves, lap, blocks, tau * A[i][i] * W[i][i], rhs,
+                              history.guess(i, U0, U), p, mobility, kappa)
         stages.append(U)
         DU.append(DUi)
         y = DUi if W[i][i] == 1.0 else W[i][i] * DUi
@@ -575,8 +582,8 @@ def bdf4_step(state, hist, p, step_index=0, t0=0.0):
     blocks = projector_blocks(mobility, p.projection)
     rhs = (48.0 * h3 - 36.0 * h2 + 16.0 * h1 - 3.0 * h0) / 25.0
     solves = _Solves()
-    x, _ = _stage_solve(solves, laplacian(grid), blocks, tau * 12.0 / 25.0, rhs, p.solver,
-                        m_star, TangentBlocks(mobility, p.projection))
+    x, _ = _stage_solve(solves, laplacian(grid), blocks, tau * 12.0 / 25.0, rhs, m_star, p,
+                        mobility, 1.0)
     out, rec = _finish_step(grid, x, step_index, t0 + tau, solves, t_wall)
     return out, hist[1:] + (out,), rec
 
@@ -595,12 +602,13 @@ def make_stepper(initial, p):
 
     The closure keeps the auxiliary state of the multistep schemes (LM2,
     BDF4) and, for prk, sip1 and prk_alt, which all run ``prk_step``, a
-    fresh stage-increment history that starts their stage solves.  Step
+    stage-increment history that starts their stage solves, built from
+    ``initial``: like LM2's state, it sums E(m^0) once.  Step
     functions are looked up by name at every call, so that wrappers put on
     the module's names take effect.
     """
-    if p.scheme in ("prk", "sip1", "prk_alt"):
-        history = _StageHistory(p.tableau.s, initial.grid.n_nodes)
+    if p.scheme in _PRK_SCHEMES:
+        history = _StageHistory(initial, p.tableau.s)
         return lambda m, i, t: prk_step(m, p, i, t, history=history)
     aux = lm2_init(initial, p) if p.scheme == "lm2" else (normalize(initial),)
 

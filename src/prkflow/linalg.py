@@ -10,19 +10,22 @@ matrix (``StageOperator.tocsr``) serves the sparse direct factorization and
 the tests.
 The matvec order is deterministic, so repeated runs are bit-identical.
 
-Solvers: preconditioned BiCGStab (default) from the caller's guess x0 (the
-stage solves pass an O(tau) guess, see ``integrators._StageHistory``; a
-preconditioned solve moves it onto the normal component of the right-hand
-side, see ``solve``), and a sparse direct factorization.  BiCGStab is an
-in-place loop with scipy's ``bicgstab`` arithmetic, bit for bit (van der
-Vorst, SIAM J. Sci. Stat. Comput. 13, 1992): the same convergence test,
-breakdown codes and iteration count, preallocated work vectors, and the
-stage operator's and the preconditioner's own kernels called directly
-(neither is a ``LinearOperator``).
-It takes the tangent-space spectral preconditioner when the stage operator
-names a field mh whose mobility P = alpha P_t + beta J, P_t = I - mh mh^T and
-J = mh x, its blocks are or are within O(tau) of (``TangentBlocks``), and the
-stage is stiff, coeff |alpha + i beta| 4 dim / h^2 >= 1.5.
+Solvers: BiCGStab (default) from the caller's guess x0 (the stage solves
+pass an O(tau) guess, see ``integrators._StageHistory``; a preconditioned
+solve moves it onto the normal component of the right-hand side, see
+``solve``), and a sparse direct factorization.  BiCGStab is an in-place
+loop with scipy's ``bicgstab`` arithmetic, bit for bit (van der Vorst,
+SIAM J. Sci. Stat. Comput. 13, 1992): the same convergence test, breakdown
+codes and iteration count, preallocated work vectors, and the stage
+operator's and the preconditioner's own kernels called directly (neither
+is a ``LinearOperator``).
+It runs with the preconditioner M its caller passes, and unpreconditioned
+without one.  The stage solve (``integrators._stage_solve``) passes the
+tangent-space spectral preconditioner (``TangentPreconditioner``) of a
+field mh when its blocks are, or are within O(tau) of, the mobility
+P = alpha P_t + beta J of mh, P_t = I - mh mh^T and J = mh x, and the stage
+is stiff, coeff |alpha + i beta| 4 dim / h^2 >= 1.5
+(``_takes_tangent_preconditioner``).
 Freezing mh, J^2 = -1 on the tangent plane, so for each eigenvalue lambda of
 D_h (1 - coeff lambda (alpha + beta J))^-1 = f + g J with
 f + i g = 1 / (1 - coeff (alpha + i beta) lambda), and
@@ -35,7 +38,7 @@ the stage solves' residuals lie (``grid.shifted_laplacian_inverse``; with
 beta = 0 the shift is real and so is the arithmetic).
 That S holds where neighbouring tangent planes are parallel.  For a rough
 field the preconditioner keeps D_h's exact diagonal and scales its
-neighbour couplings by the alignment kappa (``TangentBlocks.alignment``):
+neighbour couplings by the alignment kappa:
 
     S = d I - kappa coeff (alpha + i beta) D_h,
     d = 1 + (1 - kappa) coeff (alpha + i beta) 2 dim / h^2,
@@ -46,13 +49,13 @@ the step's on-sphere start field, read from its discrete energy E
 (``_tangent_alignment``).  kappa is the RMS gain with which P_t(m_i) passes
 a tangent vector of a neighbour's plane, ||P_t(m_i) P_t(m_j)||_F^2 =
 1 + c_ij^2, with c standing in for the mean of c_ij^2; for c >= 1/2 the
-preconditioner is that of kappa = 1, bit for bit.  Every other operator
-is solved unpreconditioned.  Both solvers verify their result against the
-true residual, ||A x - b||_2 <= max(rel_tol ||b||_2, abs_tol), and raise a
-typed error (NonConvergenceError or BreakdownError) when they fail.  That
-check is the last product of the stage operator, and the operator keeps its
-D_h x (``StageOperator.dx``): the stage solves take D_h U^i from it instead
-of applying the Laplacian again.
+preconditioner is that of kappa = 1, bit for bit.  Both solvers verify
+their result against the true residual,
+||A x - b||_2 <= max(rel_tol ||b||_2, abs_tol), and raise a typed error
+(NonConvergenceError or BreakdownError) when they fail.  That check is the
+last product of the stage operator, and the operator keeps its D_h x
+(``StageOperator.dx``): the stage solves take D_h U^i from it instead of
+applying the Laplacian again.
 """
 
 from __future__ import annotations
@@ -72,21 +75,21 @@ __all__ = [
     "NonConvergenceError",
     "BreakdownError",
     "StageOperator",
-    "TangentBlocks",
     "TangentPreconditioner",
     "solve",
     "direct_solve",
 ]
 
-# The tangent-space preconditioner is taken from this stiffness coeff |alpha + i beta| rho
-# (see _stiffness) on; below it BiCGStab runs unpreconditioned.  Per-step
-# break-even of the two (prk, best of 3 over 40 steps, one BLAS thread, 2-core
-# Xeon): at beta = 1 on the 2-D llg_blowup42 grid with 25 nodes per axis,
-# where the application is complex, unpreconditioned is cheaper up to
-# stiffness 2 (1.07 against 1.40 ms) and spectral from 3 on (1.50 against
-# 1.62 ms); at beta = 0 on the 3-D twisted_nematic44 grid with 25 nodes per
-# axis spectral is cheaper from 1 on (17.1 against 19.0 ms).  One threshold
-# serves both, between the two break-evens.
+# The stage solves take the tangent-space preconditioner from this stiffness
+# coeff |alpha + i beta| rho (see _takes_tangent_preconditioner) on; below it
+# BiCGStab runs unpreconditioned.  Per-step break-even of the two (prk, best
+# of 3 over 40 steps, one BLAS thread, 2-core Xeon): at beta = 1 on the 2-D
+# llg_blowup42 grid with 25 nodes per axis, where the application is
+# complex, unpreconditioned is cheaper up to stiffness 2 (1.07 against
+# 1.40 ms) and spectral from 3 on (1.50 against 1.62 ms); at beta = 0 on the
+# 3-D twisted_nematic44 grid with 25 nodes per axis spectral is cheaper from
+# 1 on (17.1 against 19.0 ms).  One threshold serves both, between the two
+# break-evens.
 _TANGENT_MIN_STIFFNESS = 1.5
 
 
@@ -126,47 +129,23 @@ class SolverConfig:
         return max(100, int(10 * np.sqrt(n)))
 
 
-@dataclass(frozen=True)
-class TangentBlocks:
-    """The field whose mobility P(mh) = alpha P_t + beta J the preconditioner
-    inverts: the stage blocks are ``projector_blocks(field, projection)`` or,
-    for prk_alt, an average of stage mobilities within O(tau) of it.
-
-    ``alignment`` is kappa in [0, 1], the gain the preconditioner gives
-    D_h's neighbour couplings: it inverts S = d I - kappa coeff (alpha + i beta) D_h
-    with d = 1 + (1 - kappa) coeff (alpha + i beta) 2 dim / h^2, which keeps
-    the diagonal of I - coeff (alpha + i beta) D_h.  ``_tangent_alignment``
-    sets kappa = sqrt((1 + c) / 2) from the mean neighbour cosine c of the
-    step's start field, and kappa = 1 for c >= 1/2.  kappa = 1 models
-    parallel neighbouring tangent planes, the smooth field's S.
-    """
-
-    field: object
-    projection: object
-    alignment: float = 1.0
-
-
 class StageOperator:
     """I - coeff * blocks * D over the stacked field (3N x 3N), applied matrix-free.
 
     ``lap`` is a DiscreteLaplacian, ``blocks`` the per-node 3x3 blocks
     (3, 3, N); the rows at Dirichlet nodes are the identity, so x holds the
-    boundary values of the right-hand side there.  ``tangent`` is a
-    TangentBlocks when the blocks are, or are within O(tau) of, the mobility
-    of one field; BiCGStab then takes the tangent-space spectral
-    preconditioner if the operator is stiff (``_stiffness``).  ``solve``
-    uses what it shares with a sparse matrix: shape, dot, tocsr.
+    boundary values of the right-hand side there.  ``solve`` uses what it
+    shares with a sparse matrix: shape, dot, tocsr.
     ``dx`` holds D_h x (3, N) of the last x given to ``dot``: after
     ``solve`` or ``direct_solve``, which end on the true residual of the
     solution they return, that is D_h of the solution.
     """
 
-    def __init__(self, lap, blocks, coeff, tangent=None):
+    def __init__(self, lap, blocks, coeff):
         self.shape = lap.stacked.shape
         self.lap = lap
         self.blocks = blocks
         self.coeff = coeff
-        self.tangent = tangent
         self.dx = None
 
     def dot(self, x):
@@ -187,31 +166,34 @@ class StageOperator:
 
 
 class TangentPreconditioner:
-    """v -> M^-1 v (module docstring) for a StageOperator with TangentBlocks.
+    """v -> M^-1 v (module docstring) for a stage (I - coeff P D_h) whose blocks
+    are, or are within O(tau) of, the mobility P of ``field`` under ``projection``.
 
-    S = d I - kappa coeff (alpha + i beta) D_h (``TangentBlocks``) acts per
-    component; ``shifted_solve`` is its exact inverse on vectors that vanish
-    on the Dirichlet nodes.
+    S = d I - kappa coeff (alpha + i beta) D_h acts per component, with
+    d = 1 + (1 - kappa) coeff (alpha + i beta) 2 dim / h^2, which keeps the
+    diagonal of I - coeff (alpha + i beta) D_h.  kappa in [0, 1] is the gain
+    of D_h's neighbour couplings (``_tangent_alignment``); kappa = 1 models
+    parallel neighbouring tangent planes, the smooth field's S.
+    ``shifted_solve`` is the exact inverse of S on vectors that vanish on
+    the Dirichlet nodes.
     When beta != 0 it reads the real field from ``work[0]`` and writes the
     real and imaginary parts of its image to ``work`` (2, 3, N).  Nodes on
     Dirichlet faces pass through (A is the identity there).  mh is not
     stored: mh (mh.v) = m (m.v) / |m|^2 and mh x w = (m x w) / |m| with m
-    the field of the blocks.
+    the field's components.
     """
 
-    def __init__(self, A):
-        tangent = A.tangent
-        grid, kappa = tangent.field.grid, tangent.alignment
-        alpha, beta = tangent.projection.alpha, tangent.projection.beta
-        self.m = tangent.field.components
+    def __init__(self, field, projection, coeff, kappa):
+        grid, alpha, beta = field.grid, projection.alpha, projection.beta
+        self.m = field.components
         self.inv_len2 = 1.0 / np.einsum("ln,ln->n", self.m, self.m)
         if beta == 0.0:
             self.work = None
-            shift = A.coeff * alpha
+            shift = coeff * alpha
         else:
             self.work = np.empty((2,) + self.m.shape)
             self.inv_len = np.sqrt(self.inv_len2)
-            shift = A.coeff * complex(alpha, beta)
+            shift = coeff * complex(alpha, beta)
         # D_h's diagonal is -2 dim / h^2 at every free node; kappa = 1 gives
         # d = 1 and the smooth field's S = I - coeff (alpha + i beta) D_h
         diagonal = 1.0 + (1.0 - kappa) * shift * (2.0 * grid.dim / grid.h ** 2)
@@ -254,23 +236,13 @@ def _takes_tangent_preconditioner(grid, projection, coeff):
 
 
 def _tangent_alignment(energy, grid):
-    """kappa of ``TangentBlocks.alignment`` for a unit field of discrete energy E
+    """``TangentPreconditioner``'s kappa for a unit field of discrete energy E
     (module docstring): sqrt((1 + c) / 2) from the weighted mean neighbour
     cosine c = 1 - E / (2 h^(dim-2) sum_e w_e) (``Grid.edge_weight_sum``),
     and 1 for c >= 1/2.  c is cut at -1 (kappa = 0, S its diagonal alone): a
     field off the sphere can have more energy than any unit field."""
     cosine = max(1.0 - energy / (2.0 * grid.h ** (grid.dim - 2) * grid.edge_weight_sum), -1.0)
     return 1.0 if cosine >= 0.5 else math.sqrt((1.0 + cosine) / 2.0)
-
-
-def _preconditioner(A):
-    """v -> M^-1 v: TangentPreconditioner if A has TangentBlocks and is stiff, else
-    the identity (``np.copy``: ``_bicgstab`` scales what it returns in place)."""
-    tangent = getattr(A, "tangent", None)
-    if tangent is not None and _takes_tangent_preconditioner(tangent.field.grid,
-                                                             tangent.projection, A.coeff):
-        return TangentPreconditioner(A)
-    return np.copy
 
 
 def _norm(v):
@@ -353,16 +325,17 @@ def _system(A, rhs, cfg):
     return rhs, max(cfg.rel_tol * _norm(rhs), cfg.abs_tol)
 
 
-def solve(A, rhs, cfg=None, x0=None):
-    """Solve A x = rhs by preconditioned BiCGStab from x0; returns (x, iterations, residual).
+def solve(A, rhs, cfg=None, x0=None, M=None):
+    """Solve A x = rhs by BiCGStab from x0; returns (x, iterations, residual).
 
-    ``A`` is a StageOperator or a sparse matrix.  BiCGStab starts from x0
+    ``A`` is a StageOperator or a sparse matrix, ``M`` None (unpreconditioned)
+    or the TangentPreconditioner of A's blocks.  BiCGStab starts from x0
     (zero when None; the caller's array is never written to) and runs
     within ``SolverConfig.iteration_budget``, with one restart: when it stops
     on its recursive residual but the true residual misses the target, it
     runs again from its iterate on the rest of the budget, and the
-    iterations add up.  When it takes the tangent preconditioner, the start
-    first takes the normal component of rhs,
+    iterations add up.  With M of a field m, the start first takes the
+    normal component of rhs,
     x += m (m.(rhs - x)) / |m|^2: the solution's own when the blocks are
     P(m), since m.(P(m) v) = 0 (alpha P_t + beta J maps into the tangent
     plane), and within O(tau) of it for prk_alt's averaged blocks.  The
@@ -373,13 +346,14 @@ def solve(A, rhs, cfg=None, x0=None):
     """
     cfg = cfg or SolverConfig()
     rhs, target = _system(A, rhs, cfg)
-    psolve = _preconditioner(A)
+    # the identity as a new array: _bicgstab scales what psolve returns in place
+    psolve = np.copy if M is None else M
     x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float).reshape(rhs.shape)
-    if isinstance(psolve, TangentPreconditioner):
+    if M is not None:
         # blocks P(m) leave m.x = m.rhs (prk_alt's within O(tau)): start on it
-        m, xv = psolve.m, x.reshape(3, -1)
+        m, xv = M.m, x.reshape(3, -1)
         normal = np.einsum("ln,ln->n", m, rhs.reshape(3, -1) - xv)
-        normal *= psolve.inv_len2
+        normal *= M.inv_len2
         xv += m * normal
     budget, iters = cfg.iteration_budget(rhs.size), 0
     for _ in range(2):

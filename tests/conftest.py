@@ -22,7 +22,7 @@ def superlu_stage_solves(monkeypatch):
     import prkflow.integrators as integrators
     from prkflow.linalg import direct_solve
 
-    def direct(A, rhs, cfg=None, x0=None):
+    def direct(A, rhs, cfg=None, x0=None, M=None):
         x, resid = direct_solve(A, rhs, cfg)
         return x, 0, resid
 

@@ -286,6 +286,36 @@ def test_unknown_scheme_is_usage_error(command, tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args, named", [
+    (["convergence", "--tau0", "0"], "got 0.0"),
+    (["convergence", "--tau0=-1e-3"], "got -0.001"),
+    (["convergence", "--halvings", "-1"], "got -1"),
+    (["convergence", "--schemes", ","], "got schemes []"),
+    (["robustness", "--taus", "0"], "got 0.0"),
+    (["robustness", "--taus", "1e-3,nan"], "got nan"),
+    (["robustness", "--schemes", ","], "got schemes []"),
+    (["work-precision", "--taus", "0"], "got 0.0"),
+    (["work-precision", "--taus=-1e-3"], "got -0.001"),
+], ids=["convergence-tau0-zero", "convergence-tau0-negative", "convergence-halvings-negative",
+        "convergence-no-scheme", "robustness-tau-zero", "robustness-tau-nan",
+        "robustness-no-scheme", "work-precision-tau-zero", "work-precision-tau-negative"])
+def test_sweep_rejects_its_step_sizes_before_any_run(args, named, tmp_path, capsys, monkeypatch):
+    # every (scheme, tau) is checked before the reference trajectory runs:
+    # a usage error that names the value, no traceback and no output
+    import prkflow.harness as harness
+
+    def no_reference(*_args, **_kwargs):
+        raise AssertionError("the reference ran")
+
+    monkeypatch.setattr(harness, "reference_snapshots", no_reference)
+    monkeypatch.chdir(tmp_path)
+    assert main([args[0], "--preset", "custom", *args[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+    assert not list(tmp_path.iterdir())
+
+
 def test_run_from_config_file(tmp_path, capsys):
     from prkflow.harness import preset, config_to_json
     cfg = preset("custom", k=6, tau=1e-3, T=3e-3, output_dir=str(tmp_path))

@@ -379,6 +379,15 @@ def test_grid_validation():
         with pytest.raises(ValueError):
             Grid(*args, **kwargs)
     assert Grid(np.int64(2), np.int64(5), 0.25).n_nodes == 25
+    # a face that is neither NEUMANN nor callable, named by its index
+    anchor = lambda x: np.tile([0.0, 0.0, 1.0], (len(x), 1))      # noqa: E731
+    for faces, index in (((NEUMANN, NEUMANN, "dirichlet", None), 2),
+                         ((NEUMANN, NEUMANN, NEUMANN, None), 3),
+                         ((anchor, 0, NEUMANN, NEUMANN), 1),
+                         ((NEUMANN, NEUMANN, np.zeros(3), anchor), 2)):
+        with pytest.raises(ValueError, match=f"face {index} must be NEUMANN or a callable"):
+            Grid(2, 5, 0.25, faces=faces)
+    assert Grid(2, 5, 0.25, faces=("neumann", NEUMANN, anchor, NEUMANN)).dirichlet_mask.sum() == 5
 
 
 def test_coordinates_and_center():

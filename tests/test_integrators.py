@@ -483,7 +483,8 @@ def test_warm_started_stage_solves_take_fewer_iterations(monkeypatch):
     p = scheme_params(cfg, scheme="prk")
     warm, warm_trace = run(build_initial(cfg, grid), p, 20 * p.tau)
     # the same run with every stage solve started from zero
-    monkeypatch.setattr(integ, "solve", lambda A, rhs, cfg=None, x0=None: linalg.solve(A, rhs, cfg))
+    monkeypatch.setattr(integ, "solve",
+                        lambda A, rhs, cfg=None, x0=None, M=None: linalg.solve(A, rhs, cfg, M=M))
     cold, cold_trace = run(build_initial(cfg, grid), p, 20 * p.tau)
     assert warm_trace.failure is None and cold_trace.failure is None
     warm_iters = sum(r.solver_iters_total for r in warm_trace.records)
@@ -667,9 +668,10 @@ def test_stage_history_extrapolates_polynomials_exactly():
     rng = np.random.default_rng(7)
     n_stages, n_nodes = 2, 11
     U0 = rng.standard_normal((3, n_nodes))
+    start = VectorField(U0, Grid(1, n_nodes, 0.1))
     for degree in range(6):
         dU = _polynomial_increments(rng, degree, n_stages, n_nodes)
-        history = _StageHistory(n_stages, n_nodes)
+        history = _StageHistory(start, n_stages)
         storage = history._dU
         assert storage.shape == (5, n_stages, 3, n_nodes)
         assert history.guess(0, U0, U0) is U0
@@ -712,7 +714,7 @@ def test_stage_laplacian_comes_from_the_verified_residual(scheme, preset_name, m
 
     monkeypatch.setattr(DiscreteLaplacian, "apply", counting_apply)
     monkeypatch.setattr(StageOperator, "dot", counting_dot)
-    history, t = _StageHistory(p.tableau.s, grid.n_nodes), 0.0
+    history, t = _StageHistory(m, p.tableau.s), 0.0
     for i in range(1, 4):
         m, rec = prk_step(m, p, i, t, history=history if i > 1 else None)
         t = rec.t
@@ -727,9 +729,9 @@ def _watch_bicgstab(monkeypatch):
     failures = []
     original = integ.solve
 
-    def watching(A, rhs, cfg=None, x0=None):
+    def watching(A, rhs, cfg=None, x0=None, M=None):
         try:
-            out = original(A, rhs, cfg, x0)
+            out = original(A, rhs, cfg, x0, M)
         except (linalg.NonConvergenceError, linalg.BreakdownError) as exc:
             failures.append(exc.iterations)
             raise
@@ -771,11 +773,11 @@ def test_fallback_solves_reach_the_trace_csv(tmp_path, monkeypatch):
     calls = [0]
     original = integ.solve
 
-    def breaks_down(A, rhs, cfg=None, x0=None):
+    def breaks_down(A, rhs, cfg=None, x0=None, M=None):
         calls[0] += 1
         if calls[0] in (3, 4, 5):      # both stages of step 2, stage 1 of step 3
             raise linalg.BreakdownError("synthetic breakdown", 7)
-        return original(A, rhs, cfg, x0)
+        return original(A, rhs, cfg, x0, M)
 
     monkeypatch.setattr(integ, "solve", breaks_down)
     cfg = preset("llg_blowup42", k=8)
@@ -796,11 +798,11 @@ def test_step_fails_only_when_superlu_fails_too(monkeypatch):
     calls = [0]
     original = integ.solve
 
-    def fifth_breaks_down(A, rhs, cfg=None, x0=None):
+    def fifth_breaks_down(A, rhs, cfg=None, x0=None, M=None):
         calls[0] += 1
         if calls[0] == 5:          # step 3, stage 1
             raise linalg.BreakdownError("synthetic breakdown", 7)
-        return original(A, rhs, cfg, x0)
+        return original(A, rhs, cfg, x0, M)
 
     def failing_direct(A, rhs, cfg=None):
         raise linalg.NonConvergenceError(np.zeros_like(rhs), 1.0, 0)

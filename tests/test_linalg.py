@@ -14,7 +14,7 @@ from prkflow.field import ProjectionParams, VectorField, normalize, projector_bl
 from prkflow.grid import Grid, laplacian
 from prkflow.harness import build_grid, build_initial, preset, scheme_params
 from prkflow.linalg import (BreakdownError, NonConvergenceError, SolverConfig,
-                            StageOperator, TangentBlocks, direct_solve, solve)
+                            StageOperator, TangentPreconditioner, direct_solve, solve)
 from prkflow.tableau import prk2_tableau
 
 from test_field import pointwise_p
@@ -277,15 +277,20 @@ def test_rectangular_rejected():
 
 
 def _first_stage(preset_name, k, **overrides):
-    """The first PRK2 stage operator of a preset's initial field, and the field (3N)."""
+    """The first PRK2 stage operator of a preset's initial field, the field (3N)
+    and the preconditioner the stage solve picks for it: the field's
+    TangentPreconditioner at alignment 1 when the stage is stiff, else None."""
     cfg = preset(preset_name, k=k, **overrides)
     grid = build_grid(cfg)
     m = normalize(build_initial(cfg, grid))
     p = scheme_params(cfg, scheme="prk")
     tab = p.tableau
-    op = StageOperator(laplacian(grid), projector_blocks(m, p.projection),
-                       p.tau * tab.A[0, 0] * tab.D2[0, 0], TangentBlocks(m, p.projection))
-    return op, m.components.reshape(-1)
+    coeff = p.tau * tab.A[0, 0] * tab.D2[0, 0]
+    op = StageOperator(laplacian(grid), projector_blocks(m, p.projection), coeff)
+    M = None
+    if linalg._takes_tangent_preconditioner(grid, p.projection, coeff):
+        M = TangentPreconditioner(m, p.projection, coeff, 1.0)
+    return op, m.components.reshape(-1), M
 
 
 @pytest.mark.parametrize("start", ["zero", "field"])
@@ -295,10 +300,9 @@ def _first_stage(preset_name, k, **overrides):
     ("llg_blowup42", {"tau": 2e-2}, "tangent"),       # beta = 1, stiff
 ], ids=["llg_blowup42-none", "twisted_nematic44-tangent", "llg_blowup42-beta1-tangent"])
 def test_bicgstab_loop_is_scipys_bit_for_bit(preset_name, overrides, precond, start, rng):
-    op, m = _first_stage(preset_name, 12, **overrides)
-    M = linalg._preconditioner(op)
-    assert isinstance(M, linalg.TangentPreconditioner) is (precond == "tangent")
-    assert (M is np.copy) is (precond == "none")
+    op, m, M = _first_stage(preset_name, 12, **overrides)
+    assert isinstance(M, TangentPreconditioner) is (precond == "tangent")
+    assert (M is None) is (precond == "none")
     rhs = m + 1e-2 * rng.standard_normal(m.shape)
     x0 = None if start == "zero" else m.copy()
     cfg = SolverConfig()
@@ -315,14 +319,14 @@ def test_bicgstab_loop_is_scipys_bit_for_bit(preset_name, overrides, precond, st
                                   maxiter=budget, M=M_ref, callback=count)
     x = np.zeros_like(rhs) if x0 is None else x0.copy()
     target = max(cfg.rel_tol * np.linalg.norm(rhs), cfg.abs_tol)
-    info, iters = linalg._bicgstab(op.dot, M, rhs, x, target, budget)
+    info, iters = linalg._bicgstab(op.dot, np.copy if M is None else M, rhs, x, target, budget)
     assert np.array_equal(x, ref)
     assert info == ref_info == 0
     assert iters == calls[0] > 0
 
 
 def test_start_guess_meeting_the_target_takes_no_iteration(rng):
-    op, m = _first_stage("llg_blowup42", 12)
+    op, m, _M = _first_stage("llg_blowup42", 12)
     rhs = m + 1e-2 * rng.standard_normal(m.shape)
     x, iters, resid = solve(op, rhs)
     assert iters > 0
@@ -342,8 +346,8 @@ def test_start_guess_meeting_the_target_takes_no_iteration(rng):
 def test_tangent_start_takes_the_normal_component(preset_name, k, stiff, monkeypatch, rng):
     # blocks P(m) leave m.x = m.rhs, so a tangent-preconditioned solve starts
     # on rhs's normal component; an unpreconditioned one starts from x0 itself
-    op, m = _first_stage(preset_name, k)
-    assert isinstance(linalg._preconditioner(op), linalg.TangentPreconditioner) is stiff
+    op, m, M = _first_stage(preset_name, k)
+    assert isinstance(M, TangentPreconditioner) is stiff
     starts = []
     bicgstab = linalg._bicgstab
 
@@ -354,10 +358,10 @@ def test_tangent_start_takes_the_normal_component(preset_name, k, stiff, monkeyp
     monkeypatch.setattr(linalg, "_bicgstab", capture)
     rhs = m
     x0 = rhs + 1e-2 * rng.standard_normal(rhs.shape)
-    solve(op, rhs, x0=x0)
+    solve(op, rhs, x0=x0, M=M)
     (start,) = starts
     if stiff:
-        field = op.tangent.field.components
+        field = m.reshape(3, -1)
         normal = np.einsum("ln,ln->n", field, (start - rhs).reshape(3, -1))
         assert np.abs(normal).max() <= 1e-13 * np.abs(rhs).max()
     else:

@@ -21,7 +21,7 @@ from prkflow.field import ProjectionParams, VectorField, normalize, projector_bl
 from prkflow.grid import NEUMANN, Grid, discrete_energy, laplacian, shifted_laplacian_inverse
 from prkflow.harness import build_grid, build_initial, preset, scheme_params
 from prkflow.integrators import run
-from prkflow.linalg import StageOperator, TangentBlocks, TangentPreconditioner, solve
+from prkflow.linalg import StageOperator, TangentPreconditioner, solve
 
 
 def _anchor(x):
@@ -154,9 +154,8 @@ def test_complex_shift_transforms_the_real_part_alone(preset_name, overrides, rn
     grid = build_grid(cfg)
     mdir = normalize(build_initial(cfg, grid))
     projection = ProjectionParams(cfg.alpha, cfg.beta)
-    op = StageOperator(laplacian(grid), projector_blocks(mdir, projection), cfg.tau,
-                       TangentBlocks(mdir, projection))
-    precond = TangentPreconditioner(op)
+    op = StageOperator(laplacian(grid), projector_blocks(mdir, projection), cfg.tau)
+    precond = TangentPreconditioner(mdir, projection, op.coeff, 1.0)
     assert precond.work is not None
     v = rng.standard_normal(op.shape[0])
     got = precond(v)
@@ -167,22 +166,32 @@ def test_complex_shift_transforms_the_real_part_alone(preset_name, overrides, rn
 
 def _count_builds(monkeypatch):
     """Counters of preconditioner builds, of the steppers' solve calls and of
-    those among them whose operator is stiff enough for the preconditioner."""
+    those among them whose stage is stiff enough for the preconditioner, as
+    ``linalg._takes_tangent_preconditioner``, asked once before each stage
+    solve, decides.  A stiff stage's solve must be given the preconditioner
+    built last, any other none."""
     counts = {"builds": 0, "solves": 0, "stiff": 0}
+    last = {"built": None}
+    takes = linalg._takes_tangent_preconditioner
+
+    def deciding(grid, projection, coeff):
+        last["stiff"] = takes(grid, projection, coeff)
+        return last["stiff"]
 
     class Counting(TangentPreconditioner):
-        def __init__(self, A):
+        def __init__(self, field, projection, coeff, kappa):
             counts["builds"] += 1
-            super().__init__(A)
+            last["built"] = self
+            super().__init__(field, projection, coeff, kappa)
 
-    def counting_solve(A, rhs, cfg=None, x0=None):
+    def counting_solve(A, rhs, cfg=None, x0=None, M=None):
         counts["solves"] += 1
-        tangent = A.tangent
-        if tangent is not None and linalg._takes_tangent_preconditioner(
-                tangent.field.grid, tangent.projection, A.coeff):
-            counts["stiff"] += 1
-        return solve(A, rhs, cfg, x0)
+        stiff = last.pop("stiff")
+        counts["stiff"] += stiff
+        assert M is (last["built"] if stiff else None)
+        return solve(A, rhs, cfg, x0, M)
 
+    monkeypatch.setattr(linalg, "_takes_tangent_preconditioner", deciding)
     monkeypatch.setattr(linalg, "TangentPreconditioner", Counting)
     monkeypatch.setattr(integrators, "solve", counting_solve)
     return counts
@@ -212,26 +221,37 @@ def test_uniform_field_preconditioner_is_the_exact_inverse(dim, kind, beta, rng)
     grid = Grid(dim, 5, 0.25, faces=_faces(kind, dim))
     mdir = normalize(VectorField(np.tile([[0.3], [-0.5], [0.8]], grid.n_nodes), grid))
     projection = ProjectionParams(1.3, beta)
-    op = StageOperator(laplacian(grid), projector_blocks(mdir, projection), 0.7,
-                       TangentBlocks(mdir, projection))
+    op = StageOperator(laplacian(grid), projector_blocks(mdir, projection), 0.7)
     x = rng.standard_normal(op.shape[0])
     x.reshape(3, -1)[:, grid.dirichlet_mask] = 0.0
-    got = TangentPreconditioner(op)(op.dot(x))
+    got = TangentPreconditioner(mdir, projection, op.coeff, 1.0)(op.dot(x))
     assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
 
 
-def test_selection_threshold():
+def test_selection_threshold(monkeypatch):
+    # the stage solve builds the preconditioner and hands it to solve from the
+    # stiffness 1.5 on, and below it solves unpreconditioned
     grid = Grid(3, 5, 0.25)
     mdir = normalize(VectorField(np.ones((3, grid.n_nodes)), grid))
+    given = []
+
+    def recording(A, rhs, cfg=None, x0=None, M=None):
+        given.append(M)
+        return solve(A, rhs, cfg, x0, M)
+
+    monkeypatch.setattr(integrators, "solve", recording)
     for projection in (ProjectionParams(1.0), ProjectionParams(0.6, 0.8)):
+        p = integrators.SchemeParams("prk", 1e-3, projection)
         blocks = projector_blocks(mdir, projection)
         # |alpha + i beta| = 1 in both
         edge = linalg._TANGENT_MIN_STIFFNESS / (4.0 * 3 / 0.25 ** 2)
         for coeff, spectral in ((edge, True), (edge * (1 - 1e-9), False)):
-            op = StageOperator(laplacian(grid), blocks, coeff, TangentBlocks(mdir, projection))
-            assert isinstance(linalg._preconditioner(op), TangentPreconditioner) is spectral
-        plain = StageOperator(laplacian(grid), blocks, 10 * edge)
-        assert not isinstance(linalg._preconditioner(plain), TangentPreconditioner)
+            assert linalg._takes_tangent_preconditioner(grid, projection, coeff) is spectral
+            integrators._stage_solve(integrators._Solves(), laplacian(grid), blocks, coeff,
+                                     mdir.components, mdir.components, p, mdir, 1.0)
+            M = given.pop()
+            assert isinstance(M, TangentPreconditioner) is spectral
+            assert (M is None) is not spectral
 
 
 @pytest.mark.parametrize("scheme", ["prk", "prk_alt", "sip1", "bdf4_ref"])
@@ -275,10 +295,10 @@ def test_mild_beta0_stages_run_unpreconditioned_bit_identically(preset_name, k, 
     assert _prk_stiffness(cfg) < linalg._TANGENT_MIN_STIFFNESS
     counts = _count_builds(monkeypatch)
     final, trace = _steps(preset_name, "prk", 4, k=k, tau=tau, beta=0.0)
-    assert counts["solves"] > 0 and counts["builds"] == 0
-    # the same run with no TangentBlocks at all
-    monkeypatch.setattr(integrators, "TangentBlocks",
-                        lambda field, projection, alignment=1.0: None)
+    assert counts["solves"] > 0 and counts["builds"] == counts["stiff"] == 0
+    # the same run with every solve called without a preconditioner argument
+    monkeypatch.setattr(integrators, "solve",
+                        lambda A, rhs, cfg=None, x0=None, M=None: solve(A, rhs, cfg, x0))
     plain, plain_trace = _steps(preset_name, "prk", 4, k=k, tau=tau, beta=0.0)
     assert np.array_equal(final.components, plain.components)
     assert [r.solver_iters for r in trace.records] == [r.solver_iters for r in plain_trace.records]
@@ -287,13 +307,14 @@ def test_mild_beta0_stages_run_unpreconditioned_bit_identically(preset_name, k, 
 @pytest.mark.parametrize("preset_name", ["twisted_nematic44", "point_defect43"])
 def test_preconditioned_iterations_at_most_half_of_unpreconditioned(preset_name, monkeypatch):
     # every stage operator of the first three PRK steps is also solved
-    # unpreconditioned, as an operator without TangentBlocks is
+    # unpreconditioned, from the same start guess, as a copy that leaves the
+    # stage's operator its D_h x
     counts = _count_builds(monkeypatch)
     iters = {"tangent": 0, "none": 0}
     counting_solve = integrators.solve
 
-    def both(A, rhs, cfg=None, x0=None):
-        x, nit, res = counting_solve(A, rhs, cfg, x0)
+    def both(A, rhs, cfg=None, x0=None, M=None):
+        x, nit, res = counting_solve(A, rhs, cfg, x0, M)
         iters["tangent"] += nit
         iters["none"] += solve(StageOperator(A.lap, A.blocks, A.coeff), rhs, cfg, x0)[1]
         return x, nit, res
@@ -407,9 +428,8 @@ def test_unit_alignment_is_the_plain_shifted_inverse_bit_for_bit(preset_name, ov
     grid = build_grid(cfg)
     mdir = normalize(build_initial(cfg, grid))
     projection = ProjectionParams(cfg.alpha, cfg.beta)
-    op = StageOperator(laplacian(grid), projector_blocks(mdir, projection), cfg.tau,
-                       TangentBlocks(mdir, projection, 1.0))
-    precond = TangentPreconditioner(op)
+    op = StageOperator(laplacian(grid), projector_blocks(mdir, projection), cfg.tau)
+    precond = TangentPreconditioner(mdir, projection, op.coeff, 1.0)
     v = rng.standard_normal(op.shape[0])
     got = precond(v)
     grid._shifted = None          # a new function, not the one kept for (c, d)
@@ -435,24 +455,36 @@ def test_field_off_the_sphere_takes_alignment_zero():
     assert len(rec.solver_iters) == 2 and rec.max_unit_dev <= 1e-12
 
 
-@pytest.mark.parametrize("scheme, n_steps, n_sums", [
-    ("prk", 5, 2 * 5 + 1),          # pre and post per step, E(m^0) once
-    ("bdf4_ref", 1, 2 * 10 + 1),    # ten start-up sub-steps, their start field once
+@pytest.mark.parametrize("preset_name, overrides, scheme, n_steps, n_sums", [
+    # pre and post per step, E(m^0) once
+    pytest.param("twisted_nematic44", {"k": 8, "tau": 5e-2}, "prk", 5, 2 * 5 + 1,
+                 id="prk-5-11"),
+    # ten start-up sub-steps, their start field once
+    pytest.param("twisted_nematic44", {"k": 8, "tau": 5e-2}, "bdf4_ref", 1, 2 * 10 + 1,
+                 id="bdf4_ref-1-21"),
+    # no stiff stage, and E(m^0) once all the same
+    pytest.param("llg_blowup42", {"k": 8}, "prk", 5, 2 * 5 + 1, id="llg_blowup42-prk-5-11"),
 ])
-def test_stage_alignment_sums_no_energy_twice(scheme, n_steps, n_sums, monkeypatch):
-    # the stiff stages of a rough start read E(m^n) from the previous step's
-    # record: only the first start field of a PRK stepper (a prk run's, a
-    # BDF4 start-up step's) is summed for the alignment, and no field twice
+def test_stage_alignment_sums_no_energy_twice(preset_name, overrides, scheme, n_steps, n_sums,
+                                              monkeypatch):
+    # every PRK stepper (a prk run's, a BDF4 start-up step's) sums the energy
+    # of its start field once, when its stage history is built; its later
+    # steps read E(m^n) from the previous step's record, and no field is
+    # summed twice
     summed = []
 
     def recording(comps, grid=None):
         summed.append(np.asarray(getattr(comps, "components", comps)).tobytes())
         return discrete_energy(comps, grid)
 
-    cfg = preset("twisted_nematic44", k=8, tau=5e-2)
-    assert _prk_stiffness(cfg) / 10.0 >= linalg._TANGENT_MIN_STIFFNESS
+    cfg = preset(preset_name, **overrides)
+    stiffness = _prk_stiffness(cfg) * abs(complex(cfg.alpha, cfg.beta)) / cfg.alpha
+    if preset_name == "twisted_nematic44":       # stiff at the start-up's tau / 10 too
+        assert stiffness / 10.0 >= linalg._TANGENT_MIN_STIFFNESS
+    else:
+        assert stiffness < linalg._TANGENT_MIN_STIFFNESS
     monkeypatch.setattr(integrators, "discrete_energy", recording)
-    _steps("twisted_nematic44", scheme, n_steps, k=8, tau=5e-2)
+    _steps(preset_name, scheme, n_steps, **overrides)
     assert len(summed) == n_sums and len(set(summed)) == n_sums
 
 
