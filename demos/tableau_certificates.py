@@ -6,7 +6,7 @@ the stiff Laplacian factor is averaged with weights D2 and the mobility is
 evaluated at the lagged stage.  Its certificates,
 
     Q = B D2 A + (B D2 A)^T - b b^T     (energy decrease of the predictor)
-    R = b b^T - B J A - (B J A)^T       (length increase of the predictor)
+    R = b b^T - B D1 J A - (B D1 J A)^T (length increase of the predictor)
 
 must be positive semi-definite with b >= 0; then the pointwise projection
 keeps the solution on the sphere while the discrete energy dissipates.

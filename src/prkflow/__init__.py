@@ -7,7 +7,8 @@ Subpackages:
   field       -- three-component node fields, sphere projection, mobility operator
   linalg      -- matrix-free stage operator and verified sparse solves
   integrators -- PRK (SIP1 = its implicit-Euler tableau, the PRK variant = its
-                 transformed tableau) / LM2 / BDF4-reference steppers, one run loop
+                 transformed tableau) / LM2 / BDF4-reference steppers, named in
+                 SCHEMES, one run loop
   harness     -- experiment presets, drivers, CSV/VTK emitters
 """
 
@@ -18,8 +19,8 @@ from .stability import embed, stability_function, sample_region, RegionWindow
 from .grid import Grid, NEUMANN, laplacian, inner_product, discrete_energy
 from .field import VectorField, ProjectionParams, normalize, diagnostics
 from .linalg import SolverConfig, solve
-from .integrators import (SchemeParams, prk_step, lm2_step, lm2_init, bdf4_step, run,
-                          RunTrace, NoRealRootError)
+from .integrators import (SCHEMES, SchemeParams, prk_step, lm2_step, lm2_init, bdf4_step,
+                          run, RunTrace, NoRealRootError)
 from .harness import (preset, build_grid, build_initial, scheme_params, l2_error,
                       convergence_driver, robustness_driver, work_precision_driver,
                       emit_field_vtk, emit_trace_csv)

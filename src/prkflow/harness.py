@@ -6,9 +6,9 @@ round-trip bit-for-bit and reruns are bit-identical.
 
 The three drivers share one sweep.  It checks every checkpoint time against
 every step size before any step, builds the grid, the initial field and one
-reference trajectory per effective beta once, and makes one run per
-(scheme, tau), observed at every checkpoint (error and wall time since
-t = 0).  The drivers only format its cells as rows.  Every run read at
+reference trajectory per beta of the schemes' params once, and makes one
+run per (scheme, tau), observed at every checkpoint (error and wall time
+since t = 0).  The drivers only format its cells as rows.  Every run read at
 checkpoint times (the sweep's, the reference's and ``prkflow run``'s) is a
 ``snapshot_run``.
 """
@@ -49,10 +49,6 @@ __all__ = [
     "config_to_json",
     "config_from_json",
 ]
-
-PRESET_NAMES = ("convergence41", "llg_blowup42", "point_defect43",
-                "twisted_nematic44", "custom")
-
 
 def _fmt(x):
     if isinstance(x, (int, np.integer)):
@@ -208,43 +204,42 @@ class ExperimentConfig:
         return self.length / self.k
 
 
+_PRESETS = {cfg.preset: cfg for cfg in (
+    ExperimentConfig(
+        preset="convergence41", dim=2, k=64, length=1.0, origin=(-0.5, -0.5),
+        faces=(NEUMANN,) * 4, initial="convergence41",
+        alpha=1.0, beta=1.0, tau=3.2e-4, T=0.01024,
+        reference="bdf4", ref_tau=1e-6),
+    ExperimentConfig(
+        preset="llg_blowup42", dim=2, k=24, length=1.0, origin=(-0.5, -0.5),
+        faces=(NEUMANN,) * 4, initial="llg_bubble42",
+        alpha=1.0, beta=1.0, tau=1e-4, T=0.1,
+        snapshot_times=(0.02, 0.04, 0.048, 0.049, 0.1),
+        reference="self", ref_tau=5e-5),
+    ExperimentConfig(
+        preset="point_defect43", dim=3, k=24, length=1.0, origin=(0.0, 0.0, 0.0),
+        faces=("point_defect",) * 6, initial="point_defect43",
+        alpha=1.0, beta=0.0, tau=1e-3, T=0.6,
+        reference="self", ref_tau=1e-4),
+    ExperimentConfig(
+        preset="twisted_nematic44", dim=3, k=24, length=1.0, origin=(0.0, 0.0, 0.0),
+        faces=(NEUMANN, NEUMANN, NEUMANN, NEUMANN, "x_anchor", "y_anchor"),
+        initial="random_unit",
+        alpha=1.0, beta=0.0, tau=5e-3, T=0.5,
+        reference="self", ref_tau=1e-3),
+    ExperimentConfig(
+        preset="custom", dim=2, k=8, length=1.0, origin=(0.0, 0.0),
+        faces=(NEUMANN,) * 4, initial="constant_z",
+        alpha=1.0, beta=0.0, tau=1e-3, T=1e-2),
+)}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def preset(name, **overrides):
     """Fully specified configuration for a named experiment."""
-    if name == "convergence41":
-        cfg = ExperimentConfig(
-            preset=name, dim=2, k=64, length=1.0, origin=(-0.5, -0.5),
-            faces=(NEUMANN,) * 4, initial="convergence41",
-            alpha=1.0, beta=1.0, tau=3.2e-4, T=0.01024,
-            reference="bdf4", ref_tau=1e-6)
-    elif name == "llg_blowup42":
-        cfg = ExperimentConfig(
-            preset=name, dim=2, k=24, length=1.0, origin=(-0.5, -0.5),
-            faces=(NEUMANN,) * 4, initial="llg_bubble42",
-            alpha=1.0, beta=1.0, tau=1e-4, T=0.1,
-            snapshot_times=(0.02, 0.04, 0.048, 0.049, 0.1),
-            reference="self", ref_tau=5e-5)
-    elif name == "point_defect43":
-        cfg = ExperimentConfig(
-            preset=name, dim=3, k=24, length=1.0, origin=(0.0, 0.0, 0.0),
-            faces=("point_defect",) * 6, initial="point_defect43",
-            alpha=1.0, beta=0.0, tau=1e-3, T=0.6,
-            reference="self", ref_tau=1e-4)
-    elif name == "twisted_nematic44":
-        cfg = ExperimentConfig(
-            preset=name, dim=3, k=24, length=1.0, origin=(0.0, 0.0, 0.0),
-            faces=(NEUMANN, NEUMANN, NEUMANN, NEUMANN, "x_anchor", "y_anchor"),
-            initial="random_unit",
-            alpha=1.0, beta=0.0, tau=5e-3, T=0.5,
-            reference="self", ref_tau=1e-3)
-    elif name == "custom":
-        cfg = ExperimentConfig(preset=name, dim=2, k=8, length=1.0, origin=(0.0, 0.0),
-                               faces=(NEUMANN,) * 4, initial="constant_z",
-                               alpha=1.0, beta=0.0, tau=1e-3, T=1e-2)
-    else:
+    if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; know {PRESET_NAMES}")
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    return dataclasses.replace(_PRESETS[name], **overrides)
 
 
 def build_grid(cfg):
@@ -270,15 +265,11 @@ def build_initial(cfg, grid=None):
     return m
 
 
-def effective_beta(scheme, cfg):
-    # the Lagrange-multiplier scheme implements the beta = 0 flow
-    return 0.0 if scheme == "lm2" else cfg.beta
-
-
 def scheme_params(cfg, scheme=None, tau=None):
+    """SchemeParams of cfg, or of another scheme or tau; lm2 takes beta = 0."""
     scheme = scheme or cfg.scheme
     tau = tau if tau is not None else cfg.tau
-    proj = ProjectionParams(alpha=cfg.alpha, beta=effective_beta(scheme, cfg))
+    proj = ProjectionParams(alpha=cfg.alpha, beta=0.0 if scheme == "lm2" else cfg.beta)
     return SchemeParams(scheme=scheme, tau=tau, projection=proj)
 
 
@@ -342,7 +333,7 @@ def _sweep(cfg, schemes, taus, times):
     There must be a scheme and a tau, every (scheme, tau) must make valid
     ``scheme_params`` and every time must be a whole number of steps of
     every tau (ValueError before any step).  The grid, the initial field and
-    one reference per effective beta are shared by all runs.  Yields
+    one reference per beta of the params are shared by all runs.  Yields
     (scheme, tau, cells) with cells = [(T, error, wall seconds from t = 0 to
     T), ...] in time order; error and wall are None for a time the run did
     not reach.
@@ -359,7 +350,7 @@ def _sweep(cfg, schemes, taus, times):
     initial = build_initial(cfg, grid)
     refs = {}
     for scheme in schemes:
-        beta = effective_beta(scheme, cfg)
+        beta = params[scheme, taus[0]].projection.beta
         if beta not in refs:
             refs[beta] = reference_snapshots(cfg, initial, times, beta=beta)
         for tau in taus:
@@ -433,8 +424,8 @@ def work_precision_driver(cfg, schemes, taus, T_list, out_dir=None):
     One run per (scheme, tau) reaches every terminal time; a row's
     wall_seconds is that run's time from t = 0 to T.  Returns
     {T: [(scheme, tau, wall_seconds, error), ...]}; a time the run did not
-    reach carries nan entries.  One CSV per terminal time when out_dir is
-    given.
+    reach carries nan entries.  One CSV per terminal time in out_dir, made
+    after the runs, when it is given.
     """
     nan = float("nan")
     out = {T: [] for T in T_list}
@@ -443,6 +434,7 @@ def work_precision_driver(cfg, schemes, taus, T_list, out_dir=None):
             out[T].append((scheme, tau, nan if wall is None else wall,
                            nan if err is None else err))
     if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
         for T, rows in out.items():
             path = os.path.join(out_dir, f"work_precision_T{_fmt(T)}.csv")
             write_csv(path, ("scheme", "tau", "wall_seconds", "l2_error"), rows)
@@ -488,12 +480,6 @@ def config_from_json(text):
     initial field, reference, ``output_dir``, non-integer count or seed,
     origin, snapshot time or other number (JSON's ``true`` is none) that
     ExperimentConfig rejects, or a scheme that SchemeParams rejects.
-
-    Configurations dumped before the solver became automatic carry
-    ``solver_method``, those dumped before sip1 became the implicit-Euler
-    tableau carry ``theta``, and those dumped while the solver tolerances
-    were settings carry ``solver_rel_tol`` and ``solver_abs_tol``; all are
-    now unknown keys.
     """
     doc = json.loads(text)
     fields = dataclasses.fields(ExperimentConfig)

@@ -15,6 +15,8 @@ Schemes:
   * lm2_step       -- second-order Lagrange-multiplier scheme (beta = 0)
   * bdf4_step      -- fourth-order semi-implicit BDF reference scheme
 
+``SCHEMES`` names them all: prk, prk_alt, sip1, lm2 and bdf4_ref.
+``SchemeParams`` is the one place that checks a scheme's name and rules.
 ``run`` is the only time loop: ``make_stepper`` binds each scheme, with the
 auxiliary state of the multistep schemes (LM2, BDF4), to one per-step form.
 For prk, sip1 and prk_alt, and BDF4's PRK2 start-up, it keeps the stage
@@ -55,6 +57,7 @@ from .linalg import SolverConfig, StageOperator, direct_solve, solve
 from .tableau import PRKTableau, implicit_euler_tableau, prk2_tableau, tableau_to_dict, validate
 
 __all__ = [
+    "SCHEMES",
     "SchemeParams",
     "StepRecord",
     "RunTrace",
@@ -69,8 +72,9 @@ __all__ = [
     "make_stepper",
 ]
 
-# the schemes that ``prk_step`` runs, each with its tableau
+# the schemes that ``prk_step`` runs, each with its tableau, and every scheme
 _PRK_SCHEMES = ("prk", "prk_alt", "sip1")
+SCHEMES = _PRK_SCHEMES + ("lm2", "bdf4_ref")
 
 TRACE_COLUMNS = ("step", "t", "energy", "energy_pre_projection", "min_len_pre",
                  "max_unit_dev", "solver_iters_total", "fallback_solves", "wall_ms")
@@ -107,7 +111,7 @@ class NoRealRootError(RuntimeError):
 class SchemeParams:
     """Scheme selector plus the numerical parameters shared by all schemes."""
 
-    scheme: str                      # prk | prk_alt | sip1 | lm2 | bdf4_ref
+    scheme: str                      # one of SCHEMES
     tau: float
     projection: ProjectionParams
     tableau: PRKTableau = None       # prk, prk_alt: default PRK2; sip1: implicit Euler only
@@ -116,8 +120,11 @@ class SchemeParams:
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
-        if self.scheme not in _PRK_SCHEMES + ("lm2", "bdf4_ref"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}; know {SCHEMES}")
+        if self.scheme == "lm2" and self.projection.beta != 0.0:
+            raise ValueError(f"lm2 implements the beta = 0 flow, got beta "
+                             f"{self.projection.beta!r}")
         if self.scheme in _PRK_SCHEMES:
             default = implicit_euler_tableau() if self.scheme == "sip1" else prk2_tableau()
             tab = self.tableau if self.tableau is not None else default
@@ -492,8 +499,6 @@ def lm2_step(state, aux, p, step_index=0, t0=0.0):
     root search keeps the energy of every eta it tries, and the root's,
     which the search has tried, is the recorded post-projection energy.
     """
-    if p.projection.beta != 0.0:
-        raise ValueError("lm2 implements the beta = 0 flow")
     grid = state.grid
     lap = laplacian(grid)
     tau, alpha = p.tau, p.projection.alpha
@@ -589,8 +594,8 @@ def bdf4_step(state, hist, p, step_index=0, t0=0.0):
 
 
 def _step_count(T, tau):
-    if T < 0:
-        raise ValueError("T must be nonnegative")
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"T must be finite and nonnegative, got {T!r}")
     n = int(round(T / tau))
     if abs(n * tau - T) > 1e-8 * max(tau, T):
         raise ValueError(f"T={T} is not an integer multiple of tau={tau}")

@@ -174,8 +174,9 @@ def q_matrix(t):
 
 
 def r_matrix(t):
-    """R = b b^T - B J A - (B J A)^T, J the sub-diagonal shift."""
-    bja = np.diag(t.b) @ shift_matrix(t.s) @ t.A
+    """R = b b^T - B D1 J A - (B D1 J A)^T, J the sub-diagonal shift: with stage
+    i's mobility at sum_k D1[i,k] U^{k-1}, the pre-projection length bound."""
+    bja = np.diag(t.b) @ t.D1 @ shift_matrix(t.s) @ t.A
     return np.outer(t.b, t.b) - bja - bja.T
 
 

@@ -296,9 +296,15 @@ def test_unknown_scheme_is_usage_error(command, tmp_path, capsys, monkeypatch):
     (["robustness", "--schemes", ","], "got schemes []"),
     (["work-precision", "--taus", "0"], "got 0.0"),
     (["work-precision", "--taus=-1e-3"], "got -0.001"),
+    (["work-precision", "--taus", "0", "--out-dir", "wpdir"], "got 0.0"),
+    (["robustness", "--checkpoints", "inf"], "got inf"),
+    (["robustness", "--checkpoints", "nan"], "got nan"),
+    (["work-precision", "--times", "inf"], "got inf"),
 ], ids=["convergence-tau0-zero", "convergence-tau0-negative", "convergence-halvings-negative",
         "convergence-no-scheme", "robustness-tau-zero", "robustness-tau-nan",
-        "robustness-no-scheme", "work-precision-tau-zero", "work-precision-tau-negative"])
+        "robustness-no-scheme", "work-precision-tau-zero", "work-precision-tau-negative",
+        "work-precision-out-dir", "robustness-checkpoint-inf", "robustness-checkpoint-nan",
+        "work-precision-time-inf"])
 def test_sweep_rejects_its_step_sizes_before_any_run(args, named, tmp_path, capsys, monkeypatch):
     # every (scheme, tau) is checked before the reference trajectory runs:
     # a usage error that names the value, no traceback and no output
@@ -314,6 +320,26 @@ def test_sweep_rejects_its_step_sizes_before_any_run(args, named, tmp_path, caps
     assert captured.err.startswith("error: ") and named in captured.err
     assert "Traceback" not in captured.err and not captured.out
     assert not list(tmp_path.iterdir())
+
+
+def test_run_takes_the_bdf4_reference_scheme(tmp_path, capsys, monkeypatch):
+    # every scheme SchemeParams takes, the reference scheme included
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--preset", "custom", "--scheme", "bdf4_ref"]) == 0
+    assert "steps completed: 10;" in capsys.readouterr().out
+    rows = (tmp_path / "custom_bdf4_ref_trace.csv").read_text().splitlines()
+    assert len(rows) == 11
+
+
+def test_run_scheme_choices_are_the_integrators_schemes():
+    # one list of scheme names: the one SchemeParams checks against
+    import argparse
+    from prkflow.cli import build_parser
+    from prkflow.integrators import SCHEMES
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    scheme = next(a for a in subparsers.choices["run"]._actions if a.dest == "scheme")
+    assert scheme.choices is SCHEMES
 
 
 def test_run_from_config_file(tmp_path, capsys):
@@ -384,9 +410,9 @@ def test_robustness_command(tmp_path, capsys):
 def test_work_precision_command(tmp_path, capsys):
     code = main(["work-precision", "--preset", "llg_blowup42", "--k", "8",
                  "--schemes", "prk", "--taus", "1e-3,5e-4",
-                 "--times", "2e-3", "--out-dir", str(tmp_path)])
+                 "--times", "2e-3", "--out-dir", str(tmp_path / "wp")])
     assert code == 0
-    files = list(tmp_path.glob("work_precision_T*.csv"))
+    files = list((tmp_path / "wp").glob("work_precision_T*.csv"))
     assert len(files) == 1
     assert "wall=" in capsys.readouterr().out
 

@@ -181,6 +181,19 @@ def test_r_matrix_golden():
     assert np.array_equal(exact, np.array([[0.25, -0.25], [-0.25, 0.25]]))
 
 
+def test_r_matrix_takes_d1():
+    # a valid tableau whose R at D1 = I is PSD but whose R(D1) is not: the
+    # lagged mobility averaged by D1 breaks the length bound
+    t = PRKTableau(A=[[1.0, 0.0], [0.0, 0.5]], D1=[[1.0, 0.0], [-0.2, 1.2]],
+                   D2=[[1.0, 0.0], [-1.0, 2.0]], b=[0.5, 0.5])
+    assert validate(t) == []
+    bja = np.diag(t.b) @ t.D1 @ shift_matrix(2) @ t.A
+    assert np.array_equal(r_matrix(t), np.outer(t.b, t.b) - bja - bja.T)
+    rep = certify(t)
+    assert np.allclose(rep.r_eigenvalues, [-0.1, 0.6], atol=1e-15)
+    assert not rep.satisfies_theorem
+
+
 def test_q_identity_substitution():
     t = PRKTableau(A=np.eye(3), D1=np.eye(3), D2=np.eye(3), b=[1.0, 0.0, 0.0])
     assert np.array_equal(q_matrix(t), np.diag([1.0, 0.0, 0.0]))
